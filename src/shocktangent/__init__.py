@@ -6,124 +6,4 @@ the jump-condition speed evaluated on one-sided reconstructions. The result is
 a generalized sensitivity: a field part plus a shock-displacement part.
 """
 
-from .calculus import (
-    BurgersRampOracle,
-    TangentVector,
-    jump_estimate,
-    l1_error,
-    tangent_norm,
-    tangential_shift,
-    xi_ode_oracle,
-)
-from .cases import (
-    BURGERS_GRIDS,
-    CaseConfig,
-    CaseResult,
-    SweepReport,
-    emit_csv,
-    emit_snapshot_csv,
-    epsilon_sweep,
-    euler_profile,
-    grid_convergence,
-    run_case,
-)
-from .dual import Dual, edge_pad, lift, maximum, seed, sqrt, where, with_custom_tangent
-from .errors import (
-    CFLViolationError,
-    ConfigError,
-    GridMismatchError,
-    NoShockError,
-    NonPhysicalStateError,
-    NumericalError,
-    OutOfDomainError,
-    ProbeDegenerateError,
-    ShockTangentError,
-    TrackingLostError,
-)
-from .mesh import CellField, Grid1D, cell_average, eval_constant, eval_linear
-from .models import (
-    GAMMA,
-    BurgersModel,
-    EulerCellField,
-    EulerState,
-    MovingShockSetup,
-    euler_flux,
-    euler_left_state,
-    moving_shock_right_state,
-    shock_speed_from_states,
-)
-from .solver import (
-    SchemeConfig,
-    cfl_dt,
-    euler_boundary_fluxes,
-    lxf_boundary_fluxes,
-    lxf_step,
-    run,
-    rusanov_step_euler,
-)
-from .tracker import ShockState, ShockTracker, TrackerConfig, advance_position
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BURGERS_GRIDS",
-    "BurgersModel",
-    "BurgersRampOracle",
-    "CFLViolationError",
-    "CaseConfig",
-    "CaseResult",
-    "CellField",
-    "ConfigError",
-    "Dual",
-    "EulerCellField",
-    "EulerState",
-    "GAMMA",
-    "Grid1D",
-    "GridMismatchError",
-    "MovingShockSetup",
-    "NoShockError",
-    "NonPhysicalStateError",
-    "NumericalError",
-    "OutOfDomainError",
-    "ProbeDegenerateError",
-    "SchemeConfig",
-    "ShockState",
-    "ShockTangentError",
-    "ShockTracker",
-    "SweepReport",
-    "TangentVector",
-    "TrackerConfig",
-    "TrackingLostError",
-    "advance_position",
-    "cell_average",
-    "cfl_dt",
-    "edge_pad",
-    "emit_csv",
-    "emit_snapshot_csv",
-    "epsilon_sweep",
-    "euler_boundary_fluxes",
-    "euler_flux",
-    "euler_left_state",
-    "euler_profile",
-    "eval_constant",
-    "eval_linear",
-    "grid_convergence",
-    "jump_estimate",
-    "l1_error",
-    "lift",
-    "lxf_boundary_fluxes",
-    "lxf_step",
-    "maximum",
-    "moving_shock_right_state",
-    "run",
-    "run_case",
-    "rusanov_step_euler",
-    "seed",
-    "shock_speed_from_states",
-    "sqrt",
-    "tangent_norm",
-    "tangential_shift",
-    "where",
-    "with_custom_tangent",
-    "xi_ode_oracle",
-]

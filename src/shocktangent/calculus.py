@@ -47,12 +47,6 @@ class BurgersRampOracle:
         ramp = (1.0 + eps) * y / stretch
         return np.where((y >= 0.0) & (y <= np.sqrt(stretch)), ramp, 0.0)
 
-    def tangent_field(self, t, x):
-        """v = d/deps of the family at eps = 0 (away from the shock)."""
-        y = np.asarray(x) - self.shift
-        v = y / (1.0 + t) ** 2
-        return np.where((y >= 0.0) & (y <= math.sqrt(1.0 + t)), v, 0.0)
-
     # -- shock path ------------------------------------------------------------
 
     def shock_position(self, t, eps=0.0):
@@ -83,10 +77,6 @@ class BurgersRampOracle:
     def avg_solution(self, grid, t, eps=0.0):
         bps = (self.shift, self.shock_position(t, eps))
         return cell_average(lambda x: self.solution(t, x, eps), grid, bps)
-
-    def avg_tangent(self, grid, t):
-        bps = (self.shift, self.shock_position(t))
-        return cell_average(lambda x: self.tangent_field(t, x), grid, bps)
 
 
 def xi_ode_oracle(t_final, oracle=None, dt=1e-4):

@@ -1,6 +1,7 @@
 """Experiment harness: canonical cases, perturbation sweeps, CSV reports.
 
-Two families are wired up:
+Each problem is one law object in LAWS, its flux model from models.py plus
+its canonical case:
 
 * ``burgers``: the decaying-ramp problem on [0, L], L the smallest multiple of
   dx at or above 1.9, with the nine reference grids of BURGERS_GRIDS (dx
@@ -19,7 +20,7 @@ the eps = eps_max comparison over a sequence of grids.
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,9 +31,10 @@ from .mesh import CellField, Grid1D, cell_average
 from .models import (
     BurgersModel,
     EulerCellField,
+    EulerModel,
     EulerState,
     MovingShockSetup,
-    moving_shock_right_state,
+    law_of,
 )
 from .solver import SchemeConfig, run
 from .tracker import ShockTracker, TrackerConfig
@@ -50,7 +52,51 @@ BURGERS_GRIDS = {
     9: (1.472e-2, 9.52e-3),
 }
 
-BURGERS_MIN_EXTENT = 1.9
+MODES = ("none", "blackbox", "shock")
+
+
+class BurgersLaw(BurgersModel):
+    """Burgers' equation with its decaying-ramp case (BurgersRampOracle).
+
+    Without a dx the grid is a row of `grids`. `family` lists the rows of the
+    grid study; its finest row is the default grid. A law without a family
+    takes dx from its defaults.
+    """
+
+    grids = BURGERS_GRIDS
+    family = (9, 8, 7, 6, 5)
+    defaults = {"cfl": 0.63, "t_final": 2.0, "c_coeff": 5.0, "eps_min": 1e-4,
+                "eps_max": 0.2, "domain_length": 1.9}
+    lower_bounds = {}
+
+    def start(self, cfg, grid):
+        """(exact solution, seeded initial field, initial shock position)."""
+        oracle = BurgersRampOracle(cfg.shift)
+        u0 = oracle.avg_solution(grid, 0.0)
+        # The family scales the ramp amplitude, so the seed equals the profile.
+        return oracle, u0.with_tangent(u0.values), cfg.shift + 1.0
+
+    def reference(self, oracle, grid, t, eps):
+        return {"u": oracle.avg_solution(grid, t, eps)}
+
+
+class EulerLaw(EulerModel):
+    """The Euler equations with the single moving-shock case (MovingShockSetup)."""
+
+    family = ()
+    defaults = {"dx": 0.01, "dt_mode": "cfl", "cfl": 0.82, "t_final": 100.0,
+                "c_coeff": 20.0, "eps_min": 1e-5, "eps_max": 0.1, "domain_length": 30.0}
+    lower_bounds = {"mach": 1.0, "gamma": 1.0}
+
+    def start(self, cfg, grid):
+        setup = MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma)
+        return setup, _euler_initial_field(setup, grid), cfg.x_shock0
+
+    def reference(self, setup, grid, t, eps):
+        return euler_profile(setup, grid, t, eps)
+
+
+LAWS = {"burgers": BurgersLaw(), "euler": EulerLaw()}
 
 
 @dataclass(frozen=True)
@@ -81,63 +127,44 @@ class CaseConfig:
 
     def resolved(self):
         """Fill per-problem defaults; validate the combination."""
-        if self.problem not in ("burgers", "euler"):
+        law = LAWS.get(self.problem)
+        if law is None:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.mode not in ("none", "blackbox", "shock"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         cfg = self
-        if cfg.problem == "burgers":
-            if cfg.dx is None:
-                no = cfg.grid_no if cfg.grid_no is not None else 5
-                if no not in BURGERS_GRIDS:
-                    raise ConfigError(f"grid_no must be one of {sorted(BURGERS_GRIDS)}")
-                table_dx, table_dt = BURGERS_GRIDS[no]
-                cfg = replace(cfg, grid_no=no, dx=table_dx)
-                if cfg.dt_mode is None and cfg.dt is None:
-                    cfg = replace(cfg, dt_mode="fixed", dt=table_dt)
-            cfg = replace(
-                cfg,
-                dt_mode=cfg.dt_mode or ("fixed" if cfg.dt else "cfl"),
-                cfl=cfg.cfl if cfg.cfl is not None else 0.63,
-                t_final=cfg.t_final if cfg.t_final is not None else 2.0,
-                c_coeff=cfg.c_coeff if cfg.c_coeff is not None else 5.0,
-                eps_min=cfg.eps_min if cfg.eps_min is not None else 1e-4,
-                eps_max=cfg.eps_max if cfg.eps_max is not None else 0.2,
-            )
-        else:
-            cfg = replace(
-                cfg,
-                dx=cfg.dx if cfg.dx is not None else 0.01,
-                dt_mode=cfg.dt_mode or "cfl",
-                cfl=cfg.cfl if cfg.cfl is not None else 0.82,
-                t_final=cfg.t_final if cfg.t_final is not None else 100.0,
-                c_coeff=cfg.c_coeff if cfg.c_coeff is not None else 20.0,
-                eps_min=cfg.eps_min if cfg.eps_min is not None else 1e-5,
-                eps_max=cfg.eps_max if cfg.eps_max is not None else 0.1,
-                domain_length=cfg.domain_length if cfg.domain_length is not None else 30.0,
-            )
-        if not cfg.dx > 0:
-            raise ConfigError(f"dx must be positive, got {cfg.dx}")
-        if cfg.dt_mode == "fixed" and not (cfg.dt and cfg.dt > 0):
-            raise ConfigError("fixed stepping requires dt > 0")
-        if not cfg.t_final > 0:
-            raise ConfigError("t_final must be positive")
+        if cfg.dx is None and law.family:
+            no = cfg.grid_no if cfg.grid_no is not None else law.family[-1]
+            if no not in law.grids:
+                raise ConfigError(f"grid_no must be one of {sorted(law.grids)}")
+            table_dx, table_dt = law.grids[no]
+            cfg = replace(cfg, grid_no=no, dx=table_dx)
+            if cfg.dt_mode is None and cfg.dt is None:
+                cfg = replace(cfg, dt_mode="fixed", dt=table_dt)
+        cfg = replace(cfg, **{k: v for k, v in law.defaults.items() if getattr(cfg, k) is None})
+        cfg = replace(cfg, dt_mode=cfg.dt_mode or ("fixed" if cfg.dt else "cfl"))
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name, low in {"dx": 0.0, **law.lower_bounds}.items():
+            if not getattr(cfg, name) > low:
+                raise ConfigError(f"{name} must exceed {low}, got {getattr(cfg, name)}")
         if cfg.n_eps < 2:
             raise ConfigError("n_eps must be at least 2")
         if not 0 < cfg.eps_min < cfg.eps_max:
             raise ConfigError("need 0 < eps_min < eps_max")
+        try:  # the grid, the tracker and the step control check their own inputs
+            cfg.build_grid()
+            TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
+            _scheme(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return cfg
 
     def eps_list(self):
         return np.geomspace(self.eps_min, self.eps_max, self.n_eps)
 
     def build_grid(self):
-        if self.problem == "burgers":
-            extent = self.domain_length or BURGERS_MIN_EXTENT
-            n = math.ceil(extent / self.dx - 1e-12)
-        else:
-            n = math.ceil(self.domain_length / self.dx - 1e-12)
-        return Grid1D(0.0, self.dx, n)
+        return Grid1D(0.0, self.dx, math.ceil(self.domain_length / self.dx - 1e-12))
 
 
 @dataclass
@@ -147,8 +174,8 @@ class CaseResult:
     snapshots: list
     tracker: ShockTracker
     delta: float
-    oracle: BurgersRampOracle | None = None
-    setup: MovingShockSetup | None = None
+    law: BurgersLaw | EulerLaw
+    oracle: BurgersRampOracle | MovingShockSetup
 
     @property
     def final_field(self):
@@ -172,53 +199,31 @@ def _scheme(cfg):
     )
 
 
-def _burgers_initial_field(oracle, grid):
-    u0 = oracle.avg_solution(grid, 0.0)
-    # The family scales the ramp amplitude, so the seed equals the profile.
-    return u0.with_tangent(u0.values)
-
-
 def _euler_initial_field(setup, grid):
-    left = setup.left_state()
-    right = moving_shock_right_state(left, seed(setup.shock_speed, 1.0))
+    """The t = 0 profile, seeded with d/dS of the post-shock state."""
+    right = setup.right_state(seed(setup.shock_speed, 1.0))
+    values = euler_profile(setup, grid, 0.0)
     parts = []
     for name in ("rho", "u", "p"):
-        lv = getattr(left, name).value
-        rv = getattr(right, name)
-        vals = cell_average(
-            lambda x, lv=lv, r=rv.value: np.where(x < setup.x_shock0, lv, r),
+        tangents = cell_average(
+            lambda x, r=getattr(right, name).tangent: np.where(x < setup.x_shock0, 0.0, r),
             grid,
             (setup.x_shock0,),
         )
-        tans = cell_average(
-            lambda x, r=rv.tangent: np.where(x < setup.x_shock0, 0.0, r),
-            grid,
-            (setup.x_shock0,),
-        )
-        parts.append(Dual(vals.values, tans.values))
+        parts.append(Dual(values[name].values, tangents.values))
     return EulerCellField(grid, EulerState(*parts, setup.gamma))
 
 
 def run_case(config):
     """Simulate one case; returns fields, snapshots, and the shock history."""
     cfg = config.resolved()
+    law = LAWS[cfg.problem]
     grid = cfg.build_grid()
     tracker_cfg = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
-    delta = tracker_cfg.delta(grid.dx)
-
-    if cfg.problem == "burgers":
-        oracle = BurgersRampOracle(cfg.shift)
-        model = BurgersModel()
-        ic = _burgers_initial_field(oracle, grid)
-        tracker = ShockTracker(cfg.shift + 1.0, tracker_cfg, model)
-        snapshots = run(ic, _scheme(cfg), model, observers=(tracker,))
-        return CaseResult(cfg, grid, snapshots, tracker, delta, oracle=oracle)
-
-    setup = MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma)
-    ic = _euler_initial_field(setup, grid)
-    tracker = ShockTracker(cfg.x_shock0, tracker_cfg)
-    snapshots = run(ic, _scheme(cfg), observers=(tracker,))
-    return CaseResult(cfg, grid, snapshots, tracker, delta, setup=setup)
+    oracle, ic, x0 = law.start(cfg, grid)
+    tracker = ShockTracker(x0, tracker_cfg, law)
+    snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
+    return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
 
 
 def euler_profile(setup, grid, t, eps=0.0):
@@ -253,132 +258,88 @@ class SweepReport:
         return self.HEADERS[self.kind]
 
 
-def _mode_runs(cfg):
-    return {m: run_case(replace(cfg, mode=m)) for m in ("none", "blackbox", "shock")}
+def _errors(runs, eps_values):
+    """(err_no_ad, err_blackbox, err_shock, err_base) at each eps, and the jumps.
 
+    runs maps each tracking mode to its result. Each error is the L1 distance
+    to the exact eps-perturbed profile, summed over the law's components, then
+    divided by eps; err_base is the unperturbed field against the unperturbed
+    profile on the same scale. The jumps, per component, are estimated at the
+    shock-mode position.
+    """
+    shock = runs["shock"]
+    law, grid, t, delta = shock.law, shock.grid, shock.final_time, shock.delta
+    state = shock.shock_state()
 
-def _burgers_sweep_rows(cfg, runs):
-    shock_run = runs["shock"]
-    grid, oracle, t = shock_run.grid, shock_run.oracle, shock_run.final_time
-    delta = shock_run.delta
-    state = shock_run.shock_state()
+    base = [CellField(grid, f.values) for f in law.split(runs["none"].final_field)]
+    bb = law.split(runs["blackbox"].final_field)
+    sh = law.split(shock.final_field)
+    u_fields = [CellField(grid, f.values) for f in sh]
+    udot_fields = [CellField(grid, f.tangents) for f in sh]
+    jumps = [jump_estimate(u, state, delta) for u in u_fields]
 
-    base_field = CellField(grid, runs["none"].final_field.values)
-    bb = runs["blackbox"].final_field
-    sh = runs["shock"].final_field
-    u_field = CellField(grid, sh.values)
-    udot_field = CellField(grid, sh.tangents)
-    jump = jump_estimate(u_field, state, delta)
+    def reference(eps):
+        return law.reference(shock.oracle, grid, t, eps).values()
 
-    base_l1 = l1_error(base_field, oracle.avg_solution(grid, t, 0.0))
+    base_l1 = sum(l1_error(b, r) for b, r in zip(base, reference(0.0)))
     rows = []
-    for eps in cfg.eps_list():
-        ref = oracle.avg_solution(grid, t, eps)
-        err_no = l1_error(base_field, ref) / eps
-        err_bb = l1_error(CellField(grid, bb.values + eps * bb.tangents), ref) / eps
-        shifted = tangential_shift(u_field, udot_field, state, jump, eps, delta)
-        err_sh = l1_error(shifted, ref) / eps
-        rows.append((float(eps), err_no, err_bb, err_sh, base_l1 / eps))
-    xi = state.position.tangent
-    return rows, {"delta": delta, "eps_dagger": delta / xi if xi else math.inf,
-                  "xi": xi, "shock_position": state.position.value, "jump": jump}
-
-
-def _euler_sweep_rows(cfg, runs):
-    shock_run = runs["shock"]
-    grid, setup, t = shock_run.grid, shock_run.setup, shock_run.final_time
-    delta = shock_run.delta
-    state = shock_run.shock_state()
-
-    comp = ("rho", "u", "p")
-    base = {c: CellField(grid, runs["none"].final_field.component(c).values) for c in comp}
-    bb = {c: runs["blackbox"].final_field.component(c) for c in comp}
-    sh = {c: runs["shock"].final_field.component(c) for c in comp}
-    u_fields = {c: CellField(grid, sh[c].values) for c in comp}
-    udot_fields = {c: CellField(grid, sh[c].tangents) for c in comp}
-    jumps = {c: jump_estimate(u_fields[c], state, delta) for c in comp}
-
-    ref0 = euler_profile(setup, grid, t, 0.0)
-    base_l1 = sum(l1_error(base[c], ref0[c]) for c in comp)
-    rows = []
-    for eps in cfg.eps_list():
-        ref = euler_profile(setup, grid, t, eps)
-        err_no = sum(l1_error(base[c], ref[c]) for c in comp) / eps
+    for eps in eps_values:
+        ref = list(reference(eps))
+        err_no = sum(l1_error(b, r) for b, r in zip(base, ref)) / eps
         err_bb = sum(
-            l1_error(CellField(grid, bb[c].values + eps * bb[c].tangents), ref[c])
-            for c in comp
+            l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(bb, ref)
         ) / eps
         err_sh = sum(
-            l1_error(
-                tangential_shift(u_fields[c], udot_fields[c], state, jumps[c], eps, delta),
-                ref[c],
-            )
-            for c in comp
+            l1_error(tangential_shift(u, udot, state, jump, eps, delta), r)
+            for u, udot, jump, r in zip(u_fields, udot_fields, jumps, ref)
         ) / eps
-        rows.append((float(eps), err_no, err_bb, err_sh, base_l1 / eps))
-    xi = state.position.tangent
-    return rows, {"delta": delta, "eps_dagger": delta / xi if xi else math.inf,
-                  "xi": xi, "shock_position": state.position.value}
+        rows.append((err_no, err_bb, err_sh, base_l1 / eps))
+    return rows, dict(zip(law.components, jumps))
 
 
 def epsilon_sweep(config):
     """Error-vs-eps table; one simulation per tracking mode, eps applied after."""
     cfg = config.resolved()
-    runs = _mode_runs(cfg)
-    if cfg.problem == "burgers":
-        rows, meta = _burgers_sweep_rows(cfg, runs)
-    else:
-        rows, meta = _euler_sweep_rows(cfg, runs)
-    meta.update(problem=cfg.problem, t_final=cfg.t_final, dx=cfg.dx)
+    runs = {m: run_case(replace(cfg, mode=m)) for m in MODES}
+    eps_values = cfg.eps_list()
+    errors, jumps = _errors(runs, eps_values)
+    rows = [(float(eps), *row) for eps, row in zip(eps_values, errors)]
+    shock = runs["shock"]
+    state, delta = shock.shock_state(), shock.delta
+    xi = state.position.tangent
+    meta = {"delta": delta, "eps_dagger": delta / xi if xi else math.inf, "xi": xi,
+            "shock_position": state.position.value, "jump": jumps,
+            "problem": cfg.problem, "t_final": cfg.t_final, "dx": cfg.dx}
     return SweepReport("epsilon", rows, meta)
 
 
-def _grid_row(args):
-    cfg, grid_no, dx = args
-    if grid_no is not None:
-        case = replace(cfg, grid_no=grid_no, dx=None, dt=None, dt_mode=None, mode="shock")
-    else:
-        case = replace(cfg, dx=dx, dt=None, dt_mode="cfl", mode="shock")
-    case = case.resolved()
-    eps = case.eps_max
+def _grid_row(case):
     result = run_case(case)
-    grid, t = result.grid, result.final_time
-    state = result.shock_state()
-    field = result.final_field
-
-    if case.problem == "burgers":
-        oracle = result.oracle
-        u_field = CellField(grid, field.values)
-        udot_field = CellField(grid, field.tangents)
-        jump = jump_estimate(u_field, state, result.delta)
-        shifted = tangential_shift(u_field, udot_field, state, jump, eps, result.delta)
-        err_sh = l1_error(shifted, oracle.avg_solution(grid, t, eps)) / eps
-        err_base = l1_error(u_field, oracle.avg_solution(grid, t, 0.0)) / eps
-    else:
-        comp = ("rho", "u", "p")
-        setup = result.setup
-        ref = euler_profile(setup, grid, t, eps)
-        ref0 = euler_profile(setup, grid, t, 0.0)
-        err_sh = err_base = 0.0
-        for c in comp:
-            u_field = CellField(grid, field.component(c).values)
-            udot_field = CellField(grid, field.component(c).tangents)
-            jump = jump_estimate(u_field, state, result.delta)
-            shifted = tangential_shift(u_field, udot_field, state, jump, eps, result.delta)
-            err_sh += l1_error(shifted, ref[c]) / eps
-            err_base += l1_error(u_field, ref0[c]) / eps
-    return (case.dx, err_sh, err_base)
+    # The field is the same in every mode, so one shock-mode run serves all three.
+    ((_, _, err_sh, err_base),), _ = _errors(dict.fromkeys(MODES, result), [case.eps_max])
+    return (result.config.dx, err_sh, err_base)
 
 
-def grid_convergence(config, grid_nos=(9, 8, 7, 6, 5), dxs=None, jobs=1):
-    """err_shock and err_base at eps = eps_max over a sequence of grids."""
+def grid_convergence(config, grid_nos=None, dxs=None, jobs=1):
+    """err_shock and err_base at eps = eps_max over a sequence of grids.
+
+    Without grid_nos or dxs the grids are the law's reference family when
+    config sets no dx, else 16dx, 8dx, 4dx, 2dx, dx.
+    """
     cfg = config.resolved()
+    family = LAWS[cfg.problem].family
+    if grid_nos is None and dxs is None:
+        if config.dx is None and family:
+            grid_nos = family
+        else:
+            dxs = [cfg.dx * 2.0**k for k in (4, 3, 2, 1, 0)]
     if dxs is not None:
-        tasks = [(cfg, None, dx) for dx in dxs]
+        tasks = [replace(cfg, dx=dx, dt=None, dt_mode="cfl", mode="shock") for dx in dxs]
     else:
-        tasks = [(cfg, no, None) for no in grid_nos]
+        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, dt_mode=None, mode="shock")
+                 for no in grid_nos]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_grid_row, tasks))
     else:
         rows = [_grid_row(t) for t in tasks]
@@ -386,33 +347,25 @@ def grid_convergence(config, grid_nos=(9, 8, 7, 6, 5), dxs=None, jobs=1):
     return SweepReport("grid", rows, meta)
 
 
-def emit_csv(report, path):
-    """Write a report as UTF-8 CSV: header row, then shortest-roundtrip floats."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(report.header())
-            for row in report.rows:
-                writer.writerow([repr(float(v)) for v in row])
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def emit_snapshot_csv(field, path):
-    """Write one field snapshot: x,u,v (scalar) or x,rho,u,p,v_rho,v_u,v_p."""
-    centers = field.grid.centers()
-    if isinstance(field, EulerCellField):
-        header = ("x", "rho", "u", "p", "v_rho", "v_u", "v_p")
-        comps = [field.component(c) for c in ("rho", "u", "p")]
-        columns = [centers] + [c.values for c in comps] + [c.tangents for c in comps]
-    else:
-        header = ("x", "u", "v")
-        columns = [centers, field.values, field.tangents]
+def _write_csv(path, header, rows, what):
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in zip(*columns):
+            for row in rows:
                 writer.writerow([repr(float(v)) for v in row])
     except OSError as exc:
-        raise OSError(f"cannot write snapshot to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(report, path):
+    """Write a report as UTF-8 CSV: header row, then shortest-roundtrip floats."""
+    _write_csv(path, report.header(), report.rows, "report")
+
+
+def emit_snapshot_csv(field, path):
+    """Write one field snapshot: x,u,v (scalar) or x,rho,u,p,v_rho,v_u,v_p."""
+    law = law_of(field, LAWS["burgers"])
+    comps = law.split(field)
+    columns = [field.grid.centers(), *(c.values for c in comps), *(c.tangents for c in comps)]
+    _write_csv(path, ("x", *law.columns), zip(*columns), "snapshot")

@@ -18,6 +18,8 @@ import sys
 from .calculus import BurgersRampOracle, xi_ode_oracle
 from .cases import (
     BURGERS_GRIDS,
+    LAWS,
+    MODES,
     CaseConfig,
     emit_csv,
     emit_snapshot_csv,
@@ -60,8 +62,6 @@ def _read_config_file(path):
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "record_times":
-            raise ConfigError(f"{path}:{lineno}: record_times is flag-only")
         try:
             out[key] = _CONFIG_FIELDS[key](value)
         except ValueError as exc:
@@ -70,9 +70,13 @@ def _read_config_file(path):
 
 
 def _add_case_flags(sub, problem=None):
+    """Case flags; without a problem, a --problem flag and the study's --eps-max."""
     sub.add_argument("--config", metavar="FILE", help="key=value defaults file")
-    sub.add_argument("--mode", choices=("none", "blackbox", "shock"))
-    if problem in (None, "burgers"):
+    if problem is None:
+        sub.add_argument("--problem", choices=sorted(LAWS), default="burgers")
+        sub.add_argument("--eps-max", type=float)
+    sub.add_argument("--mode", choices=MODES)
+    if problem is None or LAWS[problem].family:
         sub.add_argument("--grid-no", type=int, choices=sorted(BURGERS_GRIDS))
     sub.add_argument("--dx", type=float)
     sub.add_argument("--dt", type=float)
@@ -90,28 +94,20 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("burgers", help="run one decaying-ramp case")
-    _add_case_flags(p, "burgers")
-    p.add_argument("--record", type=float, action="append", default=None,
-                   metavar="T", help="extra snapshot time (repeatable)")
-
-    p = subs.add_parser("euler", help="run one moving-shock case")
-    _add_case_flags(p, "euler")
-    p.add_argument("--record", type=float, action="append", default=None,
-                   metavar="T", help="extra snapshot time (repeatable)")
+    for problem, case in (("burgers", "decaying-ramp"), ("euler", "moving-shock")):
+        p = subs.add_parser(problem, help=f"run one {case} case")
+        _add_case_flags(p, problem)
+        p.add_argument("--record", type=float, action="append", default=None,
+                       metavar="T", help="extra snapshot time (repeatable)")
 
     p = subs.add_parser("sweep", help="perturbation-size error study")
     _add_case_flags(p)
-    p.add_argument("--problem", choices=("burgers", "euler"), default="burgers")
     p.add_argument("--eps-min", type=float)
-    p.add_argument("--eps-max", type=float)
     p.add_argument("--n-eps", type=int)
 
     p = subs.add_parser("gridconv", help="grid-refinement error study")
     _add_case_flags(p)
-    p.add_argument("--problem", choices=("burgers", "euler"), default="burgers")
-    p.add_argument("--eps-max", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int)
 
     subs.add_parser("validate-oracles", help="self-check the analytic references")
     return parser
@@ -122,13 +118,8 @@ def _case_config(args, problem):
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
     values["problem"] = problem
-    for flag, field in (
-        ("mode", "mode"), ("grid_no", "grid_no"), ("dx", "dx"), ("dt", "dt"),
-        ("cfl", "cfl"), ("t_final", "t_final"), ("c_coeff", "c_coeff"),
-        ("alpha", "alpha"), ("eps_min", "eps_min"), ("eps_max", "eps_max"),
-        ("n_eps", "n_eps"), ("jobs", "jobs"),
-    ):
-        val = getattr(args, flag, None)
+    for field in _CONFIG_FIELDS:  # flags override the file; absent flags read None
+        val = getattr(args, field, None)
         if val is not None:
             values[field] = val
     if getattr(args, "record", None):
@@ -155,30 +146,29 @@ def _cmd_case(args, problem):
     result = run_case(cfg)
     _print_case_summary(result)
     if args.out:
-        if len(result.snapshots) == 1:
-            emit_snapshot_csv(result.final_field, args.out)
-            print(f"wrote {args.out}")
-        else:
-            base, dot, ext = args.out.rpartition(".")
-            if not base:
-                base, ext = args.out, ""
-            for t, field in result.snapshots:
-                path = f"{base}_t{t:g}{dot}{ext}"
-                emit_snapshot_csv(field, path)
-                print(f"wrote {path}")
+        base, dot, ext = args.out.rpartition(".")
+        if not base:
+            base, ext = args.out, ""
+        for t, field in result.snapshots:
+            path = args.out if len(result.snapshots) == 1 else f"{base}_t{t:g}{dot}{ext}"
+            emit_snapshot_csv(field, path)
+            print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_sweep(args):
-    cfg = _case_config(args, args.problem)
-    report = epsilon_sweep(cfg)
-    if args.out:
-        emit_csv(report, args.out)
-        print(f"wrote {args.out}")
+def _write_report(report, out):
+    if out:
+        emit_csv(report, out)
+        print(f"wrote {out}")
     else:
         print(",".join(report.header()))
         for row in report.rows:
             print(",".join(repr(float(v)) for v in row))
+
+
+def _cmd_sweep(args):
+    report = epsilon_sweep(_case_config(args, args.problem))
+    _write_report(report, args.out)
     meta = report.metadata
     print(f"delta: {meta['delta']!r}")
     print(f"eps_dagger: {meta['eps_dagger']!r}")
@@ -187,14 +177,7 @@ def _cmd_sweep(args):
 
 def _cmd_gridconv(args):
     cfg = _case_config(args, args.problem)
-    report = grid_convergence(cfg, jobs=args.jobs)
-    if args.out:
-        emit_csv(report, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(",".join(report.header()))
-        for row in report.rows:
-            print(",".join(repr(float(v)) for v in row))
+    _write_report(grid_convergence(cfg, jobs=cfg.jobs), args.out)
     return EXIT_OK
 
 
@@ -240,10 +223,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "burgers":
-            return _cmd_case(args, "burgers")
-        if args.command == "euler":
-            return _cmd_case(args, "euler")
+        if args.command in ("burgers", "euler"):
+            return _cmd_case(args, args.command)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "gridconv":

@@ -18,6 +18,9 @@ conditions written with the shock-relative Mach number M~ = (u_l - S)/a_l:
     u_r - S   = (u_l - S) rho_l / rho_r      (mass conservation across the front)
 All formulas are plain dual arithmetic, so seeding any input (e.g. S)
 propagates exact state sensitivities.
+
+`law_of` gives each field its law: BurgersModel (scalar) or EulerModel. The
+solver and the tracker take from it all that depends on the problem.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, lift, sqrt
-from .errors import NonPhysicalStateError, NoShockError
+from .errors import ConfigError, NonPhysicalStateError, NoShockError, ProbeDegenerateError
 from .mesh import CellField
 
 GAMMA = 1.4
@@ -33,7 +36,11 @@ GAMMA = 1.4
 
 @dataclass(frozen=True)
 class BurgersModel:
-    """Quadratic scalar flux."""
+    """Quadratic scalar flux; the law of a one-component CellField."""
+
+    scalar = True
+    components = ("u",)
+    columns = ("u", "v")
 
     def flux(self, u):
         return 0.5 * u * u
@@ -44,6 +51,24 @@ class BurgersModel:
     def max_char_speed(self, field):
         """Largest |f'(u)| over the field (CFL bound)."""
         return float(np.max(np.abs(field.values)))
+
+    def split(self, field):
+        """The field's components as scalar CellFields."""
+        return [field]
+
+    def cell_char_speed(self, field, i, read):
+        """f'(u) of cell i; `read` yields the cell as a float or a dual."""
+        return self.char_speed(read(field.data, i))
+
+    def probe_speed(self, field, x_minus, x_plus, evaluate):
+        """Jump speed (f(u+) - f(u-)) / (u+ - u-) from probes at x_minus, x_plus."""
+        v_plus = evaluate(field, x_plus)
+        v_minus = evaluate(field, x_minus)
+        floor = 1e-3 * max(abs(v_plus.value), abs(v_minus.value), 1.0)
+        jump = v_plus.value - v_minus.value
+        if abs(jump) < floor:
+            raise ProbeDegenerateError(f"probe jump {jump} below floor {floor}")
+        return (self.flux(v_plus) - self.flux(v_minus)) / (v_plus - v_minus)
 
 
 def _positive_everywhere(x):
@@ -163,10 +188,7 @@ class MovingShockSetup:
     def __post_init__(self):
         if not self.mach > 1.0:
             raise ValueError(f"setup requires a supersonic left state, got M = {self.mach}")
-        left = euler_left_state(lift(self.mach), self.gamma)
-        m_rel = (left.u.value - self.shock_speed) / left.sound_speed().value
-        if not m_rel > 1.0:
-            raise NoShockError(f"shock-relative Mach {m_rel} <= 1 is not admissible")
+        self.right_state()  # raises NoShockError unless the shock is admissible
 
     def left_state(self):
         return euler_left_state(lift(self.mach), self.gamma)
@@ -199,3 +221,46 @@ class EulerCellField:
         """Largest |u| + a over the field (CFL bound)."""
         a = np.sqrt(self.gamma * self.state.p.value / self.state.rho.value)
         return float(np.max(np.abs(self.state.u.value) + a))
+
+
+@dataclass(frozen=True)
+class EulerModel:
+    """The law of an EulerCellField: primitive components rho, u, p."""
+
+    scalar = False
+    components = ("rho", "u", "p")
+    columns = ("rho", "u", "p", "v_rho", "v_u", "v_p")
+
+    def max_char_speed(self, field):
+        return field.max_char_speed()
+
+    def split(self, field):
+        return [field.component(c) for c in self.components]
+
+    def cell_char_speed(self, field, i, read):
+        """Slow acoustic speed u - a of cell i; `read` yields floats or duals."""
+        # Not euler_char_speed_sa: its dual sqrt rounds unlike the float path.
+        s = field.state
+        rho, u, p = read(s.rho, i), read(s.u, i), read(s.p, i)
+        return u - (s.gamma * p / rho) ** 0.5
+
+    def probe_speed(self, field, x_minus, x_plus, evaluate):
+        """Shock speed from upstream (minus side) rho, u, p and downstream pressure."""
+        rho_m = evaluate(field.component("rho"), x_minus)
+        u_m = evaluate(field.component("u"), x_minus)
+        p_m = evaluate(field.component("p"), x_minus)
+        p_p = evaluate(field.component("p"), x_plus)
+        a_m = sqrt(field.gamma * p_m / rho_m)
+        return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
+
+
+EULER = EulerModel()
+
+
+def law_of(field, model=None):
+    """The law of `field`: EulerModel for gas fields, else the scalar `model`."""
+    if isinstance(field, EulerCellField):
+        return EULER
+    if model is None:
+        raise ConfigError("scalar fields need a flux model")
+    return model

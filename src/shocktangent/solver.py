@@ -17,10 +17,10 @@ cell (the jump term vanishes).
 
 from dataclasses import dataclass
 
-from .dual import Dual, edge_pad, maximum
+from .dual import edge_pad, maximum
 from .errors import CFLViolationError, ConfigError
 from .mesh import CellField
-from .models import EulerCellField, EulerState
+from .models import EulerCellField, EulerState, law_of
 from . import models
 
 _GHOSTS = 2
@@ -32,10 +32,7 @@ def cfl_dt(field, dx, cfl, model=None, dt_max=1.0):
     A quiescent field (C_n = 0) has no wave-speed limit; the step is capped
     at dt_max instead.
     """
-    if isinstance(field, EulerCellField):
-        c_n = field.max_char_speed()
-    else:
-        c_n = model.max_char_speed(field)
+    c_n = law_of(field, model).max_char_speed(field)
     if c_n == 0.0:
         return dt_max
     return min(cfl * dx / c_n, dt_max)
@@ -107,13 +104,8 @@ def euler_boundary_fluxes(field):
     s = field.state
 
     def edge(i):
-        point = EulerState(
-            Dual(float(s.rho.value[i]), 0.0),
-            Dual(float(s.u.value[i]), 0.0),
-            Dual(float(s.p.value[i]), 0.0),
-            s.gamma,
-        )
-        return tuple(h.value for h in models.euler_flux(point))
+        point = EulerState(s.rho[i], s.u[i], s.p[i], s.gamma)
+        return tuple(float(h.value) for h in models.euler_flux(point))
 
     return edge(0), edge(-1)
 
@@ -157,9 +149,7 @@ def run(ic, config, model=None, observers=()):
     before the field advances, so auxiliary ODEs (shock tracking) stay in
     lockstep with the scheme.
     """
-    euler = isinstance(ic, EulerCellField)
-    if not euler and model is None:
-        raise ConfigError("scalar fields need a flux model")
+    law = law_of(ic, model)
     dx = ic.grid.dx
 
     stops = list(config.record_times)
@@ -174,13 +164,13 @@ def run(ic, config, model=None, observers=()):
             if config.dt_mode == "fixed":
                 dt_nom = config.dt
             else:
-                dt_nom = cfl_dt(field, dx, config.cfl_number, model, config.dt_max)
+                dt_nom = cfl_dt(field, dx, config.cfl_number, law, config.dt_max)
             remaining = stop - t
             hit = dt_nom >= remaining * (1.0 - 1e-12)
             dt_step = remaining if hit else dt_nom
             for obs in observers:
                 obs(t, dt_step, field)
-            field = rusanov_step_euler(field, dt_step) if euler else lxf_step(field, dt_step, model)
+            field = lxf_step(field, dt_step, law) if law.scalar else rusanov_step_euler(field, dt_step)
             t = stop if hit else t + dt_step
         out.append((stop, field))
     return out

@@ -36,10 +36,10 @@ flat probes) is kept as a reference rule; no mode uses it.
 
 from dataclasses import dataclass
 
-from .dual import Dual, sqrt, with_custom_tangent
-from .errors import OutOfDomainError, ProbeDegenerateError, TrackingLostError
+from .dual import Dual, with_custom_tangent
+from .errors import OutOfDomainError, TrackingLostError
 from .mesh import eval_constant, eval_linear
-from .models import EulerCellField, shock_speed_from_states
+from .models import law_of
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ def _char_speed(field, x, model, read):
     so only its tangent is used.
     """
     i = field.grid.cell_containing(x)
-    if isinstance(field, EulerCellField):
-        s = field.state
-        rho, u, p = read(s.rho, i), read(s.u, i), read(s.p, i)
-        return u - (s.gamma * p / rho) ** 0.5
-    return model.char_speed(read(field.data, i))
+    return law_of(field, model).cell_char_speed(field, i, read)
 
 
 def advance_position(state, field, dt, model=None):
@@ -104,34 +100,13 @@ def char_speed(state, field, model=None):
     return _char_speed(field, state.position.value, model, _read_dual)
 
 
-def _guard_denominator(v_plus, v_minus):
-    floor = 1e-3 * max(abs(v_plus.value), abs(v_minus.value), 1.0)
-    if abs(v_plus.value - v_minus.value) < floor:
-        raise ProbeDegenerateError(
-            f"probe jump {v_plus.value - v_minus.value} below floor {floor}"
-        )
-
-
 def _probe_speed(state, field, delta, model, evaluate):
     """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction."""
-    x_plus = state.position + delta
-    x_minus = state.position - delta
+    law = law_of(field, model)
     try:
-        if isinstance(field, EulerCellField):
-            # Upstream quantities from the minus side, downstream pressure from
-            # the plus side; the speed formula consumes exactly those.
-            rho_m = evaluate(field.component("rho"), x_minus, "minus")
-            u_m = evaluate(field.component("u"), x_minus, "minus")
-            p_m = evaluate(field.component("p"), x_minus, "minus")
-            p_p = evaluate(field.component("p"), x_plus, "plus")
-            a_m = sqrt(field.gamma * p_m / rho_m)
-            return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
-        v_plus = evaluate(field, x_plus, "plus")
-        v_minus = evaluate(field, x_minus, "minus")
+        return law.probe_speed(field, state.position - delta, state.position + delta, evaluate)
     except OutOfDomainError as exc:
         raise TrackingLostError(f"probe point left the grid: {exc}") from exc
-    _guard_denominator(v_plus, v_minus)
-    return (model.flux(v_plus) - model.flux(v_minus)) / (v_plus - v_minus)
 
 
 def rh_probe_speed(state, field, delta, model=None):
@@ -145,16 +120,12 @@ def naive_probe_speed(state, field, delta, model=None):
     On constant flanking states it equals rh_probe_speed. No tracker mode
     uses it; black-box AD differentiates char_speed instead.
     """
-    return _probe_speed(state, field, delta, model, _constant_eval)
+    return _probe_speed(state, field, delta, model, eval_constant)
 
 
-def _linear_eval(field, x, side):
-    # Central-difference slope regardless of probe side; see module docstring.
+def _linear_eval(field, x):
+    # Central-difference slope on either probe side; see module docstring.
     return eval_linear(field, x, "center")
-
-
-def _constant_eval(field, x, side):
-    return eval_constant(field, x)
 
 
 def step_shock(state, field, dt, config, model=None):

@@ -217,3 +217,64 @@ def test_emit_csv_wraps_write_failures(tmp_path):
     res = run_case(CaseConfig(grid_no=9))
     with pytest.raises(OSError, match="cannot write"):
         emit_snapshot_csv(res.final_field, tmp_path / "missing" / "snap.csv")
+
+
+def test_grid_row_equals_the_sweep_row_at_eps_max():
+    # Burgers grid 9: one error assembly serves both tables.
+    sweep = epsilon_sweep(CaseConfig(grid_no=9, n_eps=3))
+    grid = grid_convergence(CaseConfig(), grid_nos=(9,))
+    _, _, _, err_shock, err_base = sweep.rows[-1]
+    assert grid.rows == [(sweep.metadata["dx"], err_shock, err_base)]
+    assert list(sweep.metadata["jump"]) == ["u"]
+    # Euler: the default family ends on the configured dx, which the sweep runs.
+    cfg = CaseConfig(problem="euler", dx=0.0125, t_final=1.0, n_eps=3)
+    sweep = epsilon_sweep(cfg)
+    grid = grid_convergence(cfg)
+    _, _, _, err_shock, err_base = sweep.rows[-1]
+    assert grid.rows[-1] == (0.0125, err_shock, err_base)
+    assert list(sweep.metadata["jump"]) == ["rho", "u", "p"]
+
+
+def test_grid_family_comes_from_the_law():
+    # Burgers without a dx keeps the reference rows; with one it halves to dx.
+    rows = grid_convergence(CaseConfig(t_final=0.5)).rows
+    assert [r[0] for r in rows] == [BURGERS_GRIDS[no][0] for no in (9, 8, 7, 6, 5)]
+    rows = grid_convergence(CaseConfig(dx=3e-3, t_final=0.5)).rows
+    assert [r[0] for r in rows] == [3e-3 * 2.0**k for k in (4, 3, 2, 1, 0)]
+
+
+def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("shocktangent.cases.ProcessPoolExecutor", InlinePool)
+    rep = grid_convergence(CaseConfig(), grid_nos=(9, 8), jobs=8)
+    assert seen == [2]
+    assert len(rep.rows) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Unchecked, the first and last end in a traceback and the second never ends.
+        {"shift": float("nan")},
+        {"t_final": float("inf")},
+        {"problem": "euler", "gamma": 1.0},
+    ],
+    ids=["nan-shift", "infinite-t-final", "euler-gamma-one"],
+)
+def test_resolved_rejects_out_of_range_inputs(overrides):
+    with pytest.raises(ConfigError):
+        CaseConfig(**overrides).resolved()

@@ -3,6 +3,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from shocktangent import cli
+from shocktangent.cases import SweepReport
 from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -165,3 +169,47 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["burgers", "--c-coeff", "-1"],
+        ["burgers", "--dx", "10"],
+        ["burgers", "--alpha", "nan"],
+        ["euler", "--config", "{subsonic}"],
+    ],
+    ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach"],
+)
+def test_bad_inputs_exit_with_config_code(argv, tmp_path, capsys):
+    cfg = tmp_path / "subsonic.cfg"
+    cfg.write_text("mach = 0.9\n", encoding="utf-8")
+    argv = [a.format(subsonic=cfg) for a in argv]
+    assert main(argv) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys):
+    seen = {}
+
+    def fake_grid_convergence(config, jobs=1):
+        seen["jobs"] = jobs
+        return SweepReport("grid", [], {})
+
+    monkeypatch.setattr(cli, "grid_convergence", fake_grid_convergence)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("jobs = 2\n", encoding="utf-8")
+    assert main(["gridconv", "--config", str(cfg)]) == EXIT_OK
+    assert seen["jobs"] == 2
+    assert main(["gridconv", "--config", str(cfg), "--jobs", "3"]) == EXIT_OK
+    assert seen["jobs"] == 3
+    capsys.readouterr()
+
+
+def test_euler_gridconv_refines_to_the_given_dx(capsys):
+    code = main(["gridconv", "--problem", "euler", "--dx", "0.0125", "--t-final", "1"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "dx,err_shock,err_base"
+    dxs = [float(line.split(",")[0]) for line in lines[1:]]
+    assert dxs == [0.2, 0.1, 0.05, 0.025, 0.0125]
