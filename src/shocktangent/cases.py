@@ -54,6 +54,9 @@ BURGERS_GRIDS = {
 
 MODES = ("none", "blackbox", "shock")
 
+#: Largest grid a case may ask for (127 times Burgers grid 1).
+MAX_CELLS = 2**22
+
 
 class BurgersLaw(BurgersModel):
     """Burgers' equation with its decaying-ramp case (BurgersRampOracle).
@@ -139,8 +142,10 @@ class CaseConfig:
             cfg = replace(cfg, grid_no=no, dx=table_dx)
             if cfg.dt_mode is None and cfg.dt is None:
                 cfg = replace(cfg, dt_mode="fixed", dt=table_dt)
+        if cfg.dt_mode is None and cfg.dt is not None:  # before a law's default dt_mode
+            cfg = replace(cfg, dt_mode="fixed")
         cfg = replace(cfg, **{k: v for k, v in law.defaults.items() if getattr(cfg, k) is None})
-        cfg = replace(cfg, dt_mode=cfg.dt_mode or ("fixed" if cfg.dt else "cfl"))
+        cfg = replace(cfg, dt_mode=cfg.dt_mode or "cfl")
         for f in fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -148,6 +153,10 @@ class CaseConfig:
         for name, low in {"dx": 0.0, **law.lower_bounds}.items():
             if not getattr(cfg, name) > low:
                 raise ConfigError(f"{name} must exceed {low}, got {getattr(cfg, name)}")
+        if not cfg.domain_length / cfg.dx <= MAX_CELLS:
+            raise ConfigError(
+                f"domain_length / dx = {cfg.domain_length / cfg.dx:.4g} cells exceeds {MAX_CELLS}"
+            )
         if cfg.n_eps < 2:
             raise ConfigError("n_eps must be at least 2")
         if not 0 < cfg.eps_min < cfg.eps_max:

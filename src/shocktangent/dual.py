@@ -207,9 +207,16 @@ def maximum(a, b):
     return where(a.value >= b.value, a, b)
 
 
+def _edge_pad(a, width):
+    # np.pad(a, width, mode="edge") for 1-D arrays, at a fraction of its cost.
+    n = len(a)
+    out = np.empty(n + 2 * width, dtype=a.dtype)
+    out[:width] = a[0]
+    out[width : width + n] = a
+    out[width + n :] = a[-1]
+    return out
+
+
 def edge_pad(d, width):
     """Extend an array-backed dual by repeating its end cells (zero-gradient)."""
-    return Dual(
-        np.pad(d.value, width, mode="edge"),
-        np.pad(d.tangent, width, mode="edge"),
-    )
+    return Dual(_edge_pad(d.value, width), _edge_pad(d.tangent, width))

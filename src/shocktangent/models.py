@@ -123,9 +123,13 @@ class EulerState:
         return cls(rho, u, p, gamma)
 
 
-def euler_flux(state):
-    """(mass, momentum, energy) flux of a primitive state."""
-    rho, m, en = state.conservative()
+def euler_flux(state, conservative=None):
+    """(mass, momentum, energy) flux of a primitive state.
+
+    `conservative` is the state's own `state.conservative()` triple, for
+    callers that have it already.
+    """
+    rho, m, en = state.conservative() if conservative is None else conservative
     return m, m * state.u + state.p, state.u * (en + state.p)
 
 

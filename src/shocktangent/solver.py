@@ -15,10 +15,13 @@ makes the boundary numerical flux collapse to the physical flux of the edge
 cell (the jump term vanishes).
 """
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dual import edge_pad, maximum
-from .errors import CFLViolationError, ConfigError
+from .errors import CFLViolationError, ConfigError, NumericalError
 from .mesh import CellField
 from .models import EulerCellField, EulerState, law_of
 from . import models
@@ -67,25 +70,30 @@ def lxf_boundary_fluxes(field, model):
     return f_left, f_right
 
 
-def _padded_state(field):
-    s = field.state
-    return EulerState(
-        edge_pad(s.rho, _GHOSTS),
-        edge_pad(s.u, _GHOSTS),
-        edge_pad(s.p, _GHOSTS),
-        s.gamma,
-    )
-
-
 def rusanov_step_euler(field, dt):
-    """One Rusanov/forward-Euler step of the Euler system (primitives in/out)."""
-    dx = field.grid.dx
-    _check_cfl(field.max_char_speed(), dt, dx)
+    """One Rusanov/forward-Euler step of the Euler system (primitives in/out).
 
-    s = _padded_state(field)
-    q_rho, q_mom, q_en = s.conservative()
-    h_rho, h_mom, h_en = models.euler_flux(s)
+    The conserved variables, fluxes and wave speeds are computed once on the
+    field's own (already checked) state, then extended by ghost copies: every
+    formula is elementwise, so this equals evaluating them on padded
+    primitives, bit for bit.
+
+    The CFL check takes its speed from the dual wave speeds `lam`, whose
+    sound speed divides as p * gamma * (1/rho) where `max_char_speed` (and so
+    `cfl_dt`) computes gamma * p / rho. The two can differ in the last bit,
+    which moves the check's verdict only for dt within about 1e-16 (relative)
+    of its bound dx / c_max.
+    """
+    dx = field.grid.dx
+    s = field.state
+    cons = s.conservative()
+    _, h_mom, h_en = models.euler_flux(s, cons)
     lam = abs(s.u) + s.sound_speed()
+    _check_cfl(float(lam.value.max()), dt, dx)
+
+    q_rho, q_mom, q_en = (edge_pad(c, _GHOSTS) for c in cons)
+    h_rho = q_mom  # the mass flux is the momentum
+    h_mom, h_en, lam = (edge_pad(c, _GHOSTS) for c in (h_mom, h_en, lam))
 
     new = []
     lam_face = maximum(lam[:-1], lam[1:])
@@ -142,12 +150,27 @@ class SchemeConfig:
             raise ConfigError("record_times must lie in (0, t_final]")
 
 
+def _check_finite(field, law, t):
+    """Raise NumericalError at the first non-finite value or tangent of field."""
+    for name, part in zip(law.components, law.split(field)):
+        for kind, data in (("value", part.values), ("tangent", part.tangents)):
+            finite = np.isfinite(data)
+            if not finite.all():
+                cell = int(np.argmin(finite))
+                raise NumericalError(
+                    f"non-finite {name} {kind} {data[cell]} in cell {cell} at t = {t!r}"
+                )
+
+
 def run(ic, config, model=None, observers=()):
     """March ic to t_final; returns [(t, field)] at each record time and t_final.
 
     Observers are called once per accepted step with (t_n, dt, pre-step field)
     before the field advances, so auxiliary ODEs (shock tracking) stay in
     lockstep with the scheme.
+
+    A non-finite step size stops the march at once; each returned field is
+    checked for non-finite values and tangents, once per stop.
     """
     law = law_of(ic, model)
     dx = ic.grid.dx
@@ -165,6 +188,8 @@ def run(ic, config, model=None, observers=()):
                 dt_nom = config.dt
             else:
                 dt_nom = cfl_dt(field, dx, config.cfl_number, law, config.dt_max)
+            if not math.isfinite(dt_nom):
+                raise NumericalError(f"non-finite time step {dt_nom} at t = {t!r}")
             remaining = stop - t
             hit = dt_nom >= remaining * (1.0 - 1e-12)
             dt_step = remaining if hit else dt_nom
@@ -172,5 +197,6 @@ def run(ic, config, model=None, observers=()):
                 obs(t, dt_step, field)
             field = lxf_step(field, dt_step, law) if law.scalar else rusanov_step_euler(field, dt_step)
             t = stop if hit else t + dt_step
+        _check_finite(field, law, stop)
         out.append((stop, field))
     return out

@@ -7,6 +7,7 @@ import pytest
 
 from shocktangent.cases import (
     BURGERS_GRIDS,
+    MAX_CELLS,
     CaseConfig,
     _euler_initial_field,
     emit_csv,
@@ -278,3 +279,23 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
 def test_resolved_rejects_out_of_range_inputs(overrides):
     with pytest.raises(ConfigError):
         CaseConfig(**overrides).resolved()
+
+
+@pytest.mark.parametrize("problem", ["burgers", "euler"])
+def test_explicit_dt_selects_fixed_stepping(problem):
+    cfg = CaseConfig(problem=problem, dx=0.01, dt=0.001).resolved()
+    assert (cfg.dt_mode, cfg.dt) == ("fixed", 0.001)
+    cfg = CaseConfig(problem=problem, dx=0.01, dt=0.001, dt_mode="cfl").resolved()
+    assert cfg.dt_mode == "cfl"
+
+
+def test_resolved_rejects_grids_above_the_cell_ceiling():
+    with pytest.raises(ConfigError, match="exceeds"):
+        CaseConfig(dx=1e-9).resolved()
+    with pytest.raises(ConfigError, match="exceeds"):
+        CaseConfig(problem="euler", dx=5e-324).resolved()
+    # Resolving builds no arrays, so the largest allowed grid resolves at once.
+    cfg = CaseConfig(dx=1.0, domain_length=float(MAX_CELLS)).resolved()
+    assert cfg.build_grid().n_cells == MAX_CELLS
+    with pytest.raises(ConfigError, match="exceeds"):
+        CaseConfig(dx=1.0, domain_length=float(MAX_CELLS + 1)).resolved()

@@ -8,6 +8,7 @@ import pytest
 from shocktangent import cli
 from shocktangent.cases import SweepReport
 from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from shocktangent.errors import ConfigError
 
 
 def test_requires_a_command(capsys):
@@ -213,3 +214,23 @@ def test_euler_gridconv_refines_to_the_given_dx(capsys):
     assert lines[0] == "dx,err_shock,err_base"
     dxs = [float(line.split(",")[0]) for line in lines[1:]]
     assert dxs == [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+def test_grid_above_the_cell_ceiling_exits_with_config_code(capsys):
+    assert main(["burgers", "--dx", "1e-9"]) == EXIT_CONFIG
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_config_file_dt_sets_fixed_euler_steps(tmp_path, monkeypatch, capsys):
+    seen = {}
+
+    def fake_run_case(config):
+        seen["config"] = config.resolved()
+        raise ConfigError("stop before the march")
+
+    monkeypatch.setattr(cli, "run_case", fake_run_case)
+    cfg = tmp_path / "euler.cfg"
+    cfg.write_text("dt = 0.001\n", encoding="utf-8")
+    assert main(["euler", "--config", str(cfg)]) == EXIT_CONFIG
+    assert (seen["config"].dt_mode, seen["config"].dt) == ("fixed", 0.001)
+    capsys.readouterr()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shocktangent.dual import (
     Dual,
@@ -127,6 +130,19 @@ def test_edge_pad_repeats_ends():
     assert np.array_equal(p.tangent, [4.0, 4.0, 4.0, 5.0, 6.0, 6.0, 6.0])
     assert len(p) == 7
     assert p[0].value == 1.0 and p[-1].tangent == 6.0
+
+
+_payloads = arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=True, width=64))
+
+
+@given(value=_payloads, data=st.data(), width=st.integers(1, 3))
+def test_edge_pad_equals_numpy_edge_mode(value, data, width):
+    tangent = data.draw(arrays(np.float64, value.shape))
+    p = edge_pad(Dual(value, tangent), width)
+    for got, src in ((p.value, value), (p.tangent, tangent)):
+        want = np.pad(src, width, mode="edge")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_tangents_agree_with_finite_differences_on_a_composition():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from shocktangent.dual import Dual, lift
-from shocktangent.errors import CFLViolationError, ConfigError
+from shocktangent.cases import CaseConfig, run_case
+from shocktangent.dual import Dual, lift, maximum
+from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalStateError, NumericalError
 from shocktangent.mesh import CellField, Grid1D
-from shocktangent.models import BurgersModel, EulerCellField, EulerState
+from shocktangent.models import BurgersModel, EulerCellField, EulerState, euler_flux
 from shocktangent.solver import (
     SchemeConfig,
     cfl_dt,
@@ -166,3 +167,99 @@ def test_dual_tangent_matches_finite_differences_for_smooth_data():
     h = 1e-6
     fd = (final_values(h) - final_values(-h)) / (2.0 * h)
     assert np.max(np.abs(ad - fd)) < 1e-7 * max(1.0, np.max(np.abs(ad)))
+
+
+def _reference_rusanov_step(field, dt):
+    """The Euler step as first written: np.pad ghosts, a checked state on them."""
+    s = field.state
+
+    def pad(d):
+        return Dual(np.pad(d.value, 2, mode="edge"), np.pad(d.tangent, 2, mode="edge"))
+
+    padded = EulerState(pad(s.rho), pad(s.u), pad(s.p), s.gamma)
+    q_all = padded.conservative()
+    h_all = euler_flux(padded)
+    lam = abs(padded.u) + padded.sound_speed()
+    lam_face = maximum(lam[:-1], lam[1:])
+    dx = field.grid.dx
+    new = []
+    for q, h in zip(q_all, h_all):
+        f = 0.5 * (h[:-1] + h[1:]) - 0.5 * lam_face * (q[1:] - q[:-1])
+        new.append((q[1:-1] - (dt / dx) * (f[1:] - f[:-1]))[1:-1])
+    return EulerState.from_conservative(*new, gamma=s.gamma)
+
+
+def _desk_state_at_one():
+    cfg = CaseConfig(problem="euler", t_final=1.0).resolved()
+    return run_case(cfg).final_field
+
+
+@pytest.mark.parametrize("make_field", [wavy_euler_field, _desk_state_at_one],
+                         ids=["wavy", "desk-t1"])
+def test_rusanov_step_equals_the_padded_state_reference_bit_for_bit(make_field):
+    field = make_field()
+    dt = cfl_dt(field, field.grid.dx, 0.82)
+    got = rusanov_step_euler(field, dt).state
+    want = _reference_rusanov_step(field, dt)
+    for name in ("rho", "u", "p"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g.value, w.value), name
+        assert np.array_equal(g.tangent, w.tangent), name
+
+
+def test_rusanov_step_rejects_a_step_past_the_cfl_bound():
+    field = wavy_euler_field()
+    dx = field.grid.dx
+    c_max = field.max_char_speed()
+    rusanov_step_euler(field, 0.99 * dx / c_max)
+    with pytest.raises(CFLViolationError):
+        rusanov_step_euler(field, 1.01 * dx / c_max)
+
+
+def test_rusanov_step_rejects_a_negative_pressure():
+    # Rusanov keeps pressure positive up to CFL 1, so step backward in time:
+    # the anti-diffusive update undershoots the low side of a pressure jump.
+    grid = Grid1D(x_left=0.0, dx=1.0, n_cells=4)
+    state = EulerState(lift(np.ones(4)), lift(np.zeros(4)), lift(np.array([1.0, 1.0, 1e-3, 1e-3])))
+    field = EulerCellField(grid, state)
+    with pytest.raises(NonPhysicalStateError, match="non-positive p"):
+        rusanov_step_euler(field, -0.5 / field.max_char_speed())
+
+
+def _burgers_ramp(bad_value=None, bad_tangent=None):
+    grid = Grid1D(x_left=0.0, dx=1.0 / 64, n_cells=64)
+    values = 0.5 + 0.4 * np.sin(2.0 * np.pi * grid.centers())
+    tangents = np.ones(64)
+    if bad_value is not None:
+        values[20] = bad_value
+    if bad_tangent is not None:
+        tangents[20] = bad_tangent
+    return CellField(grid, Dual(values, tangents))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SchemeConfig(t_final=0.1, dt_mode="fixed", dt=0.005),
+     SchemeConfig(t_final=0.1, dt_mode="cfl", cfl_number=0.5)],
+    ids=["fixed", "cfl"],
+)
+def test_run_rejects_a_nan_value(cfg):
+    with pytest.raises(NumericalError, match="non-finite"):
+        run(_burgers_ramp(bad_value=np.nan), cfg, model=MODEL)
+
+
+def test_run_names_the_stop_and_cell_of_an_infinite_tangent():
+    cfg = SchemeConfig(t_final=0.1, dt_mode="fixed", dt=0.005, record_times=(0.05,))
+    with pytest.raises(NumericalError, match=r"u tangent .* in cell \d+ at t = 0\.05"):
+        run(_burgers_ramp(bad_tangent=np.inf), cfg, model=MODEL)
+
+
+def test_run_rejects_a_nan_euler_tangent():
+    field = wavy_euler_field()
+    rho = field.state.rho
+    tangent = rho.tangent.copy()
+    tangent[5] = np.nan
+    state = EulerState(Dual(rho.value, tangent), field.state.u, field.state.p)
+    cfg = SchemeConfig(t_final=0.01, dt_mode="cfl", cfl_number=0.4)
+    with pytest.raises(NumericalError, match=r"rho tangent nan in cell \d+ at t = 0\.01"):
+        run(EulerCellField(field.grid, state), cfg)
