@@ -124,8 +124,6 @@ def _case_config(args, problem):
             values[field] = val
     if getattr(args, "record", None):
         values["record_times"] = tuple(sorted(args.record))
-    if getattr(args, "dt", None) is not None:
-        values.setdefault("dt_mode", "fixed")
     try:
         return CaseConfig(**values)
     except TypeError as exc:
