@@ -87,7 +87,7 @@ class EulerLaw(EulerModel):
     """The Euler equations with the single moving-shock case (MovingShockSetup)."""
 
     family = ()
-    defaults = {"dx": 0.01, "dt_mode": "cfl", "cfl": 0.82, "t_final": 100.0,
+    defaults = {"dx": 0.01, "cfl": 0.82, "t_final": 100.0,
                 "c_coeff": 20.0, "eps_min": 1e-5, "eps_max": 0.1, "domain_length": 30.0}
     lower_bounds = {"mach": 1.0, "gamma": 1.0}
 
@@ -110,7 +110,6 @@ class CaseConfig:
     mode: str = "shock"
     grid_no: int | None = None
     dx: float | None = None
-    dt_mode: str | None = None
     dt: float | None = None
     cfl: float | None = None
     t_final: float | None = None
@@ -139,13 +138,8 @@ class CaseConfig:
             if no not in law.grids:
                 raise ConfigError(f"grid_no must be one of {sorted(law.grids)}")
             table_dx, table_dt = law.grids[no]
-            cfg = replace(cfg, grid_no=no, dx=table_dx)
-            if cfg.dt_mode is None and cfg.dt is None:
-                cfg = replace(cfg, dt_mode="fixed", dt=table_dt)
-        if cfg.dt_mode is None and cfg.dt is not None:  # before a law's default dt_mode
-            cfg = replace(cfg, dt_mode="fixed")
+            cfg = replace(cfg, grid_no=no, dx=table_dx, dt=table_dt if cfg.dt is None else cfg.dt)
         cfg = replace(cfg, **{k: v for k, v in law.defaults.items() if getattr(cfg, k) is None})
-        cfg = replace(cfg, dt_mode=cfg.dt_mode or "cfl")
         for f in fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -201,7 +195,6 @@ class CaseResult:
 def _scheme(cfg):
     return SchemeConfig(
         t_final=cfg.t_final,
-        dt_mode=cfg.dt_mode,
         dt=cfg.dt,
         cfl_number=cfg.cfl,
         record_times=tuple(cfg.record_times),
@@ -343,10 +336,9 @@ def grid_convergence(config, grid_nos=None, dxs=None, jobs=1):
         else:
             dxs = [cfg.dx * 2.0**k for k in (4, 3, 2, 1, 0)]
     if dxs is not None:
-        tasks = [replace(cfg, dx=dx, dt=None, dt_mode="cfl", mode="shock") for dx in dxs]
+        tasks = [replace(cfg, dx=dx, dt=None, mode="shock") for dx in dxs]
     else:
-        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, dt_mode=None, mode="shock")
-                 for no in grid_nos]
+        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in grid_nos]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_grid_row, tasks))

@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4 I/O error.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
+import typing
 
 from .calculus import BurgersRampOracle, xi_ode_oracle
 from .cases import (
@@ -34,14 +36,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {f: t for f, t in (
-    ("problem", str), ("mode", str), ("grid_no", int), ("dx", float),
-    ("dt_mode", str), ("dt", float), ("cfl", float), ("t_final", float),
-    ("c_coeff", float), ("alpha", float), ("eps_min", float),
-    ("eps_max", float), ("n_eps", int), ("domain_length", float),
-    ("shift", float), ("mach", float), ("shock_speed", float),
-    ("x_shock0", float), ("gamma", float), ("jobs", int),
-)}
+#: Config-file keys and their parsers: the CaseConfig fields but record_times,
+#: each parsed by its annotated type (`float | None` parses as float).
+_CONFIG_FIELDS = {
+    f.name: next((t for t in typing.get_args(f.type) if t is not type(None)), f.type)
+    for f in dataclasses.fields(CaseConfig)
+    if f.name != "record_times"
+}
 
 
 def _read_config_file(path):

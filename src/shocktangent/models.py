@@ -100,9 +100,6 @@ class EulerState:
                     f"non-positive {name} (first offending cell {_first_bad_cell(comp)})"
                 )
 
-    def temperature(self):
-        return self.gamma * self.p / self.rho
-
     def sound_speed(self):
         return sqrt(self.gamma * self.p / self.rho)
 
@@ -131,11 +128,6 @@ def euler_flux(state, conservative=None):
     """
     rho, m, en = state.conservative() if conservative is None else conservative
     return m, m * state.u + state.p, state.u * (en + state.p)
-
-
-def euler_char_speed_sa(state):
-    """Slow acoustic characteristic speed u - a."""
-    return state.u - state.sound_speed()
 
 
 def euler_left_state(mach, gamma=GAMMA):
@@ -243,7 +235,6 @@ class EulerModel:
 
     def cell_char_speed(self, field, i, read):
         """Slow acoustic speed u - a of cell i; `read` yields floats or duals."""
-        # Not euler_char_speed_sa: its dual sqrt rounds unlike the float path.
         s = field.state
         rho, u, p = read(s.rho, i), read(s.u, i), read(s.p, i)
         return u - (s.gamma * p / rho) ** 0.5

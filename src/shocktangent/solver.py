@@ -10,9 +10,12 @@ run on dual-valued fields, so the tangent of every cell propagates through
 the identical formula with the flux replaced by its dual evaluation; no
 separate linearized scheme exists anywhere.
 
-Boundaries use two ghost cells per side filled by zero-gradient copies, which
+Boundaries use one ghost cell per side filled by a zero-gradient copy, which
 makes the boundary numerical flux collapse to the physical flux of the edge
 cell (the jump term vanishes).
+
+`run` alone chooses and bounds each step; the two updates take the step they
+are given.
 """
 
 import math
@@ -26,19 +29,20 @@ from .mesh import CellField
 from .models import EulerCellField, EulerState, law_of
 from . import models
 
-_GHOSTS = 2
+#: Longest step `cfl_dt` takes, the cap of a quiescent field.
+DT_MAX = 1.0
 
 
-def cfl_dt(field, dx, cfl, model=None, dt_max=1.0):
+def cfl_dt(field, dx, cfl, model=None):
     """Largest stable step: cfl * dx / C_n with C_n the max wave speed.
 
     A quiescent field (C_n = 0) has no wave-speed limit; the step is capped
-    at dt_max instead.
+    at DT_MAX instead.
     """
     c_n = law_of(field, model).max_char_speed(field)
     if c_n == 0.0:
-        return dt_max
-    return min(cfl * dx / c_n, dt_max)
+        return DT_MAX
+    return min(cfl * dx / c_n, DT_MAX)
 
 
 def _check_cfl(c_n, dt, dx):
@@ -51,11 +55,10 @@ def _check_cfl(c_n, dt, dx):
 def lxf_step(field, dt, model):
     """One Lax-Friedrichs step of a scalar field."""
     dx = field.grid.dx
-    _check_cfl(model.max_char_speed(field), dt, dx)
-    u = edge_pad(field.data, _GHOSTS)
+    u = edge_pad(field.data, 1)
     f = model.flux(u)
     new = 0.5 * (u[2:] + u[:-2]) - (dt / (2.0 * dx)) * (f[2:] - f[:-2])
-    return CellField(field.grid, new[_GHOSTS - 1 : -(_GHOSTS - 1)])
+    return CellField(field.grid, new)
 
 
 def lxf_boundary_fluxes(field, model):
@@ -77,31 +80,23 @@ def rusanov_step_euler(field, dt):
     field's own (already checked) state, then extended by ghost copies: every
     formula is elementwise, so this equals evaluating them on padded
     primitives, bit for bit.
-
-    The CFL check takes its speed from the dual wave speeds `lam`, whose
-    sound speed divides as p * gamma * (1/rho) where `max_char_speed` (and so
-    `cfl_dt`) computes gamma * p / rho. The two can differ in the last bit,
-    which moves the check's verdict only for dt within about 1e-16 (relative)
-    of its bound dx / c_max.
     """
     dx = field.grid.dx
     s = field.state
     cons = s.conservative()
     _, h_mom, h_en = models.euler_flux(s, cons)
     lam = abs(s.u) + s.sound_speed()
-    _check_cfl(float(lam.value.max()), dt, dx)
 
-    q_rho, q_mom, q_en = (edge_pad(c, _GHOSTS) for c in cons)
+    q_rho, q_mom, q_en = (edge_pad(c, 1) for c in cons)
     h_rho = q_mom  # the mass flux is the momentum
-    h_mom, h_en, lam = (edge_pad(c, _GHOSTS) for c in (h_mom, h_en, lam))
+    h_mom, h_en, lam = (edge_pad(c, 1) for c in (h_mom, h_en, lam))
 
     new = []
     lam_face = maximum(lam[:-1], lam[1:])
     for q, h in ((q_rho, h_rho), (q_mom, h_mom), (q_en, h_en)):
         # interface flux: central average minus local max-speed dissipation
         f = 0.5 * (h[:-1] + h[1:]) - 0.5 * lam_face * (q[1:] - q[:-1])
-        stepped = q[1:-1] - (dt / dx) * (f[1:] - f[:-1])
-        new.append(stepped[_GHOSTS - 1 : -(_GHOSTS - 1)])
+        new.append(q[1:-1] - (dt / dx) * (f[1:] - f[:-1]))
 
     state = EulerState.from_conservative(*new, gamma=field.gamma)
     return EulerCellField(field.grid, state)
@@ -122,25 +117,21 @@ def euler_boundary_fluxes(field):
 class SchemeConfig:
     """Time-marching controls.
 
-    dt_mode "fixed" repeats the given dt; "cfl" rescales every step from the
-    current max wave speed. Steps are clipped (never interpolated) so each
-    record time and t_final are hit exactly.
+    A dt is repeated every step; without one, each step is rescaled from the
+    current max wave speed by cfl_number. Steps are clipped (never
+    interpolated) so each record time and t_final are hit exactly.
     """
 
     t_final: float
-    dt_mode: str = "cfl"
     dt: float | None = None
     cfl_number: float | None = None
     record_times: tuple = ()
-    dt_max: float = 1.0
 
     def __post_init__(self):
-        if self.dt_mode not in ("fixed", "cfl"):
-            raise ConfigError(f"dt_mode must be 'fixed' or 'cfl', got {self.dt_mode!r}")
-        if self.dt_mode == "fixed" and not (self.dt and self.dt > 0.0):
-            raise ConfigError("fixed dt_mode requires dt > 0")
-        if self.dt_mode == "cfl" and not (self.cfl_number and 0.0 < self.cfl_number <= 1.0):
-            raise ConfigError("cfl dt_mode requires cfl_number in (0, 1]")
+        if self.dt is not None and not self.dt > 0.0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.dt is None and not (self.cfl_number and 0.0 < self.cfl_number <= 1.0):
+            raise ConfigError("without a dt, cfl_number must lie in (0, 1]")
         if not self.t_final > 0.0:
             raise ConfigError("t_final must be positive")
         times = tuple(self.record_times)
@@ -169,6 +160,9 @@ def run(ic, config, model=None, observers=()):
     before the field advances, so auxiliary ODEs (shock tracking) stay in
     lockstep with the scheme.
 
+    A fixed step is checked against the CFL bound of the pre-step field; a
+    CFL step lies within it by construction (cfl_number <= 1).
+
     A non-finite step size stops the march at once; each returned field is
     checked for non-finite values and tangents, once per stop.
     """
@@ -179,15 +173,13 @@ def run(ic, config, model=None, observers=()):
     if not stops or stops[-1] < config.t_final:
         stops.append(config.t_final)
 
+    fixed = config.dt is not None
     t = 0.0
     field = ic
     out = []
     for stop in stops:
         while t < stop:
-            if config.dt_mode == "fixed":
-                dt_nom = config.dt
-            else:
-                dt_nom = cfl_dt(field, dx, config.cfl_number, law, config.dt_max)
+            dt_nom = config.dt if fixed else cfl_dt(field, dx, config.cfl_number, law)
             if not math.isfinite(dt_nom):
                 raise NumericalError(f"non-finite time step {dt_nom} at t = {t!r}")
             remaining = stop - t
@@ -195,6 +187,8 @@ def run(ic, config, model=None, observers=()):
             dt_step = remaining if hit else dt_nom
             for obs in observers:
                 obs(t, dt_step, field)
+            if fixed:
+                _check_cfl(law.max_char_speed(field), dt_step, dx)
             field = lxf_step(field, dt_step, law) if law.scalar else rusanov_step_euler(field, dt_step)
             t = stop if hit else t + dt_step
         _check_finite(field, law, stop)

@@ -84,18 +84,24 @@ def test_cases_run_the_solver_through_cases_run(monkeypatch, call, runs):
 
 
 def test_euler_step_computes_wave_speed_and_conserved_variables_once(capsys):
+    # A CFL run of either law reduces the wave speed once per step, in cfl_dt.
+    runs = [
+        (["euler", "--dx", "0.05", "--t-final", "0.5"],
+         ("models.EulerCellField.max_char_speed", "models.EulerState.conservative",
+          "models.EulerState.__post_init__")),
+        (["burgers", "--dx", "0.01", "--t-final", "0.5"], ("models.BurgersModel.max_char_speed",)),
+    ]
     tracing = _tracing()
-    tracer = tracing.Tracer()
-    tracer.install("shocktangent")
-    try:
-        argv = ["euler", "--dx", "0.05", "--t-final", "0.5"]
-        assert cli.main(argv) == EXIT_OK
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    summary = tracing.summarize(tracer.names, **tracer.arrays())
-    steps = summary["steps"]
-    assert steps > 0
-    for name in ("models.EulerCellField.max_char_speed", "models.EulerState.conservative",
-                 "models.EulerState.__post_init__"):
-        assert summary["spans"][name]["calls_in_run"] == steps, name
+    for argv, names in runs:
+        tracer = tracing.Tracer()
+        tracer.install("shocktangent")
+        try:
+            assert cli.main(argv) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        summary = tracing.summarize(tracer.names, **tracer.arrays())
+        steps = summary["steps"]
+        assert steps > 0
+        for name in names:
+            assert summary["spans"][name]["calls_in_run"] == steps, (argv[0], name)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shocktangent.calculus import (
     BurgersRampOracle,
@@ -171,6 +174,26 @@ def test_tangential_shift_omits_field_update_in_the_band():
     inside = np.abs(centers - 2.0) <= delta
     assert np.allclose(out.values[~inside], u.values[~inside] + eps)
     assert np.allclose(out.values[inside], u.values[inside])
+
+
+@given(dx=st.floats(1e-4, 0.1), n=st.integers(3, 1000), data=st.data())
+def test_tangential_shift_conserves_the_displaced_mass(dx, n, data):
+    # With udot = 0 and delta = 0 only the jump block changes the field. A shift
+    # of at least one cell keeps the rounding of u in the two partly covered
+    # cells far below 1e-12 of the displaced mass.
+    grid = Grid1D(x_left=0.0, dx=dx, n_cells=n)
+    u = data.draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    x_s = data.draw(st.floats(0.0, grid.x_right))
+    shift = data.draw(st.floats(-x_s, grid.x_right - x_s).filter(lambda d: abs(d) >= dx))
+    eps = data.draw(st.floats(1e-4, 0.2))
+    xi = shift / eps
+    jump = data.draw(st.floats(-10.0, 10.0).filter(lambda j: abs(j) >= 1e-2))
+    assume(0.0 <= x_s + eps * xi <= grid.x_right)
+    field = CellField(grid, lift(u))
+    udot = CellField(grid, lift(np.zeros(n)))
+    out = tangential_shift(field, udot, ShockState(Dual(x_s, xi)), jump, eps, 0.0)
+    moved = dx * float(np.sum(out.values - u))
+    assert moved == pytest.approx(-jump * eps * xi, rel=1e-12)
 
 
 def test_tangential_shift_rejects_displacement_outside_domain():

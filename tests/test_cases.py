@@ -29,7 +29,6 @@ def test_burgers_defaults_resolve_to_reference_row_five():
     assert cfg.grid_no == 5
     assert cfg.dx == BURGERS_GRIDS[5][0]
     assert cfg.dt == BURGERS_GRIDS[5][1]
-    assert cfg.dt_mode == "fixed"
     assert cfg.cfl == 0.63
     assert cfg.t_final == 2.0
     assert cfg.c_coeff == 5.0
@@ -39,7 +38,7 @@ def test_burgers_defaults_resolve_to_reference_row_five():
 def test_euler_defaults():
     cfg = CaseConfig(problem="euler").resolved()
     assert cfg.dx == 0.01
-    assert cfg.dt_mode == "cfl"
+    assert cfg.dt is None
     assert cfg.cfl == 0.82
     assert cfg.t_final == 100.0
     assert cfg.c_coeff == 20.0
@@ -49,10 +48,9 @@ def test_euler_defaults():
 
 def test_explicit_dx_switches_to_cfl_stepping():
     cfg = CaseConfig(dx=0.01).resolved()
-    assert cfg.dt_mode == "cfl"
     assert cfg.dt is None
     cfg = CaseConfig(dx=0.01, dt=0.005).resolved()
-    assert cfg.dt_mode == "fixed"
+    assert cfg.dt == 0.005
 
 
 def test_config_rejections():
@@ -66,8 +64,6 @@ def test_config_rejections():
         CaseConfig(n_eps=1).resolved()
     with pytest.raises(ConfigError):
         CaseConfig(eps_min=0.5, eps_max=0.1).resolved()
-    with pytest.raises(ConfigError):
-        CaseConfig(dx=0.01, dt_mode="fixed").resolved()
     with pytest.raises(ConfigError):
         CaseConfig(t_final=-2.0).resolved()
 
@@ -284,9 +280,7 @@ def test_resolved_rejects_out_of_range_inputs(overrides):
 @pytest.mark.parametrize("problem", ["burgers", "euler"])
 def test_explicit_dt_selects_fixed_stepping(problem):
     cfg = CaseConfig(problem=problem, dx=0.01, dt=0.001).resolved()
-    assert (cfg.dt_mode, cfg.dt) == ("fixed", 0.001)
-    cfg = CaseConfig(problem=problem, dx=0.01, dt=0.001, dt_mode="cfl").resolved()
-    assert cfg.dt_mode == "cfl"
+    assert cfg.dt == 0.001
 
 
 def test_resolved_rejects_grids_above_the_cell_ceiling():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from shocktangent.cases import MAX_CELLS
 from shocktangent.dual import Dual, lift, seed
 from shocktangent.errors import GridMismatchError, OutOfDomainError
 from shocktangent.mesh import (
@@ -47,6 +50,18 @@ def test_cell_containing(grid):
         grid.cell_containing(-0.01)
     with pytest.raises(OutOfDomainError):
         grid.cell_containing(1.0)
+
+
+@given(dx=st.floats(1e-5, 0.2), n=st.integers(3, MAX_CELLS), data=st.data())
+def test_cell_containing_resolves_faces_and_brackets_every_point(dx, n, data):
+    grid = Grid1D(x_left=0.0, dx=dx, n_cells=n)  # builds no arrays at any size
+    i = data.draw(st.integers(0, n - 1))
+    assert grid.cell_containing(grid.face(i)) == i
+    near_face = [np.nextafter(grid.face(i), -np.inf), np.nextafter(grid.face(i), np.inf)]
+    x = data.draw(st.floats(0.0, grid.x_right, exclude_max=True) | st.sampled_from(near_face))
+    assume(x >= 0.0)
+    j = grid.cell_containing(x)
+    assert grid.face(j) <= x < grid.face(j + 1)
 
 
 def test_grid_needs_enough_cells_for_reconstruction():

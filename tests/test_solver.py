@@ -9,6 +9,7 @@ from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalState
 from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import BurgersModel, EulerCellField, EulerState, euler_flux
 from shocktangent.solver import (
+    DT_MAX,
     SchemeConfig,
     cfl_dt,
     euler_boundary_fluxes,
@@ -53,37 +54,37 @@ def test_lxf_preserves_mass_with_flat_edges():
 def test_cfl_violation_is_rejected():
     f = small_field([0.0, 1.0, 0.0])
     with pytest.raises(CFLViolationError):
-        lxf_step(f, 3.0, MODEL)
+        run(f, SchemeConfig(t_final=3.0, dt=3.0), model=MODEL)
 
 
 def test_cfl_dt_tracks_wave_speed_and_caps_quiescent_fields():
     f = small_field([0.0, -2.0, 0.0])
     assert cfl_dt(f, 1.0, 0.5, MODEL) == pytest.approx(0.25)
     flat = small_field([0.0, 0.0, 0.0])
-    assert cfl_dt(flat, 1.0, 0.5, MODEL, dt_max=0.7) == 0.7
+    assert cfl_dt(flat, 1.0, 0.5, MODEL) == DT_MAX
 
 
 def test_scheme_config_validation():
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=1.0, dt_mode="adaptive")
+        SchemeConfig(t_final=1.0, dt=0.0)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=1.0, dt_mode="fixed")
+        SchemeConfig(t_final=1.0, dt=-0.1)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=1.0, dt_mode="cfl", cfl_number=1.5)
+        SchemeConfig(t_final=1.0, cfl_number=1.5)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=-1.0, dt_mode="fixed", dt=0.1)
+        SchemeConfig(t_final=-1.0, dt=0.1)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=1.0, dt_mode="fixed", dt=0.1, record_times=(0.5, 0.25))
+        SchemeConfig(t_final=1.0, dt=0.1, record_times=(0.5, 0.25))
     with pytest.raises(ConfigError):
-        SchemeConfig(t_final=1.0, dt_mode="fixed", dt=0.1, record_times=(0.5, 2.0))
+        SchemeConfig(t_final=1.0, dt=0.1, record_times=(0.5, 2.0))
     with pytest.raises(ConfigError):
-        run(small_field([0.0, 1.0, 0.0]), SchemeConfig(t_final=1.0, dt_mode="fixed", dt=0.1))
+        run(small_field([0.0, 1.0, 0.0]), SchemeConfig(t_final=1.0, dt=0.1))
 
 
 def test_run_hits_record_times_by_clipping():
     f = small_field([0.0, 0.5, 0.0])
     seen = []
-    cfg = SchemeConfig(t_final=1.0, dt_mode="fixed", dt=0.3, record_times=(0.3, 0.6))
+    cfg = SchemeConfig(t_final=1.0, dt=0.3, record_times=(0.3, 0.6))
     out = run(f, cfg, model=MODEL, observers=(lambda t, dt, field: seen.append((t, dt)),))
     assert [t for t, _ in out] == [0.3, 0.6, 1.0]
     assert [t for t, _ in seen] == pytest.approx([0.0, 0.3, 0.6, 0.9])
@@ -94,7 +95,7 @@ def test_run_hits_record_times_by_clipping():
 def test_run_step_count_with_exact_multiple():
     f = small_field([0.0, 0.5, 0.0])
     calls = []
-    cfg = SchemeConfig(t_final=0.9, dt_mode="fixed", dt=0.3)
+    cfg = SchemeConfig(t_final=0.9, dt=0.3)
     out = run(f, cfg, model=MODEL, observers=(lambda t, dt, field: calls.append(t),))
     assert len(calls) == 3
     assert out[-1][0] == 0.9
@@ -108,7 +109,7 @@ def test_observers_see_the_prestep_field():
         if t == 0.0:
             first["values"] = field.values.copy()
 
-    run(f, SchemeConfig(t_final=0.5, dt_mode="fixed", dt=0.5), model=MODEL, observers=(grab,))
+    run(f, SchemeConfig(t_final=0.5, dt=0.5), model=MODEL, observers=(grab,))
     assert np.array_equal(first["values"], f.values)
 
 
@@ -140,7 +141,7 @@ def test_rusanov_step_balances_boundary_fluxes():
 
 def test_euler_run_dispatches_without_model():
     field = wavy_euler_field(12)
-    cfg = SchemeConfig(t_final=0.05, dt_mode="cfl", cfl_number=0.4)
+    cfg = SchemeConfig(t_final=0.05, cfl_number=0.4)
     out = run(field, cfg)
     assert out[-1][0] == pytest.approx(0.05)
     assert isinstance(out[-1][1], EulerCellField)
@@ -157,11 +158,11 @@ def test_dual_tangent_matches_finite_differences_for_smooth_data():
 
     def final_values(eps):
         f = CellField(grid, lift(base + eps * direction))
-        cfg = SchemeConfig(t_final=0.05, dt_mode="fixed", dt=0.05 / 16)
+        cfg = SchemeConfig(t_final=0.05, dt=0.05 / 16)
         return run(f, cfg, model=MODEL)[-1][1].values
 
     f0 = CellField(grid, Dual(base.copy(), direction.copy()))
-    cfg = SchemeConfig(t_final=0.05, dt_mode="fixed", dt=0.05 / 16)
+    cfg = SchemeConfig(t_final=0.05, dt=0.05 / 16)
     ad = run(f0, cfg, model=MODEL)[-1][1].tangents
 
     h = 1e-6
@@ -211,9 +212,11 @@ def test_rusanov_step_rejects_a_step_past_the_cfl_bound():
     field = wavy_euler_field()
     dx = field.grid.dx
     c_max = field.max_char_speed()
-    rusanov_step_euler(field, 0.99 * dx / c_max)
+    dt = 0.99 * dx / c_max
+    run(field, SchemeConfig(t_final=dt, dt=dt))
+    dt = 1.01 * dx / c_max
     with pytest.raises(CFLViolationError):
-        rusanov_step_euler(field, 1.01 * dx / c_max)
+        run(field, SchemeConfig(t_final=dt, dt=dt))
 
 
 def test_rusanov_step_rejects_a_negative_pressure():
@@ -239,8 +242,8 @@ def _burgers_ramp(bad_value=None, bad_tangent=None):
 
 @pytest.mark.parametrize(
     "cfg",
-    [SchemeConfig(t_final=0.1, dt_mode="fixed", dt=0.005),
-     SchemeConfig(t_final=0.1, dt_mode="cfl", cfl_number=0.5)],
+    [SchemeConfig(t_final=0.1, dt=0.005),
+     SchemeConfig(t_final=0.1, cfl_number=0.5)],
     ids=["fixed", "cfl"],
 )
 def test_run_rejects_a_nan_value(cfg):
@@ -249,7 +252,7 @@ def test_run_rejects_a_nan_value(cfg):
 
 
 def test_run_names_the_stop_and_cell_of_an_infinite_tangent():
-    cfg = SchemeConfig(t_final=0.1, dt_mode="fixed", dt=0.005, record_times=(0.05,))
+    cfg = SchemeConfig(t_final=0.1, dt=0.005, record_times=(0.05,))
     with pytest.raises(NumericalError, match=r"u tangent .* in cell \d+ at t = 0\.05"):
         run(_burgers_ramp(bad_tangent=np.inf), cfg, model=MODEL)
 
@@ -260,6 +263,6 @@ def test_run_rejects_a_nan_euler_tangent():
     tangent = rho.tangent.copy()
     tangent[5] = np.nan
     state = EulerState(Dual(rho.value, tangent), field.state.u, field.state.p)
-    cfg = SchemeConfig(t_final=0.01, dt_mode="cfl", cfl_number=0.4)
+    cfg = SchemeConfig(t_final=0.01, cfl_number=0.4)
     with pytest.raises(NumericalError, match=r"rho tangent nan in cell \d+ at t = 0\.01"):
         run(EulerCellField(field.grid, state), cfg)

@@ -185,7 +185,7 @@ def test_tracker_observer_keeps_history():
     f = linear_field()
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
     tracker = ShockTracker(2.03, cfg, MODEL, xdot0=0.7)
-    scheme = SchemeConfig(t_final=0.12, dt_mode="fixed", dt=0.04)
+    scheme = SchemeConfig(t_final=0.12, dt=0.04)
     run(f, scheme, model=MODEL, observers=(tracker,))
     assert tracker.times == pytest.approx([0.0, 0.04, 0.08, 0.12])
     assert len(tracker.positions) == 4
