@@ -126,9 +126,18 @@ def _case_config(args, problem):
     if getattr(args, "record", None):
         values["record_times"] = tuple(sorted(args.record))
     try:
-        return CaseConfig(**values)
+        cfg = CaseConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    # A given cfl would be ignored where a dt, given or the grid row's, fixes the step.
+    if "cfl" in values:
+        dt = cfg.resolved().dt
+        if dt is not None:
+            raise ConfigError(
+                f"cfl = {cfg.cfl!r} has no effect with the fixed step dt = {dt!r} "
+                "(given, or from the grid row); drop cfl, or give dx without dt"
+            )
+    return cfg
 
 
 def _print_case_summary(result):

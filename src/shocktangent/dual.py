@@ -68,10 +68,8 @@ class Dual:
         if isinstance(other, Dual):
             _check_nonzero(other.value)
             inv = 1.0 / other.value
-            return Dual(
-                self.value * inv,
-                (self.tangent - self.value * inv * other.tangent) * inv,
-            )
+            val = self.value * inv
+            return Dual(val, (self.tangent - val * other.tangent) * inv)
         _check_nonzero(other)
         inv = 1.0 / other
         return Dual(self.value * inv, self.tangent * inv)

@@ -4,8 +4,13 @@ Cells are half-open intervals [x_left + i dx, x_left + (i+1) dx); a query
 landing exactly on an interior face therefore resolves to the cell on the
 right. Fields store one dual per cell (array-backed), so both the solution
 and its tangent move through every operation together.
+
+The tracker's linear probe reads cells i - 1, i and i + 1 once each
+(`one_sided_slopes`); the components of a system share one lookup of the
+probe point (`eval_linear`'s i).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +50,7 @@ class Grid1D:
             raise OutOfDomainError(
                 f"x = {x} outside grid extent [{self.x_left}, {self.x_right})"
             )
-        i = int(np.floor((x - self.x_left) / self.dx))
+        i = math.floor((x - self.x_left) / self.dx)
         # Rounding in the division can misplace an exact face hit by one.
         if i + 1 < self.n_cells and x >= self.face(i + 1):
             i += 1
@@ -130,46 +135,56 @@ def cell_average(fn, grid, breakpoints=()):
     return CellField(grid, lift(avgs))
 
 
-def eval_constant(field, x):
+def eval_constant(field, x, i=None):
     """Piecewise-constant reconstruction at x (float or dual position).
 
     Flat in x, so a dual position contributes nothing: the result carries only
-    the cell's own tangent.
+    the cell's own tangent. i is the cell holding x, if the caller has
+    located it already.
     """
-    xv = x.value if isinstance(x, Dual) else x
-    return field.at(field.grid.cell_containing(xv))
+    if i is None:
+        i = field.grid.cell_containing(x.value if isinstance(x, Dual) else x)
+    return field.at(i)
 
 
 def one_sided_slopes(field, i):
-    """(forward, backward) difference slopes at cell i, as duals."""
+    """Cell i and its (forward, backward) difference slopes, as duals.
+
+    Cells i - 1, i and i + 1 are read once each, from one slice per payload.
+    """
     n = field.grid.n_cells
     if not 1 <= i <= n - 2:
         raise IndexError(f"one-sided slopes need both neighbors; cell {i} of {n}")
     dx = field.grid.dx
-    s_plus = (field.at(i + 1) - field.at(i)) / dx
-    s_minus = (field.at(i) - field.at(i - 1)) / dx
-    return s_plus, s_minus
+    d = field.data
+    v_minus, v_i, v_plus = d.value[i - 1 : i + 2].tolist()
+    t_minus, t_i, t_plus = d.tangent[i - 1 : i + 2].tolist()
+    u_minus, u_i, u_plus = Dual(v_minus, t_minus), Dual(v_i, t_i), Dual(v_plus, t_plus)
+    return u_i, (u_plus - u_i) / dx, (u_i - u_minus) / dx
 
 
-def eval_linear(field, x, side):
+def eval_linear(field, x, side, i=None):
     """Linear reconstruction u_i + (x - X_i) * slope at x.
 
-    side selects the slope of the containing cell: forward difference
+    side selects the slope of the containing cell i: forward difference
     ("plus"), backward difference ("minus"), or their average ("center",
     the central difference). With a dual position the slope term carries the
     position tangent into the result:
     tangent = u_i' + x' * s + (x - X_i) * s'.
+    i is the cell holding x, if the caller has located it already (one lookup
+    serves every component of a system at one probe point).
     """
     if side not in ("plus", "minus", "center"):
         raise ValueError(f"side must be 'plus', 'minus' or 'center', got {side!r}")
     x = lift(x)
     grid = field.grid
-    i = grid.cell_containing(x.value)
+    if i is None:
+        i = grid.cell_containing(x.value)
     if not 1 <= i <= grid.n_cells - 2:
         raise OutOfDomainError(
             f"linear reconstruction at x = {x.value} needs an interior cell, got {i}"
         )
-    s_plus, s_minus = one_sided_slopes(field, i)
+    u_i, s_plus, s_minus = one_sided_slopes(field, i)
     if side == "plus":
         s = s_plus
     elif side == "minus":
@@ -177,4 +192,4 @@ def eval_linear(field, x, side):
     else:
         s = 0.5 * (s_plus + s_minus)
     center = grid.x_left + (i + 0.5) * grid.dx
-    return field.at(i) + (x - center) * s
+    return u_i + (x - center) * s

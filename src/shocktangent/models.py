@@ -20,7 +20,9 @@ All formulas are plain dual arithmetic, so seeding any input (e.g. S)
 propagates exact state sensitivities.
 
 `law_of` gives each field its law: BurgersModel (scalar) or EulerModel. The
-solver and the tracker take from it all that depends on the problem.
+solver and the tracker take from it all that depends on the problem. The
+Euler probe speed locates each probe point once and reads rho, u and p from
+that one cell.
 """
 
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ class BurgersModel:
 
     def max_char_speed(self, field):
         """Largest |f'(u)| over the field (CFL bound)."""
-        return float(np.max(np.abs(field.values)))
+        return float(abs(field.values).max())
 
     def split(self, field):
         """The field's components as scalar CellFields."""
@@ -216,7 +218,7 @@ class EulerCellField:
     def max_char_speed(self):
         """Largest |u| + a over the field (CFL bound)."""
         a = np.sqrt(self.gamma * self.state.p.value / self.state.rho.value)
-        return float(np.max(np.abs(self.state.u.value) + a))
+        return float((abs(self.state.u.value) + a).max())
 
 
 @dataclass(frozen=True)
@@ -240,11 +242,16 @@ class EulerModel:
         return u - (s.gamma * p / rho) ** 0.5
 
     def probe_speed(self, field, x_minus, x_plus, evaluate):
-        """Shock speed from upstream (minus side) rho, u, p and downstream pressure."""
-        rho_m = evaluate(field.component("rho"), x_minus)
-        u_m = evaluate(field.component("u"), x_minus)
-        p_m = evaluate(field.component("p"), x_minus)
-        p_p = evaluate(field.component("p"), x_plus)
+        """Shock speed from upstream (minus side) rho, u, p and downstream pressure.
+
+        Each probe point is located once: evaluate(component, x, i) reconstructs
+        a component on the cell i holding x.
+        """
+        locate = field.grid.cell_containing
+        rho, u, p = self.split(field)
+        i_m = locate(x_minus.value)
+        rho_m, u_m, p_m = (evaluate(c, x_minus, i_m) for c in (rho, u, p))
+        p_p = evaluate(p, x_plus, locate(x_plus.value))
         a_m = sqrt(field.gamma * p_m / rho_m)
         return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
 

@@ -30,8 +30,9 @@ the modes differ only in how the position tangent accumulates:
   none     - tangent frozen at zero.
 
 delta = c_coeff * dx**alpha is the half width assumed for the numerical shock
-layer; probes sit just outside it. naive_probe_speed (the same jump speed on
-flat probes) is kept as a reference rule; no mode uses it.
+layer; probes sit just outside it. A shock-mode step locates three points,
+the tracked one and one per probe, on either law. naive_probe_speed (the
+same jump speed on flat probes) is kept as a reference rule; no mode uses it.
 """
 
 from dataclasses import dataclass
@@ -101,7 +102,11 @@ def char_speed(state, field, model=None):
 
 
 def _probe_speed(state, field, delta, model, evaluate):
-    """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction."""
+    """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction.
+
+    evaluate(field, x, i=None) reads a scalar field at the dual point x, on the
+    cell i holding x when the law has located it already.
+    """
     law = law_of(field, model)
     try:
         return law.probe_speed(field, state.position - delta, state.position + delta, evaluate)
@@ -123,9 +128,9 @@ def naive_probe_speed(state, field, delta, model=None):
     return _probe_speed(state, field, delta, model, eval_constant)
 
 
-def _linear_eval(field, x):
+def _linear_eval(field, x, i=None):
     # Central-difference slope on either probe side; see module docstring.
-    return eval_linear(field, x, "center")
+    return eval_linear(field, x, "center", i)
 
 
 def step_shock(state, field, dt, config, model=None):

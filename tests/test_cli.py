@@ -236,3 +236,44 @@ def test_config_file_dt_sets_fixed_euler_steps(tmp_path, monkeypatch, capsys):
     assert main(["euler", "--config", str(cfg)]) == EXIT_CONFIG
     assert seen["config"].dt == 0.001
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["burgers", "--grid-no", "9", "--cfl", "0.1"], None),
+        (["burgers", "--cfl", "0.63"], None),
+        (["euler", "--dt", "0.001", "--cfl", "0.5"], None),
+        (["sweep", "--grid-no", "9", "--cfl", "0.1"], None),
+        (["burgers", "--grid-no", "9"], "cfl = 0.1\n"),
+        (["burgers", "--dx", "0.01"], "dt = 0.005\ncfl = 0.5\n"),
+    ],
+    ids=["flag-grid-row", "flag-default-row", "flag-euler-dt", "flag-sweep",
+         "file-grid-row", "file-given-dt"],
+)
+def test_cfl_with_a_dt_in_force_exits_with_config_code(argv, cfg_text, tmp_path, capsys):
+    if cfg_text is not None:
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cfl = " in err and "dt = " in err
+
+
+def test_cfl_applies_without_a_dt(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run_case(config):
+        seen.append(config.resolved())
+        raise ConfigError("stop before the march")
+
+    monkeypatch.setattr(cli, "run_case", fake_run_case)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("cfl = 0.3\n", encoding="utf-8")
+    for argv in (["burgers", "--dx", "0.01", "--cfl", "0.4"],
+                 ["burgers", "--dx", "0.01", "--config", str(cfg)],
+                 ["euler", "--cfl", "0.4"]):
+        assert main(argv) == EXIT_CONFIG
+    assert [(c.dt, c.cfl) for c in seen] == [(None, 0.4), (None, 0.3), (None, 0.4)]
+    capsys.readouterr()

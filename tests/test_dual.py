@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -154,3 +154,90 @@ def test_tangents_agree_with_finite_differences_on_a_composition():
     h = 1e-6
     fd = (f(lift(x0 + h)).value - f(lift(x0 - h)).value) / (2.0 * h)
     assert ad == pytest.approx(fd, rel=1e-9)
+
+
+# -- property checks against central finite differences ------------------------
+
+_away_from_zero = st.one_of(st.floats(0.5, 4.0), st.floats(-4.0, -0.5))
+_positive = st.floats(0.5, 4.0)
+_slope = st.floats(-3.0, 3.0)
+
+#: (name, f(x, c) on duals and floats alike, domain of x). c is a constant
+#: from _away_from_zero; every binary op runs dual-dual, dual-constant and
+#: constant-dual.
+_ELEMENTALS = [
+    ("dual + dual", lambda x, c: x + (c * x + 1.0), _away_from_zero),
+    ("dual + c", lambda x, c: x + c, _away_from_zero),
+    ("c + dual", lambda x, c: c + x, _away_from_zero),
+    ("dual - dual", lambda x, c: x - (c * x + 1.0), _away_from_zero),
+    ("dual - c", lambda x, c: x - c, _away_from_zero),
+    ("c - dual", lambda x, c: c - x, _away_from_zero),
+    ("dual * dual", lambda x, c: x * (c * x + 1.0), _away_from_zero),
+    ("dual * c", lambda x, c: x * c, _away_from_zero),
+    ("c * dual", lambda x, c: c * x, _away_from_zero),
+    ("dual / dual", lambda x, c: (c * x + 1.0) / (x * x + 1.0), _away_from_zero),
+    ("dual / c", lambda x, c: x / c, _away_from_zero),
+    ("c / dual", lambda x, c: c / x, _away_from_zero),
+    ("dual ** 2", lambda x, c: x**2, _away_from_zero),
+    ("dual ** 3", lambda x, c: x**3, _away_from_zero),
+    ("dual ** -1", lambda x, c: x**-1, _away_from_zero),
+    ("dual ** 0.5", lambda x, c: x**0.5, _positive),
+    ("dual ** 1.5", lambda x, c: x**1.5, _positive),
+    ("sqrt", lambda x, c: sqrt(x), _positive),
+    ("abs", lambda x, c: abs(c * x), _away_from_zero),
+]
+
+
+def _central_difference(f, x0, c, h=1e-6):
+    return (f(lift(x0 + h), c).value - f(lift(x0 - h), c).value) / (2.0 * h)
+
+
+@pytest.mark.parametrize("name, f, domain", _ELEMENTALS, ids=[e[0] for e in _ELEMENTALS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), c=_away_from_zero, direction=_slope)
+def test_elemental_tangents_match_central_differences_on_scalars(name, f, domain, data, c, direction):
+    x0 = data.draw(domain)
+    ad = f(seed(x0, direction), c).tangent
+    fd = direction * _central_difference(f, x0, c)
+    assert ad == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+@pytest.mark.parametrize("name, f, domain", _ELEMENTALS, ids=[e[0] for e in _ELEMENTALS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), c=_away_from_zero)
+def test_elemental_tangents_match_central_differences_on_arrays(name, f, domain, data, c):
+    n = data.draw(st.integers(1, 8))
+    x0 = np.array(data.draw(st.lists(domain, min_size=n, max_size=n)))
+    direction = np.array(data.draw(st.lists(_slope, min_size=n, max_size=n)))
+    ad = f(Dual(x0, direction), c).tangent
+    fd = direction * _central_difference(f, x0, c)
+    np.testing.assert_allclose(ad, fd, rtol=1e-6, atol=1e-7)
+
+
+_finite = st.floats(-1e6, 1e6)
+_divisor = st.one_of(st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+
+
+def _division_written_out(a, b):
+    # value a.v / b.v and tangent (a.t - a.v * inv * b.t) * inv, inv = 1 / b.v
+    inv = 1.0 / b.value
+    return a.value * inv, (a.tangent - a.value * inv * b.tangent) * inv
+
+
+@given(av=_finite, at=_finite, bv=_divisor, bt=_finite)
+def test_division_equals_the_quotient_rule_written_out_bit_for_bit(av, at, bv, bt):
+    a, b = Dual(av, at), Dual(bv, bt)
+    q = a / b
+    assert (q.value, q.tangent) == _division_written_out(a, b)
+
+
+@given(data=st.data())
+def test_array_division_equals_the_quotient_rule_written_out_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8))
+    a, b = (
+        Dual(*(np.array(data.draw(st.lists(s, min_size=n, max_size=n))) for s in strats))
+        for strats in ((_finite, _finite), (_divisor, _finite))
+    )
+    q = a / b
+    value, tangent = _division_written_out(a, b)
+    assert np.array_equal(q.value, value) and np.array_equal(q.tangent, tangent)

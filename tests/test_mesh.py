@@ -119,7 +119,8 @@ def test_eval_constant_ignores_position_tangent(grid):
 def test_one_sided_slopes(grid):
     vals = np.arange(10.0) ** 2
     f = CellField(grid, lift(vals))
-    plus, minus = one_sided_slopes(f, 4)
+    cell, plus, minus = one_sided_slopes(f, 4)
+    assert cell.value == vals[4]
     assert plus.value == pytest.approx((vals[5] - vals[4]) / 0.1)
     assert minus.value == pytest.approx((vals[4] - vals[3]) / 0.1)
     with pytest.raises(IndexError):

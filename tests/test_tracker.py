@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shocktangent.cases import CaseConfig, run_case
-from shocktangent.dual import Dual, lift, seed
+from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import ProbeDegenerateError, TrackingLostError
 from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import (
@@ -13,6 +13,7 @@ from shocktangent.models import (
     EulerState,
     euler_left_state,
     moving_shock_right_state,
+    shock_speed_from_states,
 )
 from shocktangent.solver import SchemeConfig, run
 from shocktangent.tracker import (
@@ -194,3 +195,87 @@ def test_tracker_observer_keeps_history():
     # first step matches the hand-computed update exactly
     assert tracker.positions[1] == pytest.approx(2.069, abs=1e-13)
     assert tracker.tangents[1] == pytest.approx(0.7 + 0.04 * 1.68, abs=1e-12)
+
+
+def _five_read_linear(field, x):
+    """Central-slope linear probe with one field.at read per use of a cell (five reads)."""
+    grid = field.grid
+    i = grid.cell_containing(x.value)
+    s_plus = (field.at(i + 1) - field.at(i)) / grid.dx
+    s_minus = (field.at(i) - field.at(i - 1)) / grid.dx
+    s = 0.5 * (s_plus + s_minus)
+    return field.at(i) + (x - (grid.x_left + (i + 0.5) * grid.dx)) * s
+
+
+def _reference_step(state, field, dt, config, law):
+    """step_shock's new position value and speed dual, one field.at read per use of a cell."""
+    x = state.position
+    parts = law.split(field)
+
+    def c(cells):  # the tracked characteristic speed on one cell's (rho, u, p) or u
+        if law.scalar:
+            return cells[0]
+        rho, u, p = cells
+        return u - (field.gamma * p / rho) ** 0.5
+
+    i = field.grid.cell_containing(x.value)
+    new_x = x.value + dt * c([f.at(i).value for f in parts])
+    speed = c([f.at(i) for f in parts])
+    if config.mode == "shock":
+        delta = config.delta(field.grid.dx)
+        if law.scalar:
+            v_plus = _five_read_linear(field, x + delta)
+            v_minus = _five_read_linear(field, x - delta)
+            speed = (law.flux(v_plus) - law.flux(v_minus)) / (v_plus - v_minus)
+        else:
+            rho_m, u_m, p_m = (_five_read_linear(f, x - delta) for f in parts)
+            p_p = _five_read_linear(parts[2], x + delta)
+            a_m = sqrt(field.gamma * p_m / rho_m)
+            speed = shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
+    return new_x, speed
+
+
+@pytest.fixture(scope="module")
+def tracked_fields():
+    """(field, tracker state, law, config) of Burgers grid 7 and the Euler desk case at t = 1."""
+    out = []
+    for cfg in (CaseConfig(grid_no=7, t_final=1.0), CaseConfig(problem="euler", t_final=1.0)):
+        res = run_case(cfg)
+        out.append((res.final_field, res.shock_state(), res.law, res.config))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["shock", "blackbox"])
+@pytest.mark.parametrize("case", [0, 1], ids=["burgers-grid7", "euler-desk"])
+def test_step_shock_equals_the_five_read_formulation_bit_for_bit(tracked_fields, case, mode):
+    field, state, law, cfg = tracked_fields[case]
+    config = TrackerConfig(cfg.c_coeff, cfg.alpha, mode)
+    dt = 0.5 * field.grid.dx / law.max_char_speed(field)
+    new_x, speed = _reference_step(state, field, dt, config, law)
+    if mode == "shock":
+        got = rh_probe_speed(state, field, config.delta(field.grid.dx), law)
+    else:
+        got = char_speed(state, field, law)
+    # the speed itself: dt * speed is too small to show its last bits in x'
+    assert (got.value, got.tangent) == (speed.value, speed.tangent)
+    out = step_shock(state, field, dt, config, law)
+    assert (out.position.value, out.position.tangent) == (
+        new_x, state.position.tangent + dt * speed.tangent
+    )
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["burgers-grid7", "euler-desk"])
+def test_shock_step_locates_three_points(tracked_fields, case, monkeypatch):
+    field, state, law, cfg = tracked_fields[case]
+    calls = []
+    inner = Grid1D.cell_containing
+
+    def counting(grid, x):
+        calls.append(x)
+        return inner(grid, x)
+
+    monkeypatch.setattr(Grid1D, "cell_containing", counting)
+    config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
+    step_shock(state, field, 1e-4, config, law)
+    # the position update, then one lookup per probe point
+    assert len(calls) == 3
