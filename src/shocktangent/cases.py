@@ -19,7 +19,6 @@ the eps = eps_max comparison over a sequence of grids.
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -340,6 +339,9 @@ def grid_convergence(config, grid_nos=None, dxs=None, jobs=1):
     else:
         tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in grid_nos]
     if jobs > 1:
+        # Imported here: the process pool costs about 2 MB that a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_grid_row, tasks))
     else:

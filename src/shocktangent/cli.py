@@ -185,6 +185,12 @@ def _cmd_sweep(args):
 
 def _cmd_gridconv(args):
     cfg = _case_config(args, args.problem)
+    # Every grid of the study takes its own step (its row's dt, or cfl), so a given dt is unused.
+    if cfg.dt is not None:
+        raise ConfigError(
+            f"dt = {cfg.dt!r} has no effect in gridconv: each grid takes its step "
+            "from its grid row or from cfl; drop dt"
+        )
     _write_report(grid_convergence(cfg, jobs=cfg.jobs), args.out)
     return EXIT_OK
 

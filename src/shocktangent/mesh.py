@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .dual import Dual, lift
 from .errors import GridMismatchError, OutOfDomainError
@@ -102,7 +101,15 @@ def require_same_grid(a, b):
         raise GridMismatchError(f"grids differ: {ga} vs {gb}")
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(5)
+#: 5-point Gauss-Legendre rule on [-1, 1]: the doubles numpy's leggauss(5)
+#: returns, written out so that importing the package computes nothing.
+_GL_NODES = np.array(
+    [-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]
+)
+_GL_WEIGHTS = np.array(
+    [0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+     0.4786286704993663, 0.23692688505618928]
+)
 
 
 def cell_average(fn, grid, breakpoints=()):

@@ -35,6 +35,7 @@ the tracked one and one per probe, on either law. naive_probe_speed (the
 same jump speed on flat probes) is kept as a reference rule; no mode uses it.
 """
 
+from array import array
 from dataclasses import dataclass
 
 from .dual import Dual, with_custom_tangent
@@ -148,15 +149,19 @@ def step_shock(state, field, dt, config, model=None):
 
 
 class ShockTracker:
-    """Observer wrapping step_shock; keeps (t, x, xdot) history for one shock."""
+    """Observer wrapping step_shock; keeps (t, x, xdot) history for one shock.
+
+    The history is packed in array('d'), 8 bytes a sample against a list's
+    boxed floats.
+    """
 
     def __init__(self, x0, config, model=None, xdot0=0.0, index=0):
         self.state = ShockState(Dual(float(x0), float(xdot0)), index)
         self.config = config
         self.model = model
-        self.times = [0.0]
-        self.positions = [float(x0)]
-        self.tangents = [float(xdot0)]
+        self.times = array("d", [0.0])
+        self.positions = array("d", [x0])
+        self.tangents = array("d", [xdot0])
 
     def __call__(self, t, dt, field):
         self.state = step_shock(self.state, field, dt, self.config, self.model)

@@ -256,7 +256,8 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("shocktangent.cases.ProcessPoolExecutor", InlinePool)
+    # grid_convergence imports the pool from concurrent.futures when jobs > 1.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     rep = grid_convergence(CaseConfig(), grid_nos=(9, 8), jobs=8)
     assert seen == [2]
     assert len(rep.rows) == 2

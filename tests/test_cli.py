@@ -172,6 +172,19 @@ def test_module_entry_point():
     assert "PASS" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
+    # A serial run uses none of them; loaded, they hold about 4 MB of resident memory.
+    code = (
+        "import sys, shocktangent.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "
+        "'numpy.polynomial') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -207,6 +220,30 @@ def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys
     assert main(["gridconv", "--config", str(cfg), "--jobs", "3"]) == EXIT_OK
     assert seen["jobs"] == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["gridconv", "--dx", "0.001", "--dt", "0.0004"], None),
+        (["gridconv", "--problem", "euler", "--dt", "0.001"], None),
+        (["gridconv"], "dt = 0.0004\n"),
+    ],
+    ids=["flag-burgers", "flag-euler", "file-key"],
+)
+def test_gridconv_with_a_given_dt_exits_with_config_code(argv, cfg_text, tmp_path, monkeypatch,
+                                                         capsys):
+    def fake_grid_convergence(config, jobs=1):
+        # Unchecked, the study replaces dt on every grid and prints as if none were given.
+        pytest.fail("gridconv ran with a given dt")
+
+    monkeypatch.setattr(cli, "grid_convergence", fake_grid_convergence)
+    if cfg_text is not None:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert "dt = " in capsys.readouterr().err
 
 
 def test_euler_gridconv_refines_to_the_given_dx(capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from shocktangent import mesh
 from shocktangent.cases import MAX_CELLS
 from shocktangent.dual import Dual, lift, seed
 from shocktangent.errors import GridMismatchError, OutOfDomainError
@@ -77,6 +79,12 @@ def test_cell_average_integrates_smooth_functions(grid):
     exact = (faces[:-1] ** 2 + faces[:-1] * faces[1:] + faces[1:] ** 2) / 3.0
     assert np.allclose(f.values, exact, atol=1e-14)
     assert np.allclose(f.tangents, 0.0)
+
+
+def test_gauss_legendre_table_is_numpys_rule():
+    nodes, weights = leggauss(5)
+    assert np.array_equal(mesh._GL_NODES, nodes)
+    assert np.array_equal(mesh._GL_WEIGHTS, weights)
 
 
 def test_cell_average_splits_at_breakpoints(grid):

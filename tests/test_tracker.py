@@ -1,9 +1,11 @@
 """Tracked-discontinuity stepping and its three tangent-propagation modes."""
 
+from array import array
+
 import numpy as np
 import pytest
 
-from shocktangent.cases import CaseConfig, run_case
+from shocktangent.cases import MODES, CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import ProbeDegenerateError, TrackingLostError
 from shocktangent.mesh import CellField, Grid1D
@@ -195,6 +197,35 @@ def test_tracker_observer_keeps_history():
     # first step matches the hand-computed update exactly
     assert tracker.positions[1] == pytest.approx(2.069, abs=1e-13)
     assert tracker.tangents[1] == pytest.approx(0.7 + 0.04 * 1.68, abs=1e-12)
+
+
+class ListTracker:
+    """The tracker as it was before packing: history in lists of Python floats."""
+
+    def __init__(self, x0, config, model=None):
+        self.state = ShockState(Dual(float(x0), 0.0))
+        self.config = config
+        self.model = model
+        self.times, self.positions, self.tangents = [0.0], [float(x0)], [0.0]
+
+    def __call__(self, t, dt, field):
+        self.state = step_shock(self.state, field, dt, self.config, self.model)
+        self.times.append(t + dt)
+        self.positions.append(self.state.position.value)
+        self.tangents.append(self.state.position.tangent)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_packed_history_equals_a_list_built_one_bit_for_bit(mode, monkeypatch):
+    cfg = CaseConfig(grid_no=7, mode=mode)
+    packed = run_case(cfg).tracker
+    monkeypatch.setattr("shocktangent.cases.ShockTracker", ListTracker)
+    listed = run_case(cfg).tracker
+    assert isinstance(listed.times, list)
+    for name in ("times", "positions", "tangents"):
+        got, ref = getattr(packed, name), getattr(listed, name)
+        assert isinstance(got, array) and got.typecode == "d"
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
 
 
 def _five_read_linear(field, x):
