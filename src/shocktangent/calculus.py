@@ -1,11 +1,8 @@
-"""Generalized tangent vectors, their norm, and analytic reference solutions.
+"""Generalized tangent vectors and analytic reference solutions.
 
 A tangent vector to a piecewise-smooth solution is a pair (v, xi): a field
-perturbation v plus one displacement rate xi per discontinuity, measured as
-
-    ||(v, xi)|| = ||v||_L1 + sum_i |jump_i| |xi_i|.
-
-A first-order variation of the solution then reads
+perturbation v plus one displacement rate xi per discontinuity. A first-order
+variation of the solution then reads
 
     u_eps = u + eps v - jump * chi_[x_s, x_s + eps xi]   (forward displacement)
     u_eps = u + eps v + jump * chi_[x_s + eps xi, x_s]   (backward),
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError, ProbeDegenerateError
+from .errors import OutOfDomainError, probe_jump
 from .mesh import CellField, cell_average, eval_linear, require_same_grid
 
 
@@ -102,55 +99,37 @@ def xi_ode_oracle(t_final, oracle=None, dt=1e-4):
     return xi
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Field perturbation plus per-shock displacement rates and jumps."""
-
-    v: CellField
-    xi: tuple
-    delta_u: tuple
-
-
-def tangent_norm(tv):
-    """||v||_L1 + sum |jump| |xi|."""
-    dx = tv.v.grid.dx
-    field_part = dx * float(np.sum(np.abs(tv.v.values)))
-    return field_part + sum(abs(j) * abs(x) for j, x in zip(tv.delta_u, tv.xi))
-
-
 def l1_error(a, b):
     """dx * sum |a_i - b_i| over cell values; grids must match."""
     require_same_grid(a, b)
     return a.grid.dx * float(np.sum(np.abs(a.values - b.values)))
 
 
-def jump_estimate(field, shock, delta):
+def jump_estimate(field, position, delta):
     """Jump across a tracked shock from one-sided linear probes at x +/- delta.
 
-    Returns v(x_s + delta) - v(x_s - delta) (right minus left). A jump below
-    the degeneracy floor means there is no discontinuity to displace.
+    position is the tracked dual position. Returns v(x_s + delta) -
+    v(x_s - delta) (right minus left). A jump below the degeneracy floor means
+    there is no discontinuity to displace.
     """
-    x = shock.position.value
+    x = position.value
     v_plus = eval_linear(field, x + delta, "plus").value
     v_minus = eval_linear(field, x - delta, "minus").value
-    floor = 1e-3 * max(abs(v_plus), abs(v_minus), 1.0)
-    jump = v_plus - v_minus
-    if abs(jump) < floor:
-        raise ProbeDegenerateError(f"estimated jump {jump} below floor {floor}")
-    return jump
+    return probe_jump(v_plus, v_minus, "estimated jump")
 
 
-def tangential_shift(field_u, field_udot, shock, jump, eps, delta):
+def tangential_shift(field_u, field_udot, position, jump, eps, delta):
     """First-order reconstruction of the eps-perturbed solution on cell averages.
 
-    u_i + eps udot_i outside the shock band |X_i - x_s| <= delta, plus the
-    jump block over the displacement interval, cell-averaged as exact overlap
-    fractions (their total is |eps xdot| / dx, conserving the displaced mass).
+    position is the tracked dual (x_s, xdot). The result is u_i + eps udot_i
+    outside the shock band |X_i - x_s| <= delta, plus the jump block over the
+    displacement interval, cell-averaged as exact overlap fractions (their
+    total is |eps xdot| / dx, conserving the displaced mass).
     """
     require_same_grid(field_u, field_udot)
     grid = field_u.grid
-    x_s = shock.position.value
-    displacement = eps * shock.position.tangent
+    x_s = position.value
+    displacement = eps * position.tangent
 
     centers = grid.centers()
     outside = np.abs(centers - x_s) > delta

@@ -62,11 +62,13 @@ class BurgersLaw(BurgersModel):
 
     Without a dx the grid is a row of `grids`. `family` lists the rows of the
     grid study; its finest row is the default grid. A law without a family
-    takes dx from its defaults.
+    takes dx from its defaults. `keys` are the CaseConfig fields that only
+    this law reads.
     """
 
     grids = BURGERS_GRIDS
     family = (9, 8, 7, 6, 5)
+    keys = ("grid_no", "shift")
     defaults = {"cfl": 0.63, "t_final": 2.0, "c_coeff": 5.0, "eps_min": 1e-4,
                 "eps_max": 0.2, "domain_length": 1.9}
     lower_bounds = {}
@@ -86,6 +88,7 @@ class EulerLaw(EulerModel):
     """The Euler equations with the single moving-shock case (MovingShockSetup)."""
 
     family = ()
+    keys = ("mach", "shock_speed", "x_shock0", "gamma")
     defaults = {"dx": 0.01, "cfl": 0.82, "t_final": 100.0,
                 "c_coeff": 20.0, "eps_min": 1e-5, "eps_max": 0.1, "domain_length": 30.0}
     lower_bounds = {"mach": 1.0, "gamma": 1.0}
@@ -154,6 +157,8 @@ class CaseConfig:
             raise ConfigError("n_eps must be at least 2")
         if not 0 < cfg.eps_min < cfg.eps_max:
             raise ConfigError("need 0 < eps_min < eps_max")
+        if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
+            raise ConfigError(f"jobs must be an integer of at least 1, got {cfg.jobs!r}")
         try:  # the grid, the tracker and the step control check their own inputs
             cfg.build_grid()
             TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
@@ -188,6 +193,7 @@ class CaseResult:
         return self.snapshots[-1][0]
 
     def shock_state(self):
+        """The tracked dual position (x, xdot) at the final time."""
         return self.tracker.state
 
 
@@ -270,14 +276,14 @@ def _errors(runs, eps_values):
     """
     shock = runs["shock"]
     law, grid, t, delta = shock.law, shock.grid, shock.final_time, shock.delta
-    state = shock.shock_state()
+    position = shock.shock_state()
 
     base = [CellField(grid, f.values) for f in law.split(runs["none"].final_field)]
     bb = law.split(runs["blackbox"].final_field)
     sh = law.split(shock.final_field)
     u_fields = [CellField(grid, f.values) for f in sh]
     udot_fields = [CellField(grid, f.tangents) for f in sh]
-    jumps = [jump_estimate(u, state, delta) for u in u_fields]
+    jumps = [jump_estimate(u, position, delta) for u in u_fields]
 
     def reference(eps):
         return law.reference(shock.oracle, grid, t, eps).values()
@@ -291,7 +297,7 @@ def _errors(runs, eps_values):
             l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(bb, ref)
         ) / eps
         err_sh = sum(
-            l1_error(tangential_shift(u, udot, state, jump, eps, delta), r)
+            l1_error(tangential_shift(u, udot, position, jump, eps, delta), r)
             for u, udot, jump, r in zip(u_fields, udot_fields, jumps, ref)
         ) / eps
         rows.append((err_no, err_bb, err_sh, base_l1 / eps))
@@ -306,10 +312,10 @@ def epsilon_sweep(config):
     errors, jumps = _errors(runs, eps_values)
     rows = [(float(eps), *row) for eps, row in zip(eps_values, errors)]
     shock = runs["shock"]
-    state, delta = shock.shock_state(), shock.delta
-    xi = state.position.tangent
+    position, delta = shock.shock_state(), shock.delta
+    xi = position.tangent
     meta = {"delta": delta, "eps_dagger": delta / xi if xi else math.inf, "xi": xi,
-            "shock_position": state.position.value, "jump": jumps,
+            "shock_position": position.value, "jump": jumps,
             "problem": cfg.problem, "t_final": cfg.t_final, "dx": cfg.dx}
     return SweepReport("epsilon", rows, meta)
 
@@ -321,11 +327,12 @@ def _grid_row(case):
     return (result.config.dx, err_sh, err_base)
 
 
-def grid_convergence(config, grid_nos=None, dxs=None, jobs=1):
+def grid_convergence(config, grid_nos=None, dxs=None):
     """err_shock and err_base at eps = eps_max over a sequence of grids.
 
     Without grid_nos or dxs the grids are the law's reference family when
-    config sets no dx, else 16dx, 8dx, 4dx, 2dx, dx.
+    config sets no dx, else 16dx, 8dx, 4dx, 2dx, dx. config.jobs worker
+    processes share the grids.
     """
     cfg = config.resolved()
     family = LAWS[cfg.problem].family
@@ -338,11 +345,11 @@ def grid_convergence(config, grid_nos=None, dxs=None, jobs=1):
         tasks = [replace(cfg, dx=dx, dt=None, mode="shock") for dx in dxs]
     else:
         tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in grid_nos]
-    if jobs > 1:
+    if cfg.jobs > 1:
         # Imported here: the process pool costs about 2 MB that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
             rows = list(pool.map(_grid_row, tasks))
     else:
         rows = [_grid_row(t) for t in tasks]

@@ -44,6 +44,33 @@ _CONFIG_FIELDS = {
     if f.name != "record_times"
 }
 
+#: The CaseConfig fields each command reads besides its law's `keys`; a flag or
+#: file key outside them exits 2. record_times is set by --record.
+_GRID_AND_STEP = ("dx", "cfl", "t_final", "c_coeff", "alpha", "domain_length")
+_READS = {
+    "burgers": ("mode", "record_times", "dt", *_GRID_AND_STEP),
+    "euler": ("mode", "record_times", "dt", *_GRID_AND_STEP),
+    "sweep": ("problem", "eps_min", "eps_max", "n_eps", "dt", *_GRID_AND_STEP),
+    # Each grid of the study takes its step from its grid row or from cfl.
+    "gridconv": ("problem", "eps_max", "jobs", *_GRID_AND_STEP),
+}
+
+#: The fields that have a flag, in help order, with the flag's choices; the
+#: other fields are file keys only. A flag parses as its file key does.
+_FLAGS = {
+    "problem": sorted(LAWS), "mode": MODES, "grid_no": sorted(BURGERS_GRIDS),
+    **dict.fromkeys(("dx", "dt", "cfl", "t_final", "c_coeff", "alpha",
+                     "eps_min", "eps_max", "n_eps", "jobs")),
+}
+
+
+def _keys_read(command, law):
+    """The CaseConfig fields that `command` reads on `law`."""
+    keys = {*_READS[command], *law.keys}
+    if command == "gridconv":
+        keys.discard("grid_no")  # the study runs the law's own grid family
+    return keys
+
 
 def _read_config_file(path):
     """Flat key=value file; '#' starts a comment, blank lines skipped."""
@@ -70,65 +97,57 @@ def _read_config_file(path):
     return out
 
 
-def _add_case_flags(sub, problem=None):
-    """Case flags; without a problem, a --problem flag and the study's --eps-max."""
-    sub.add_argument("--config", metavar="FILE", help="key=value defaults file")
-    if problem is None:
-        sub.add_argument("--problem", choices=sorted(LAWS), default="burgers")
-        sub.add_argument("--eps-max", type=float)
-    sub.add_argument("--mode", choices=MODES)
-    if problem is None or LAWS[problem].family:
-        sub.add_argument("--grid-no", type=int, choices=sorted(BURGERS_GRIDS))
-    sub.add_argument("--dx", type=float)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--cfl", type=float)
-    sub.add_argument("--t-final", type=float)
-    sub.add_argument("--c-coeff", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--out", metavar="PATH", help="output CSV path")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="shocktangent",
         description="Finite-volume solver with shock-aware forward sensitivities.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for problem, case in (("burgers", "decaying-ramp"), ("euler", "moving-shock")):
-        p = subs.add_parser(problem, help=f"run one {case} case")
-        _add_case_flags(p, problem)
-        p.add_argument("--record", type=float, action="append", default=None,
-                       metavar="T", help="extra snapshot time (repeatable)")
-
-    p = subs.add_parser("sweep", help="perturbation-size error study")
-    _add_case_flags(p)
-    p.add_argument("--eps-min", type=float)
-    p.add_argument("--n-eps", type=int)
-
-    p = subs.add_parser("gridconv", help="grid-refinement error study")
-    _add_case_flags(p)
-    p.add_argument("--jobs", type=int)
+    commands = {
+        "burgers": "run one decaying-ramp case",
+        "euler": "run one moving-shock case",
+        "sweep": "perturbation-size error study",
+        "gridconv": "grid-refinement error study",
+    }
+    for command, help_text in commands.items():
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="FILE", help="key=value defaults file")
+        laws = [LAWS[command]] if command in LAWS else LAWS.values()
+        keys = set().union(*(_keys_read(command, law) for law in laws))
+        for key, choices in _FLAGS.items():
+            if key in keys:
+                p.add_argument("--" + key.replace("_", "-"), type=_CONFIG_FIELDS[key],
+                               choices=choices)
+        if "record_times" in keys:
+            p.add_argument("--record", type=float, action="append", default=None,
+                           metavar="T", help="extra snapshot time (repeatable)")
+        p.add_argument("--out", metavar="PATH", help="output CSV path")
 
     subs.add_parser("validate-oracles", help="self-check the analytic references")
     return parser
 
 
-def _case_config(args, problem):
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    values["problem"] = problem
+def _case_config(args, command):
+    """Flags over the --config file over the defaults; only keys the command reads."""
+    values = _read_config_file(args.config) if args.config else {}
     for field in _CONFIG_FIELDS:  # flags override the file; absent flags read None
         val = getattr(args, field, None)
         if val is not None:
             values[field] = val
     if getattr(args, "record", None):
         values["record_times"] = tuple(sorted(args.record))
-    try:
-        cfg = CaseConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = command if command in LAWS else values.get("problem", CaseConfig.problem)
+    if problem not in LAWS:
+        raise ConfigError(f"unknown problem {problem!r}")
+    reads = _keys_read(command, LAWS[problem])
+    for key in values:
+        if key not in reads:
+            where = command if command == problem else f"{command} on {problem}"
+            raise ConfigError(
+                f"{where} does not read {key}; it reads {', '.join(sorted(reads))}"
+            )
+    values["problem"] = problem
+    cfg = CaseConfig(**values)
     # A given cfl would be ignored where a dt, given or the grid row's, fixes the step.
     if "cfl" in values:
         dt = cfg.resolved().dt
@@ -141,16 +160,16 @@ def _case_config(args, problem):
 
 
 def _print_case_summary(result):
-    state = result.shock_state()
+    position = result.shock_state()
     print(f"problem: {result.config.problem}")
     print(f"grid: dx={result.grid.dx!r} cells={result.grid.n_cells}")
     print(f"t_final: {result.final_time!r}")
-    print(f"shock position: {state.position.value!r}")
-    print(f"shock tangent: {state.position.tangent!r}")
+    print(f"shock position: {position.value!r}")
+    print(f"shock tangent: {position.tangent!r}")
 
 
-def _cmd_case(args, problem):
-    cfg = _case_config(args, problem)
+def _cmd_case(args):
+    cfg = _case_config(args, args.command)
     result = run_case(cfg)
     _print_case_summary(result)
     if args.out:
@@ -175,7 +194,7 @@ def _write_report(report, out):
 
 
 def _cmd_sweep(args):
-    report = epsilon_sweep(_case_config(args, args.problem))
+    report = epsilon_sweep(_case_config(args, "sweep"))
     _write_report(report, args.out)
     meta = report.metadata
     print(f"delta: {meta['delta']!r}")
@@ -184,14 +203,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_gridconv(args):
-    cfg = _case_config(args, args.problem)
-    # Every grid of the study takes its own step (its row's dt, or cfl), so a given dt is unused.
-    if cfg.dt is not None:
-        raise ConfigError(
-            f"dt = {cfg.dt!r} has no effect in gridconv: each grid takes its step "
-            "from its grid row or from cfl; drop dt"
-        )
-    _write_report(grid_convergence(cfg, jobs=cfg.jobs), args.out)
+    _write_report(grid_convergence(_case_config(args, "gridconv")), args.out)
     return EXIT_OK
 
 
@@ -238,7 +250,7 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         if args.command in ("burgers", "euler"):
-            return _cmd_case(args, args.command)
+            return _cmd_case(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "gridconv":

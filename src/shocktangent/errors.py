@@ -1,7 +1,8 @@
 """Failure modes shared across the solver stack.
 
 Grouped here so the CLI can map each family onto one exit code without
-importing every module.
+importing every module. `probe_jump` is the one degeneracy rule shared by the
+tracker's probe speed and the error assembly's jump estimate.
 """
 
 
@@ -43,3 +44,16 @@ class OutOfDomainError(NumericalError):
 
 class GridMismatchError(ShockTangentError):
     """Two fields that must share a grid do not."""
+
+
+def probe_jump(v_plus, v_minus, what):
+    """v_plus - v_minus, or ProbeDegenerateError below the floor 1e-3 max(|v+|, |v-|, 1).
+
+    Below the floor there is no discontinuity between the probes; `what`
+    names the jump in the message.
+    """
+    floor = 1e-3 * max(abs(v_plus), abs(v_minus), 1.0)
+    jump = v_plus - v_minus
+    if abs(jump) < floor:
+        raise ProbeDegenerateError(f"{what} {jump} below floor {floor}")
+    return jump

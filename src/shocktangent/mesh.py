@@ -86,9 +86,7 @@ class CellField:
         return Dual(float(self.data.value[i]), float(self.data.tangent[i]))
 
     def with_tangent(self, tangent):
-        """Same values, new tangent array (or another field's values)."""
-        if isinstance(tangent, CellField):
-            tangent = tangent.values
+        """Same values, new tangent array."""
         tangent = np.asarray(tangent, dtype=float)
         if tangent.shape != self.values.shape:
             raise ValueError("tangent shape does not match field")
@@ -96,9 +94,8 @@ class CellField:
 
 
 def require_same_grid(a, b):
-    ga, gb = a.grid, b.grid
-    if (ga.x_left, ga.dx, ga.n_cells) != (gb.x_left, gb.dx, gb.n_cells):
-        raise GridMismatchError(f"grids differ: {ga} vs {gb}")
+    if a.grid != b.grid:
+        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
 
 
 #: 5-point Gauss-Legendre rule on [-1, 1]: the doubles numpy's leggauss(5)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, lift, sqrt
-from .errors import ConfigError, NonPhysicalStateError, NoShockError, ProbeDegenerateError
+from .errors import ConfigError, NonPhysicalStateError, NoShockError, probe_jump
 from .mesh import CellField
 
 GAMMA = 1.4
@@ -66,10 +66,7 @@ class BurgersModel:
         """Jump speed (f(u+) - f(u-)) / (u+ - u-) from probes at x_minus, x_plus."""
         v_plus = evaluate(field, x_plus)
         v_minus = evaluate(field, x_minus)
-        floor = 1e-3 * max(abs(v_plus.value), abs(v_minus.value), 1.0)
-        jump = v_plus.value - v_minus.value
-        if abs(jump) < floor:
-            raise ProbeDegenerateError(f"probe jump {jump} below floor {floor}")
+        probe_jump(v_plus.value, v_minus.value, "probe jump")
         return (self.flux(v_plus) - self.flux(v_minus)) / (v_plus - v_minus)
 
 

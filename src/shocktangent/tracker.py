@@ -45,14 +45,6 @@ from .models import law_of
 
 
 @dataclass(frozen=True)
-class ShockState:
-    """Tracked discontinuity: dual position (location, sensitivity)."""
-
-    position: Dual
-    index: int = 0
-
-
-@dataclass(frozen=True)
 class TrackerConfig:
     c_coeff: float = 5.0
     alpha: float = 1.0
@@ -87,9 +79,9 @@ def _char_speed(field, x, model, read):
     return law_of(field, model).cell_char_speed(field, i, read)
 
 
-def advance_position(state, field, dt, model=None):
+def advance_position(position, field, dt, model=None):
     """Position value after one step of the characteristic ODE."""
-    x = state.position.value
+    x = position.value
     new_x = x + dt * _char_speed(field, x, model, _read_value)
     grid = field.grid
     if not grid.x_left + 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
@@ -97,12 +89,12 @@ def advance_position(state, field, dt, model=None):
     return new_x
 
 
-def char_speed(state, field, model=None):
+def char_speed(position, field, model=None):
     """c(U_i) at the tracked position as a dual: what black-box AD differentiates."""
-    return _char_speed(field, state.position.value, model, _read_dual)
+    return _char_speed(field, position.value, model, _read_dual)
 
 
-def _probe_speed(state, field, delta, model, evaluate):
+def _probe_speed(position, field, delta, model, evaluate):
     """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction.
 
     evaluate(field, x, i=None) reads a scalar field at the dual point x, on the
@@ -110,23 +102,23 @@ def _probe_speed(state, field, delta, model, evaluate):
     """
     law = law_of(field, model)
     try:
-        return law.probe_speed(field, state.position - delta, state.position + delta, evaluate)
+        return law.probe_speed(field, position - delta, position + delta, evaluate)
     except OutOfDomainError as exc:
         raise TrackingLostError(f"probe point left the grid: {exc}") from exc
 
 
-def rh_probe_speed(state, field, delta, model=None):
+def rh_probe_speed(position, field, delta, model=None):
     """Jump speed on linear reconstructions (the shock-AD rule)."""
-    return _probe_speed(state, field, delta, model, _linear_eval)
+    return _probe_speed(position, field, delta, model, _linear_eval)
 
 
-def naive_probe_speed(state, field, delta, model=None):
+def naive_probe_speed(position, field, delta, model=None):
     """Jump speed on piecewise-constant probes: the flat-probe RH reference.
 
     On constant flanking states it equals rh_probe_speed. No tracker mode
     uses it; black-box AD differentiates char_speed instead.
     """
-    return _probe_speed(state, field, delta, model, eval_constant)
+    return _probe_speed(position, field, delta, model, eval_constant)
 
 
 def _linear_eval(field, x, i=None):
@@ -134,29 +126,28 @@ def _linear_eval(field, x, i=None):
     return eval_linear(field, x, "center", i)
 
 
-def step_shock(state, field, dt, config, model=None):
-    """Advance a tracked shock one step; dx and delta come from the field."""
-    new_x = advance_position(state, field, dt, model)
+def step_shock(position, field, dt, config, model=None):
+    """Advance a tracked dual position one step; dx and delta come from the field."""
+    new_x = advance_position(position, field, dt, model)
     if config.mode == "none":
-        return ShockState(with_custom_tangent(new_x, 0.0), state.index)
+        return with_custom_tangent(new_x, 0.0)
     if config.mode == "shock":
-        speed = rh_probe_speed(state, field, config.delta(field.grid.dx), model)
+        speed = rh_probe_speed(position, field, config.delta(field.grid.dx), model)
     else:
-        speed = char_speed(state, field, model)
+        speed = char_speed(position, field, model)
     # Value from the float update above; tangent of x + dt * speed.
-    new_tangent = state.position.tangent + dt * speed.tangent
-    return ShockState(with_custom_tangent(new_x, new_tangent), state.index)
+    return with_custom_tangent(new_x, position.tangent + dt * speed.tangent)
 
 
 class ShockTracker:
     """Observer wrapping step_shock; keeps (t, x, xdot) history for one shock.
 
-    The history is packed in array('d'), 8 bytes a sample against a list's
-    boxed floats.
+    `state` is the current dual position (x, xdot). The history is packed in
+    array('d'), 8 bytes a sample against a list's boxed floats.
     """
 
-    def __init__(self, x0, config, model=None, xdot0=0.0, index=0):
-        self.state = ShockState(Dual(float(x0), float(xdot0)), index)
+    def __init__(self, x0, config, model=None, xdot0=0.0):
+        self.state = Dual(float(x0), float(xdot0))
         self.config = config
         self.model = model
         self.times = array("d", [0.0])
@@ -166,5 +157,5 @@ class ShockTracker:
     def __call__(self, t, dt, field):
         self.state = step_shock(self.state, field, dt, self.config, self.model)
         self.times.append(t + dt)
-        self.positions.append(self.state.position.value)
-        self.tangents.append(self.state.position.tangent)
+        self.positions.append(self.state.value)
+        self.tangents.append(self.state.tangent)

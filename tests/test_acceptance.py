@@ -194,12 +194,12 @@ def test_criterion_3_tracking_accuracy_across_grids():
     for no in (9, 8, 7, 6, 5):
         res = run_case(CaseConfig(grid_no=no))
         dx = res.grid.dx
-        pos = res.shock_state().position.value
+        pos = res.shock_state().value
         if abs(pos - POS_TRUE) > 2.0 * dx:
             failures.append(
                 f"grid {no}: position off by {abs(pos - POS_TRUE) / dx:.2f} dx > 2 dx"
             )
-        rel_errors[no] = abs(res.shock_state().position.tangent / XI_TRUE - 1.0)
+        rel_errors[no] = abs(res.shock_state().tangent / XI_TRUE - 1.0)
     if rel_errors[5] > 0.05:
         failures.append(f"grid 5 tangent rel err {rel_errors[5]:.4f} > 0.05")
     order = [9, 8, 7, 6, 5]
@@ -367,7 +367,7 @@ def _desk_run(mode):
     return (
         np.asarray(res.tracker.times),
         np.asarray(res.tracker.positions),
-        res.shock_state().position.tangent,
+        res.shock_state().tangent,
     )
 
 
@@ -425,7 +425,7 @@ def test_criterion_9_primal_trajectories_identical_across_modes():
                 failures.append(f"gas {c} values differ between {m} and shock")
         if gas[m].tracker.positions != gref.tracker.positions:
             failures.append(f"gas shock path differs between {m} and shock")
-    if gas["none"].shock_state().position.tangent != 0.0:
+    if gas["none"].shock_state().tangent != 0.0:
         failures.append("frozen mode accumulated a position tangent")
 
     _report(9, failures)

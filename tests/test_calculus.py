@@ -1,4 +1,4 @@
-"""Tangent-vector algebra, reference solutions, and shifted reconstructions."""
+"""Reference solutions, jump estimates, and shifted reconstructions."""
 
 import math
 
@@ -10,17 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from shocktangent.calculus import (
     BurgersRampOracle,
-    TangentVector,
     jump_estimate,
     l1_error,
     tangential_shift,
-    tangent_norm,
     xi_ode_oracle,
 )
 from shocktangent.dual import Dual, lift
 from shocktangent.errors import GridMismatchError, OutOfDomainError, ProbeDegenerateError
 from shocktangent.mesh import CellField, Grid1D
-from shocktangent.tracker import ShockState
 
 ORACLE = BurgersRampOracle()
 
@@ -82,17 +79,6 @@ def test_cell_average_projection_conserves_mass():
         assert mass == pytest.approx((1.0 + eps) / 2.0, abs=1e-12)
 
 
-def test_tangent_norm_hand_value_and_homogeneity():
-    grid = Grid1D(x_left=0.0, dx=0.5, n_cells=4)
-    v = CellField(grid, lift(np.array([1.0, -2.0, 0.0, 3.0])))
-    tv = TangentVector(v=v, xi=(2.0,), delta_u=(-0.5,))
-    assert tangent_norm(tv) == pytest.approx(0.5 * 6.0 + 0.5 * 2.0)
-    scaled = TangentVector(
-        v=CellField(grid, lift(-3.0 * v.values)), xi=(-6.0,), delta_u=(-0.5,)
-    )
-    assert tangent_norm(scaled) == pytest.approx(3.0 * tangent_norm(tv))
-
-
 def test_l1_error():
     grid = Grid1D(x_left=0.0, dx=0.5, n_cells=4)
     a = CellField(grid, lift(np.array([1.0, 2.0, 3.0, 4.0])))
@@ -108,7 +94,7 @@ def test_jump_estimate_on_projected_reference():
     t = 2.0
     grid = Grid1D(x_left=0.0, dx=0.01, n_cells=260)
     f = ORACLE.avg_solution(grid, t)
-    shock = ShockState(Dual(ORACLE.shock_position(t), 0.0))
+    shock = Dual(ORACLE.shock_position(t), 0.0)
     delta = 0.05
     est = jump_estimate(f, shock, delta)
     # probes sit delta inside each side, so the ramp side reads u_left
@@ -121,7 +107,7 @@ def test_jump_estimate_rejects_smooth_data():
     grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
     flat = CellField(grid, lift(np.full(40, 2.0)))
     with pytest.raises(ProbeDegenerateError):
-        jump_estimate(flat, ShockState(Dual(2.0, 0.0)), 0.5)
+        jump_estimate(flat, Dual(2.0, 0.0), 0.5)
 
 
 def step_field():
@@ -133,14 +119,14 @@ def step_field():
 def test_tangential_shift_eps_zero_is_identity():
     u = step_field()
     udot = CellField(u.grid, lift(np.ones(40)))
-    out = tangential_shift(u, udot, ShockState(Dual(2.0, 1.0)), -1.0, 0.0, 0.3)
+    out = tangential_shift(u, udot, Dual(2.0, 1.0), -1.0, 0.0, 0.3)
     assert np.array_equal(out.values, u.values)
 
 
 def test_tangential_shift_moves_the_front_forward():
     u = step_field()
     udot = CellField(u.grid, lift(np.zeros(40)))
-    shock = ShockState(Dual(2.0, 1.0))
+    shock = Dual(2.0, 1.0)
     out = tangential_shift(u, udot, shock, -1.0, 0.25, 0.3)
     # displacement 0.25 fills cells 20, 21 and half of cell 22
     assert out.values[20] == pytest.approx(1.0)
@@ -155,7 +141,7 @@ def test_tangential_shift_moves_the_front_forward():
 def test_tangential_shift_moves_the_front_backward():
     u = step_field()
     udot = CellField(u.grid, lift(np.zeros(40)))
-    shock = ShockState(Dual(2.0, 1.0))
+    shock = Dual(2.0, 1.0)
     out = tangential_shift(u, udot, shock, -1.0, -0.25, 0.3)
     # interval [1.75, 2.0]: cells 18, 19 empty out, cell 17 loses half
     assert out.values[17] == pytest.approx(0.5)
@@ -167,7 +153,7 @@ def test_tangential_shift_moves_the_front_backward():
 def test_tangential_shift_omits_field_update_in_the_band():
     u = step_field()
     udot = CellField(u.grid, lift(np.ones(40)))
-    shock = ShockState(Dual(2.0, 0.0))  # no displacement
+    shock = Dual(2.0, 0.0)  # no displacement
     eps, delta = 0.1, 0.3
     out = tangential_shift(u, udot, shock, -1.0, eps, delta)
     centers = u.grid.centers()
@@ -191,7 +177,7 @@ def test_tangential_shift_conserves_the_displaced_mass(dx, n, data):
     assume(0.0 <= x_s + eps * xi <= grid.x_right)
     field = CellField(grid, lift(u))
     udot = CellField(grid, lift(np.zeros(n)))
-    out = tangential_shift(field, udot, ShockState(Dual(x_s, xi)), jump, eps, 0.0)
+    out = tangential_shift(field, udot, Dual(x_s, xi), jump, eps, 0.0)
     moved = dx * float(np.sum(out.values - u))
     assert moved == pytest.approx(-jump * eps * xi, rel=1e-12)
 
@@ -199,6 +185,6 @@ def test_tangential_shift_conserves_the_displaced_mass(dx, n, data):
 def test_tangential_shift_rejects_displacement_outside_domain():
     u = step_field()
     udot = CellField(u.grid, lift(np.zeros(40)))
-    shock = ShockState(Dual(3.9, 1.0))
+    shock = Dual(3.9, 1.0)
     with pytest.raises(OutOfDomainError):
         tangential_shift(u, udot, shock, -1.0, 0.5, 0.3)

@@ -98,7 +98,7 @@ def test_run_case_burgers_tracks_the_shock():
     assert res.tracker.positions[-1] == pytest.approx(0.05 + ROOT3, abs=2 * res.grid.dx)
     mid = res.tracker.positions[res.tracker.times.index(1.0)]
     assert mid == pytest.approx(0.05 + math.sqrt(2.0), abs=2 * res.grid.dx)
-    assert res.shock_state().position.value == res.tracker.positions[-1]
+    assert res.shock_state().value == res.tracker.positions[-1]
 
 
 def test_run_case_is_deterministic():
@@ -118,7 +118,7 @@ def test_modes_share_the_primal_trajectory():
     pos = {m: r.tracker.positions for m, r in runs.items()}
     assert pos["none"] == pos["shock"] == pos["blackbox"]
     # frozen mode never accumulates a position tangent
-    assert runs["none"].shock_state().position.tangent == 0.0
+    assert runs["none"].shock_state().tangent == 0.0
 
 
 def test_euler_profile_matches_initial_projection():
@@ -173,9 +173,8 @@ def test_grid_convergence_over_reference_rows():
 
 
 def test_grid_convergence_parallel_matches_serial():
-    cfg = CaseConfig()
-    serial = grid_convergence(cfg, dxs=(1.472e-2, 7.36e-3), jobs=1)
-    parallel = grid_convergence(cfg, dxs=(1.472e-2, 7.36e-3), jobs=2)
+    serial = grid_convergence(CaseConfig(jobs=1), dxs=(1.472e-2, 7.36e-3))
+    parallel = grid_convergence(CaseConfig(jobs=2), dxs=(1.472e-2, 7.36e-3))
     assert serial.rows == parallel.rows
 
 
@@ -258,7 +257,7 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
 
     # grid_convergence imports the pool from concurrent.futures when jobs > 1.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    rep = grid_convergence(CaseConfig(), grid_nos=(9, 8), jobs=8)
+    rep = grid_convergence(CaseConfig(jobs=8), grid_nos=(9, 8))
     assert seen == [2]
     assert len(rep.rows) == 2
 
@@ -270,8 +269,10 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
         {"shift": float("nan")},
         {"t_final": float("inf")},
         {"problem": "euler", "gamma": 1.0},
+        {"jobs": 0},
+        {"jobs": 1.5},
     ],
-    ids=["nan-shift", "infinite-t-final", "euler-gamma-one"],
+    ids=["nan-shift", "infinite-t-final", "euler-gamma-one", "zero-jobs", "fractional-jobs"],
 )
 def test_resolved_rejects_out_of_range_inputs(overrides):
     with pytest.raises(ConfigError):

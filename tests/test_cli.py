@@ -193,9 +193,11 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         (["burgers", "--alpha", "nan"], "error:"),
         (["euler", "--config", "{dir}/subsonic.cfg"], "error:"),
         (["burgers", "--config", "{dir}/dt_mode.cfg"], "unknown key 'dt_mode'"),
+        (["gridconv", "--jobs", "0"], "jobs"),
+        (["gridconv", "--jobs", "-4"], "jobs"),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
-         "removed-dt-mode-key"],
+         "removed-dt-mode-key", "zero-jobs", "negative-jobs"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -208,8 +210,8 @@ def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
 def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys):
     seen = {}
 
-    def fake_grid_convergence(config, jobs=1):
-        seen["jobs"] = jobs
+    def fake_grid_convergence(config):
+        seen["jobs"] = config.jobs
         return SweepReport("grid", [], {})
 
     monkeypatch.setattr(cli, "grid_convergence", fake_grid_convergence)
@@ -233,7 +235,7 @@ def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys
 )
 def test_gridconv_with_a_given_dt_exits_with_config_code(argv, cfg_text, tmp_path, monkeypatch,
                                                          capsys):
-    def fake_grid_convergence(config, jobs=1):
+    def fake_grid_convergence(config):
         # Unchecked, the study replaces dt on every grid and prints as if none were given.
         pytest.fail("gridconv ran with a given dt")
 
@@ -243,7 +245,99 @@ def test_gridconv_with_a_given_dt_exits_with_config_code(argv, cfg_text, tmp_pat
         cfg.write_text(cfg_text, encoding="utf-8")
         argv = [*argv, "--config", str(cfg)]
     assert main(argv) == EXIT_CONFIG
-    assert "dt = " in capsys.readouterr().err
+    # gridconv has no --dt flag, and its config file takes no dt key.
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --dt" in err or "gridconv" in err and "does not read dt" in err
+
+
+# What each command reads, written out here so the CLI's own table is checked
+# against it. Every command also reads its law's keys, except that gridconv
+# runs the law's fixed grid family and reads no grid_no.
+_GRID_AND_STEP = {"dx", "cfl", "t_final", "c_coeff", "alpha", "domain_length"}
+READS = {
+    "burgers": {"mode", "record_times", "dt", *_GRID_AND_STEP},
+    "euler": {"mode", "record_times", "dt", *_GRID_AND_STEP},
+    "sweep": {"problem", "eps_min", "eps_max", "n_eps", "dt", *_GRID_AND_STEP},
+    "gridconv": {"problem", "eps_max", "jobs", *_GRID_AND_STEP},
+}
+LAW_KEYS = {"burgers": {"grid_no", "shift"}, "euler": {"mach", "shock_speed", "x_shock0", "gamma"}}
+# A value off the default for every CaseConfig field; problem takes the context's.
+VALUES = {
+    "mode": "blackbox", "grid_no": 7, "dx": 0.02, "dt": 0.001, "cfl": 0.5, "t_final": 0.5,
+    "c_coeff": 4.0, "alpha": 0.9, "record_times": (0.25,), "eps_min": 0.001, "eps_max": 0.05,
+    "n_eps": 3, "domain_length": 1.5, "shift": 0.03, "mach": 3.0, "shock_speed": 0.09,
+    "x_shock0": 4.0, "gamma": 1.3, "jobs": 2,
+}
+FLAGS = {
+    **{k: "--" + k.replace("_", "-") for k in (
+        "problem", "mode", "grid_no", "dx", "dt", "cfl", "t_final", "c_coeff", "alpha",
+        "eps_min", "eps_max", "n_eps", "jobs")},
+    "record_times": "--record",
+}
+CONTEXTS = [("burgers", "burgers"), ("euler", "euler"), ("sweep", "burgers"),
+            ("sweep", "euler"), ("gridconv", "burgers"), ("gridconv", "euler")]
+TARGETS = {"burgers": "run_case", "euler": "run_case", "sweep": "epsilon_sweep",
+           "gridconv": "grid_convergence"}
+
+
+@pytest.mark.parametrize("key", ["problem", *VALUES])
+@pytest.mark.parametrize("command, problem", CONTEXTS, ids=[f"{c}-{p}" for c, p in CONTEXTS])
+def test_each_command_reads_only_its_keys(command, problem, key, tmp_path, monkeypatch, capsys):
+    reads = READS[command] | LAW_KEYS[problem]
+    if command == "gridconv":
+        reads.discard("grid_no")
+    value = problem if key == "problem" else VALUES[key]
+    seen = []
+
+    def fake(config):
+        seen.append(config)
+        raise ConfigError("stop before the run")
+
+    monkeypatch.setattr(cli, TARGETS[command], fake)
+    # cfl applies only where no dt fixes the step, so it comes with a dx.
+    given = {key: value, **({"dx": 0.02} if key == "cfl" else {})}
+    # sweep and gridconv learn the problem from --problem, unless that is the key.
+    context = ["--problem", problem] if command in ("sweep", "gridconv") and key != "problem" else []
+    forms = []
+    if key != "record_times":  # set by --record only
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in given.items()), encoding="utf-8")
+        forms.append(("file", [command, *context, "--config", str(cfg)]))
+    if key in FLAGS:
+        flags = [FLAGS[key], str(value[0] if key == "record_times" else value)]
+        if key == "cfl":
+            flags += ["--dx", "0.02"]
+        forms.append(("flag", [command, *context, *flags]))
+    for form, argv in forms:
+        assert main(argv) == EXIT_CONFIG, form
+        err = capsys.readouterr().err
+        if key in reads:
+            assert "stop before the run" in err, (form, err)
+            assert getattr(seen.pop(), key) == value, form
+        else:
+            assert not seen, form
+            # A flag the command's parser lacks fails in argparse, which names the flag.
+            named = command in err and f"does not read {key}" in err
+            assert named or (form == "flag" and f"unrecognized arguments: {FLAGS[key]}" in err), err
+
+
+def test_problem_flag_over_file_over_default(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake(config):
+        seen.append(config.problem)
+        raise ConfigError("stop before the run")
+
+    monkeypatch.setattr(cli, "epsilon_sweep", fake)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("problem = euler\ndx = 0.05\nt_final = 0.5\n", encoding="utf-8")
+    # --problem has no default of its own, so it overrides the file only when given.
+    for argv in (["sweep", "--config", str(cfg)],
+                 ["sweep", "--config", str(cfg), "--problem", "burgers"],
+                 ["sweep", "--dx", "0.05"]):
+        assert main(argv) == EXIT_CONFIG
+    assert seen == ["euler", "burgers", "burgers"]
+    capsys.readouterr()
 
 
 def test_euler_gridconv_refines_to_the_given_dx(capsys):

@@ -19,7 +19,6 @@ from shocktangent.models import (
 )
 from shocktangent.solver import SchemeConfig, run
 from shocktangent.tracker import (
-    ShockState,
     ShockTracker,
     TrackerConfig,
     advance_position,
@@ -51,7 +50,7 @@ def test_tracker_config_validation_and_delta():
 
 def test_linear_probe_speed_hand_values():
     f = linear_field()
-    state = ShockState(Dual(2.03, 0.7))
+    state = Dual(2.03, 0.7)
     speed = rh_probe_speed(state, f, 0.5, MODEL)
     # probes: u(2.53) = 0.735, u(1.53) = 1.235; quotient = their mean
     assert speed.value == pytest.approx(0.985, abs=1e-13)
@@ -61,7 +60,7 @@ def test_linear_probe_speed_hand_values():
 
 def test_constant_probe_speed_hand_values():
     f = linear_field()
-    state = ShockState(Dual(2.03, 0.7))
+    state = Dual(2.03, 0.7)
     speed = naive_probe_speed(state, f, 0.5, MODEL)
     # flat probes read the cell means and drop the position feedback
     assert speed.value == pytest.approx(0.975, abs=1e-13)
@@ -70,7 +69,7 @@ def test_constant_probe_speed_hand_values():
 
 def test_step_shock_mode_split():
     f = linear_field()
-    state = ShockState(Dual(2.03, 0.7))
+    state = Dual(2.03, 0.7)
     dt = 0.04
     # value update is shared: x + dt * u(cell of x) = 2.03 + 0.04 * 0.975
     for mode, expected_tangent in (
@@ -80,13 +79,13 @@ def test_step_shock_mode_split():
     ):
         cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode=mode)
         out = step_shock(state, f, dt, cfg, MODEL)
-        assert out.position.value == pytest.approx(2.069, abs=1e-13)
-        assert out.position.tangent == pytest.approx(expected_tangent, abs=1e-12)
+        assert out.value == pytest.approx(2.069, abs=1e-13)
+        assert out.tangent == pytest.approx(expected_tangent, abs=1e-12)
 
 
 def test_advance_position_rejects_leaving_the_interior():
     f = linear_field()
-    state = ShockState(Dual(3.5, 0.0))
+    state = Dual(3.5, 0.0)
     with pytest.raises(TrackingLostError):
         advance_position(state, f, 10.0, MODEL)
 
@@ -94,7 +93,7 @@ def test_advance_position_rejects_leaving_the_interior():
 def test_probe_exit_is_reported_as_tracking_loss():
     f = linear_field()
     # position fine, but the minus probe at 0.55 - 0.5 lands in a boundary cell
-    state = ShockState(Dual(0.55, 0.0))
+    state = Dual(0.55, 0.0)
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
     with pytest.raises(TrackingLostError):
         step_shock(state, f, 0.04, cfg, MODEL)
@@ -103,7 +102,7 @@ def test_probe_exit_is_reported_as_tracking_loss():
 def test_degenerate_probe_jump_is_rejected():
     grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
     flat = CellField(grid, lift(np.full(40, 1.0)))
-    state = ShockState(Dual(2.0, 0.0))
+    state = Dual(2.0, 0.0)
     with pytest.raises(ProbeDegenerateError):
         rh_probe_speed(state, flat, 0.5, MODEL)
 
@@ -126,7 +125,7 @@ def two_state_gas_field():
 
 def test_gas_probe_speed_recovers_the_shock_speed():
     field = two_state_gas_field()
-    state = ShockState(Dual(5.0, 0.0))
+    state = Dual(5.0, 0.0)
     speed = rh_probe_speed(state, field, 0.5)
     assert speed.value == pytest.approx(0.1, abs=1e-12)
     # downstream pressure was seeded by the speed, so the recovered
@@ -138,7 +137,7 @@ def test_gas_probes_agree_across_reconstructions_on_constant_states():
     # with constant probe neighborhoods the linear and flat reconstructions
     # read the same numbers, so both modes see the identical speed
     field = two_state_gas_field()
-    state = ShockState(Dual(5.0, 0.3))
+    state = Dual(5.0, 0.3)
     a = rh_probe_speed(state, field, 0.5)
     b = naive_probe_speed(state, field, 0.5)
     assert a.value == pytest.approx(b.value, abs=1e-15)
@@ -161,14 +160,14 @@ def test_blackbox_differentiates_the_position_update_on_gas_states():
     # x = 5.0 sits in the first post-shock cell, x = 4.95 in the last
     # pre-shock one, whose state does not depend on the shock speed.
     for x, c_tangent in ((5.0, dc_ds), (4.95, 0.0)):
-        state = ShockState(Dual(x, 0.3))
+        state = Dual(x, 0.3)
         assert char_speed(state, field).tangent == pytest.approx(c_tangent, rel=1e-6)
         bb = step_shock(state, field, dt, blackbox)
         sh = step_shock(state, field, dt, shock)
-        assert bb.position.value == sh.position.value == advance_position(state, field, dt)
-        assert bb.position.tangent == pytest.approx(0.3 + dt * c_tangent, rel=1e-6)
+        assert bb.value == sh.value == advance_position(state, field, dt)
+        assert bb.tangent == pytest.approx(0.3 + dt * c_tangent, rel=1e-6)
         # the custom rule reads the exact jump-speed sensitivity of one
-        assert sh.position.tangent == pytest.approx(0.3 + dt * 1.0, rel=1e-12)
+        assert sh.tangent == pytest.approx(0.3 + dt * 1.0, rel=1e-12)
     # distinct from the flat-probe jump speed, which is exact on this field
     assert abs(dc_ds - 1.0) > 0.2
 
@@ -177,7 +176,7 @@ def test_blackbox_sensitivity_grows_like_one_over_dx():
     xi = {}
     for no in (9, 8, 7):
         res = run_case(CaseConfig(grid_no=no, mode="blackbox"))
-        xi[no] = res.shock_state().position.tangent
+        xi[no] = res.shock_state().tangent
     true_xi = res.oracle.xi(res.final_time)
     assert xi[9] > 5.0 * true_xi
     for coarse, fine in ((9, 8), (8, 7)):
@@ -203,7 +202,7 @@ class ListTracker:
     """The tracker as it was before packing: history in lists of Python floats."""
 
     def __init__(self, x0, config, model=None):
-        self.state = ShockState(Dual(float(x0), 0.0))
+        self.state = Dual(float(x0), 0.0)
         self.config = config
         self.model = model
         self.times, self.positions, self.tangents = [0.0], [float(x0)], [0.0]
@@ -211,8 +210,8 @@ class ListTracker:
     def __call__(self, t, dt, field):
         self.state = step_shock(self.state, field, dt, self.config, self.model)
         self.times.append(t + dt)
-        self.positions.append(self.state.position.value)
-        self.tangents.append(self.state.position.tangent)
+        self.positions.append(self.state.value)
+        self.tangents.append(self.state.tangent)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -240,7 +239,7 @@ def _five_read_linear(field, x):
 
 def _reference_step(state, field, dt, config, law):
     """step_shock's new position value and speed dual, one field.at read per use of a cell."""
-    x = state.position
+    x = state
     parts = law.split(field)
 
     def c(cells):  # the tracked characteristic speed on one cell's (rho, u, p) or u
@@ -290,8 +289,8 @@ def test_step_shock_equals_the_five_read_formulation_bit_for_bit(tracked_fields,
     # the speed itself: dt * speed is too small to show its last bits in x'
     assert (got.value, got.tangent) == (speed.value, speed.tangent)
     out = step_shock(state, field, dt, config, law)
-    assert (out.position.value, out.position.tangent) == (
-        new_x, state.position.tangent + dt * speed.tangent
+    assert (out.value, out.tangent) == (
+        new_x, state.tangent + dt * speed.tangent
     )
 
 
