@@ -56,18 +56,11 @@ class BurgersRampOracle:
         """Shock-displacement sensitivity d/deps x_s(t)."""
         return t / (2.0 * math.sqrt(1.0 + t))
 
-    def u_left(self, t):
-        return 1.0 / math.sqrt(1.0 + t)
-
     def v_left(self, t):
         return (1.0 + t) ** -1.5
 
     def ux_left(self, t):
         return 1.0 / (1.0 + t)
-
-    def jump(self, t):
-        """u(x_s+) - u(x_s-)."""
-        return -self.u_left(t)
 
     # -- exact cell-average projections ---------------------------------------
 

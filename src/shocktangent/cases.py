@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import BurgersRampOracle, jump_estimate, l1_error, tangential_shift
 from .dual import Dual, lift, seed
-from .errors import ConfigError
+from .errors import ConfigError, NoShockError
 from .mesh import CellField, Grid1D, cell_average
 from .models import (
     BurgersModel,
@@ -63,22 +63,27 @@ class BurgersLaw(BurgersModel):
     Without a dx the grid is a row of `grids`. `family` lists the rows of the
     grid study; its finest row is the default grid. A law without a family
     takes dx from its defaults. `keys` are the CaseConfig fields that only
-    this law reads.
+    this law reads; `shock_key` places the initial shock. `setup` builds no
+    field, so `CaseConfig.resolved()` runs it to check that the case can start.
     """
 
     grids = BURGERS_GRIDS
     family = (9, 8, 7, 6, 5)
     keys = ("grid_no", "shift")
+    shock_key = "shift"
     defaults = {"cfl": 0.63, "t_final": 2.0, "c_coeff": 5.0, "eps_min": 1e-4,
                 "eps_max": 0.2, "domain_length": 1.9}
     lower_bounds = {}
 
+    def setup(self, cfg):
+        return BurgersRampOracle(cfg.shift), cfg.shift + 1.0
+
     def start(self, cfg, grid):
         """(exact solution, seeded initial field, initial shock position)."""
-        oracle = BurgersRampOracle(cfg.shift)
+        oracle, x0 = self.setup(cfg)
         u0 = oracle.avg_solution(grid, 0.0)
         # The family scales the ramp amplitude, so the seed equals the profile.
-        return oracle, u0.with_tangent(u0.values), cfg.shift + 1.0
+        return oracle, CellField(grid, Dual(u0.values, u0.values.copy())), x0
 
     def reference(self, oracle, grid, t, eps):
         return {"u": oracle.avg_solution(grid, t, eps)}
@@ -87,15 +92,20 @@ class BurgersLaw(BurgersModel):
 class EulerLaw(EulerModel):
     """The Euler equations with the single moving-shock case (MovingShockSetup)."""
 
+    grids = {}
     family = ()
     keys = ("mach", "shock_speed", "x_shock0", "gamma")
+    shock_key = "x_shock0"
     defaults = {"dx": 0.01, "cfl": 0.82, "t_final": 100.0,
                 "c_coeff": 20.0, "eps_min": 1e-5, "eps_max": 0.1, "domain_length": 30.0}
     lower_bounds = {"mach": 1.0, "gamma": 1.0}
 
+    def setup(self, cfg):  # NoShockError unless shock_speed makes an admissible shock
+        return MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma), cfg.x_shock0
+
     def start(self, cfg, grid):
-        setup = MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma)
-        return setup, _euler_initial_field(setup, grid), cfg.x_shock0
+        setup, x0 = self.setup(cfg)
+        return setup, _euler_initial_field(setup, grid), x0
 
     def reference(self, setup, grid, t, eps):
         return euler_profile(setup, grid, t, eps)
@@ -130,44 +140,67 @@ class CaseConfig:
     jobs: int = 1
 
     def resolved(self):
-        """Fill per-problem defaults; validate the combination."""
+        """Fill per-problem defaults; the one gate for a combination of inputs.
+
+        The result holds only values that take effect: a grid row becomes its
+        dx and dt, and a fixed dt leaves cfl unset. Resolving it again returns
+        it unchanged.
+        """
         law = LAWS.get(self.problem)
         if law is None:
             raise ConfigError(f"unknown problem {self.problem!r}")
         cfg = self
-        if cfg.dx is None and law.family:
+        if cfg.grid_no is not None and cfg.dx is not None:
+            raise ConfigError(f"grid_no = {cfg.grid_no!r} and dx = {cfg.dx!r} exclude each other")
+        if cfg.dx is None and (law.family or cfg.grid_no is not None):
             no = cfg.grid_no if cfg.grid_no is not None else law.family[-1]
             if no not in law.grids:
                 raise ConfigError(f"grid_no must be one of {sorted(law.grids)}")
             table_dx, table_dt = law.grids[no]
-            cfg = replace(cfg, grid_no=no, dx=table_dx, dt=table_dt if cfg.dt is None else cfg.dt)
-        cfg = replace(cfg, **{k: v for k, v in law.defaults.items() if getattr(cfg, k) is None})
+            cfg = replace(cfg, grid_no=None, dx=table_dx, dt=table_dt if cfg.dt is None else cfg.dt)
+        if cfg.dt is not None and cfg.cfl is not None:
+            raise ConfigError(
+                f"cfl = {cfg.cfl!r} has no effect with the fixed step dt = {cfg.dt!r} "
+                "(given, or from the grid row); drop cfl, or give dx without dt"
+            )
+        cfg = replace(cfg, **{k: v for k, v in law.defaults.items()
+                              if getattr(cfg, k) is None and (k != "cfl" or cfg.dt is None)})
         for f in fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name, low in {"dx": 0.0, **law.lower_bounds}.items():
+        for name, low in {"dx": 0.0, "eps_max": 0.0, **law.lower_bounds}.items():
             if not getattr(cfg, name) > low:
                 raise ConfigError(f"{name} must exceed {low}, got {getattr(cfg, name)}")
         if not cfg.domain_length / cfg.dx <= MAX_CELLS:
             raise ConfigError(
                 f"domain_length / dx = {cfg.domain_length / cfg.dx:.4g} cells exceeds {MAX_CELLS}"
             )
-        if cfg.n_eps < 2:
-            raise ConfigError("n_eps must be at least 2")
-        if not 0 < cfg.eps_min < cfg.eps_max:
-            raise ConfigError("need 0 < eps_min < eps_max")
         if not (isinstance(cfg.jobs, int) and cfg.jobs >= 1):
             raise ConfigError(f"jobs must be an integer of at least 1, got {cfg.jobs!r}")
-        try:  # the grid, the tracker and the step control check their own inputs
-            cfg.build_grid()
+        try:  # the grid, the tracker, the step control and the law check their own inputs
+            grid = cfg.build_grid()
             TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
             _scheme(cfg)
+            _, x0 = law.setup(cfg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except NoShockError as exc:
+            raise ConfigError(f"shock_speed = {cfg.shock_speed!r} makes no shock: {exc}") from exc
+        if not grid.x_left <= x0 < grid.x_right:
+            key = law.shock_key
+            raise ConfigError(
+                f"{key} = {getattr(cfg, key)!r} puts the initial shock at x = {x0!r}, "
+                f"outside the grid [{grid.x_left!r}, {grid.x_right!r})"
+            )
         return cfg
 
     def eps_list(self):
+        """The sweep's n_eps perturbation sizes, geometric from eps_min to eps_max."""
+        if self.n_eps < 2:
+            raise ConfigError("n_eps must be at least 2")
+        if not 0 < self.eps_min < self.eps_max:
+            raise ConfigError("need 0 < eps_min < eps_max")
         return np.geomspace(self.eps_min, self.eps_max, self.n_eps)
 
     def build_grid(self):
@@ -191,10 +224,6 @@ class CaseResult:
     @property
     def final_time(self):
         return self.snapshots[-1][0]
-
-    def shock_state(self):
-        """The tracked dual position (x, xdot) at the final time."""
-        return self.tracker.state
 
 
 def _scheme(cfg):
@@ -250,19 +279,11 @@ def euler_profile(setup, grid, t, eps=0.0):
 
 @dataclass
 class SweepReport:
-    """Error table: kind 'epsilon' (per perturbation) or 'grid' (per dx)."""
+    """Error table: its header, one row per perturbation or per grid, metadata."""
 
-    kind: str
+    header: tuple
     rows: list
     metadata: dict
-
-    HEADERS = {
-        "epsilon": ("epsilon", "err_no_ad", "err_blackbox", "err_shock", "err_base"),
-        "grid": ("dx", "err_shock", "err_base"),
-    }
-
-    def header(self):
-        return self.HEADERS[self.kind]
 
 
 def _errors(runs, eps_values):
@@ -276,7 +297,7 @@ def _errors(runs, eps_values):
     """
     shock = runs["shock"]
     law, grid, t, delta = shock.law, shock.grid, shock.final_time, shock.delta
-    position = shock.shock_state()
+    position = shock.tracker.state
 
     base = [CellField(grid, f.values) for f in law.split(runs["none"].final_field)]
     bb = law.split(runs["blackbox"].final_field)
@@ -307,17 +328,18 @@ def _errors(runs, eps_values):
 def epsilon_sweep(config):
     """Error-vs-eps table; one simulation per tracking mode, eps applied after."""
     cfg = config.resolved()
-    runs = {m: run_case(replace(cfg, mode=m)) for m in MODES}
     eps_values = cfg.eps_list()
+    runs = {m: run_case(replace(cfg, mode=m)) for m in MODES}
     errors, jumps = _errors(runs, eps_values)
     rows = [(float(eps), *row) for eps, row in zip(eps_values, errors)]
     shock = runs["shock"]
-    position, delta = shock.shock_state(), shock.delta
+    position, delta = shock.tracker.state, shock.delta
     xi = position.tangent
     meta = {"delta": delta, "eps_dagger": delta / xi if xi else math.inf, "xi": xi,
             "shock_position": position.value, "jump": jumps,
             "problem": cfg.problem, "t_final": cfg.t_final, "dx": cfg.dx}
-    return SweepReport("epsilon", rows, meta)
+    header = ("epsilon", "err_no_ad", "err_blackbox", "err_shock", "err_base")
+    return SweepReport(header, rows, meta)
 
 
 def _grid_row(case):
@@ -327,24 +349,23 @@ def _grid_row(case):
     return (result.config.dx, err_sh, err_base)
 
 
-def grid_convergence(config, grid_nos=None, dxs=None):
+def grid_convergence(config):
     """err_shock and err_base at eps = eps_max over a sequence of grids.
 
-    Without grid_nos or dxs the grids are the law's reference family when
-    config sets no dx, else 16dx, 8dx, 4dx, 2dx, dx. config.jobs worker
+    The grids are the law's reference family when config sets no dx, else
+    16dx, 8dx, 4dx, 2dx, dx. Each grid takes its step from its grid row or
+    from cfl, so config may hold no dt and no grid_no. config.jobs worker
     processes share the grids.
     """
+    for key in ("dt", "grid_no"):
+        if getattr(config, key) is not None:
+            raise ConfigError(f"grid_convergence reads no {key}; it runs its own grids and steps")
     cfg = config.resolved()
     family = LAWS[cfg.problem].family
-    if grid_nos is None and dxs is None:
-        if config.dx is None and family:
-            grid_nos = family
-        else:
-            dxs = [cfg.dx * 2.0**k for k in (4, 3, 2, 1, 0)]
-    if dxs is not None:
-        tasks = [replace(cfg, dx=dx, dt=None, mode="shock") for dx in dxs]
+    if config.dx is None and family:
+        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in family]
     else:
-        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in grid_nos]
+        tasks = [replace(cfg, dx=cfg.dx * 2.0**k, mode="shock") for k in (4, 3, 2, 1, 0)]
     if cfg.jobs > 1:
         # Imported here: the process pool costs about 2 MB that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
@@ -354,7 +375,7 @@ def grid_convergence(config, grid_nos=None, dxs=None):
     else:
         rows = [_grid_row(t) for t in tasks]
     meta = {"problem": cfg.problem, "eps": cfg.eps_max, "t_final": cfg.t_final}
-    return SweepReport("grid", rows, meta)
+    return SweepReport(("dx", "err_shock", "err_base"), rows, meta)
 
 
 def _write_csv(path, header, rows, what):
@@ -370,7 +391,7 @@ def _write_csv(path, header, rows, what):
 
 def emit_csv(report, path):
     """Write a report as UTF-8 CSV: header row, then shortest-roundtrip floats."""
-    _write_csv(path, report.header(), report.rows, "report")
+    _write_csv(path, report.header, report.rows, "report")
 
 
 def emit_snapshot_csv(field, path):

@@ -147,20 +147,11 @@ def _case_config(args, command):
                 f"{where} does not read {key}; it reads {', '.join(sorted(reads))}"
             )
     values["problem"] = problem
-    cfg = CaseConfig(**values)
-    # A given cfl would be ignored where a dt, given or the grid row's, fixes the step.
-    if "cfl" in values:
-        dt = cfg.resolved().dt
-        if dt is not None:
-            raise ConfigError(
-                f"cfl = {cfg.cfl!r} has no effect with the fixed step dt = {dt!r} "
-                "(given, or from the grid row); drop cfl, or give dx without dt"
-            )
-    return cfg
+    return CaseConfig(**values)
 
 
 def _print_case_summary(result):
-    position = result.shock_state()
+    position = result.tracker.state
     print(f"problem: {result.config.problem}")
     print(f"grid: dx={result.grid.dx!r} cells={result.grid.n_cells}")
     print(f"t_final: {result.final_time!r}")
@@ -188,7 +179,7 @@ def _write_report(report, out):
         emit_csv(report, out)
         print(f"wrote {out}")
     else:
-        print(",".join(report.header()))
+        print(",".join(report.header))
         for row in report.rows:
             print(",".join(repr(float(v)) for v in row))
 

@@ -85,13 +85,6 @@ class CellField:
         """Cell i as a scalar dual."""
         return Dual(float(self.data.value[i]), float(self.data.tangent[i]))
 
-    def with_tangent(self, tangent):
-        """Same values, new tangent array."""
-        tangent = np.asarray(tangent, dtype=float)
-        if tangent.shape != self.values.shape:
-            raise ValueError("tangent shape does not match field")
-        return CellField(self.grid, Dual(self.values.copy(), tangent.copy()))
-
 
 def require_same_grid(a, b):
     if a.grid != b.grid:

@@ -146,13 +146,13 @@ class ShockTracker:
     array('d'), 8 bytes a sample against a list's boxed floats.
     """
 
-    def __init__(self, x0, config, model=None, xdot0=0.0):
-        self.state = Dual(float(x0), float(xdot0))
+    def __init__(self, x0, config, model=None):
+        self.state = Dual(float(x0), 0.0)
         self.config = config
         self.model = model
         self.times = array("d", [0.0])
         self.positions = array("d", [x0])
-        self.tangents = array("d", [xdot0])
+        self.tangents = array("d", [0.0])
 
     def __call__(self, t, dt, field):
         self.state = step_shock(self.state, field, dt, self.config, self.model)

@@ -15,6 +15,7 @@ import numpy as np
 
 from shocktangent.calculus import BurgersRampOracle, xi_ode_oracle
 from shocktangent.cases import (
+    LAWS,
     CaseConfig,
     _euler_initial_field,
     epsilon_sweep,
@@ -31,12 +32,15 @@ from shocktangent.models import (
     shock_speed_from_states,
 )
 from shocktangent.solver import (
+    SchemeConfig,
     cfl_dt,
     euler_boundary_fluxes,
     lxf_boundary_fluxes,
     lxf_step,
+    run,
     rusanov_step_euler,
 )
+from shocktangent.tracker import ShockTracker, TrackerConfig
 
 RESULTS = {}
 
@@ -194,12 +198,12 @@ def test_criterion_3_tracking_accuracy_across_grids():
     for no in (9, 8, 7, 6, 5):
         res = run_case(CaseConfig(grid_no=no))
         dx = res.grid.dx
-        pos = res.shock_state().value
+        pos = res.tracker.state.value
         if abs(pos - POS_TRUE) > 2.0 * dx:
             failures.append(
                 f"grid {no}: position off by {abs(pos - POS_TRUE) / dx:.2f} dx > 2 dx"
             )
-        rel_errors[no] = abs(res.shock_state().tangent / XI_TRUE - 1.0)
+        rel_errors[no] = abs(res.tracker.state.tangent / XI_TRUE - 1.0)
     if rel_errors[5] > 0.05:
         failures.append(f"grid 5 tangent rel err {rel_errors[5]:.4f} > 0.05")
     order = [9, 8, 7, 6, 5]
@@ -263,7 +267,7 @@ def test_criterion_4_perturbation_sweep_regimes():
 def test_criterion_5_grid_convergence_of_both_error_columns():
     failures = []
     start = time.perf_counter()
-    report = grid_convergence(CaseConfig(), grid_nos=(9, 8, 7, 6, 5))
+    report = grid_convergence(CaseConfig())
     shock = [r[1] for r in report.rows]
     base = [r[2] for r in report.rows]
     for name, col in (("err_shock", shock), ("err_base", base)):
@@ -361,21 +365,34 @@ def test_criterion_7_speed_pressure_round_trip():
 # -- criterion 8: moving-shock desk case ---------------------------------------
 
 
-@functools.lru_cache(maxsize=2)
-def _desk_run(mode):
-    res = run_case(CaseConfig(problem="euler", mode=mode))
-    return (
-        np.asarray(res.tracker.times),
-        np.asarray(res.tracker.positions),
-        res.shock_state().tangent,
-    )
+def _desk_runs():
+    """(times, positions, final tangent) per mode, from one march of the desk case.
+
+    The tracker only observes the march, so a shock-mode and a black-box
+    tracker on one run equal two run_case calls bit for bit. Criterion 9
+    checks that on independent runs.
+    """
+    cfg = CaseConfig(problem="euler").resolved()
+    law = LAWS["euler"]
+    _, ic, x0 = law.start(cfg, cfg.build_grid())
+    trackers = {
+        m: ShockTracker(x0, TrackerConfig(cfg.c_coeff, cfg.alpha, m), law)
+        for m in ("shock", "blackbox")
+    }
+    scheme = SchemeConfig(t_final=cfg.t_final, dt=cfg.dt, cfl_number=cfg.cfl)
+    run(ic, scheme, law, observers=tuple(trackers.values()))
+    return {
+        m: (np.asarray(t.times), np.asarray(t.positions), t.state.tangent)
+        for m, t in trackers.items()
+    }
 
 
 def test_criterion_8_moving_shock_speed_and_sensitivity():
     failures = []
     start = time.perf_counter()
 
-    times, positions, tangent = _desk_run("shock")
+    desk = _desk_runs()
+    times, positions, tangent = desk["shock"]
     window = times >= 50.0
     slope = np.polyfit(times[window], positions[window], 1)[0]
     if abs(slope / 0.1 - 1.0) > 0.01:
@@ -383,7 +400,7 @@ def test_criterion_8_moving_shock_speed_and_sensitivity():
     if abs(tangent / 100.0 - 1.0) > 0.05:
         failures.append(f"tracked sensitivity {tangent:.4f} off 100 by more than 5%")
 
-    _, _, bb_tangent = _desk_run("blackbox")
+    _, _, bb_tangent = desk["blackbox"]
     deviation = abs(bb_tangent / 100.0 - 1.0)
     if not deviation > 0.25:
         failures.append(
@@ -425,7 +442,7 @@ def test_criterion_9_primal_trajectories_identical_across_modes():
                 failures.append(f"gas {c} values differ between {m} and shock")
         if gas[m].tracker.positions != gref.tracker.positions:
             failures.append(f"gas shock path differs between {m} and shock")
-    if gas["none"].shock_state().tangent != 0.0:
+    if gas["none"].tracker.state.tangent != 0.0:
         failures.append("frozen mode accumulated a position tangent")
 
     _report(9, failures)

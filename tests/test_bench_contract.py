@@ -66,7 +66,7 @@ def test_traced_names_record_spans(tmp_path, capsys):
     [
         (lambda: run_case(CaseConfig(grid_no=9)), 1),
         (lambda: epsilon_sweep(CaseConfig(grid_no=9, n_eps=3)), 3),
-        (lambda: grid_convergence(CaseConfig(), grid_nos=(9, 8)), 2),
+        (lambda: grid_convergence(CaseConfig()), 5),
     ],
     ids=["run_case", "epsilon_sweep", "grid_convergence"],
 )

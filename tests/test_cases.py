@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shocktangent import cases, cli
 from shocktangent.cases import (
     BURGERS_GRIDS,
     MAX_CELLS,
@@ -26,10 +27,11 @@ ROOT3 = math.sqrt(3.0)
 
 def test_burgers_defaults_resolve_to_reference_row_five():
     cfg = CaseConfig().resolved()
-    assert cfg.grid_no == 5
+    # The row becomes its dx and dt; under that fixed dt no cfl takes effect.
+    assert cfg.grid_no is None
     assert cfg.dx == BURGERS_GRIDS[5][0]
     assert cfg.dt == BURGERS_GRIDS[5][1]
-    assert cfg.cfl == 0.63
+    assert cfg.cfl is None
     assert cfg.t_final == 2.0
     assert cfg.c_coeff == 5.0
     assert (cfg.eps_min, cfg.eps_max) == (1e-4, 0.2)
@@ -61,9 +63,9 @@ def test_config_rejections():
     with pytest.raises(ConfigError):
         CaseConfig(grid_no=12).resolved()
     with pytest.raises(ConfigError):
-        CaseConfig(n_eps=1).resolved()
+        CaseConfig(n_eps=1).resolved().eps_list()
     with pytest.raises(ConfigError):
-        CaseConfig(eps_min=0.5, eps_max=0.1).resolved()
+        CaseConfig(eps_min=0.5, eps_max=0.1).resolved().eps_list()
     with pytest.raises(ConfigError):
         CaseConfig(t_final=-2.0).resolved()
 
@@ -98,7 +100,7 @@ def test_run_case_burgers_tracks_the_shock():
     assert res.tracker.positions[-1] == pytest.approx(0.05 + ROOT3, abs=2 * res.grid.dx)
     mid = res.tracker.positions[res.tracker.times.index(1.0)]
     assert mid == pytest.approx(0.05 + math.sqrt(2.0), abs=2 * res.grid.dx)
-    assert res.shock_state().value == res.tracker.positions[-1]
+    assert res.tracker.state.value == res.tracker.positions[-1]
 
 
 def test_run_case_is_deterministic():
@@ -118,7 +120,7 @@ def test_modes_share_the_primal_trajectory():
     pos = {m: r.tracker.positions for m, r in runs.items()}
     assert pos["none"] == pos["shock"] == pos["blackbox"]
     # frozen mode never accumulates a position tangent
-    assert runs["none"].shock_state().tangent == 0.0
+    assert runs["none"].tracker.state.tangent == 0.0
 
 
 def test_euler_profile_matches_initial_projection():
@@ -134,8 +136,7 @@ def test_euler_profile_matches_initial_projection():
 
 def test_epsilon_sweep_report_shape_and_regimes():
     rep = epsilon_sweep(CaseConfig(grid_no=9, n_eps=3))
-    assert rep.kind == "epsilon"
-    assert rep.header() == ("epsilon", "err_no_ad", "err_blackbox", "err_shock", "err_base")
+    assert rep.header == ("epsilon", "err_no_ad", "err_blackbox", "err_shock", "err_base")
     assert len(rep.rows) == 3
     eps = [r[0] for r in rep.rows]
     assert eps == pytest.approx([1e-4, math.sqrt(1e-4 * 0.2), 0.2])
@@ -161,10 +162,9 @@ def test_epsilon_sweep_is_deterministic():
 
 
 def test_grid_convergence_over_reference_rows():
-    rep = grid_convergence(CaseConfig(), grid_nos=(9, 8))
-    assert rep.kind == "grid"
-    assert rep.header() == ("dx", "err_shock", "err_base")
-    (dx9, sh9, base9), (dx8, sh8, base8) = rep.rows
+    rep = grid_convergence(CaseConfig())
+    assert rep.header == ("dx", "err_shock", "err_base")
+    (dx9, sh9, base9), (dx8, sh8, base8) = rep.rows[:2]
     assert dx9 == pytest.approx(1.472e-2)
     assert dx8 == pytest.approx(7.36e-3)
     # halving dx roughly halves the baseline error
@@ -173,8 +173,8 @@ def test_grid_convergence_over_reference_rows():
 
 
 def test_grid_convergence_parallel_matches_serial():
-    serial = grid_convergence(CaseConfig(jobs=1), dxs=(1.472e-2, 7.36e-3))
-    parallel = grid_convergence(CaseConfig(jobs=2), dxs=(1.472e-2, 7.36e-3))
+    serial = grid_convergence(CaseConfig(jobs=1))
+    parallel = grid_convergence(CaseConfig(jobs=2))
     assert serial.rows == parallel.rows
 
 
@@ -207,7 +207,7 @@ def test_emit_snapshot_csv(tmp_path):
 
 
 def test_emit_csv_wraps_write_failures(tmp_path):
-    rep = grid_convergence(CaseConfig(), grid_nos=(9,))
+    rep = grid_convergence(CaseConfig())
     with pytest.raises(OSError, match="cannot write"):
         emit_csv(rep, tmp_path / "missing" / "out.csv")
     res = run_case(CaseConfig(grid_no=9))
@@ -218,9 +218,9 @@ def test_emit_csv_wraps_write_failures(tmp_path):
 def test_grid_row_equals_the_sweep_row_at_eps_max():
     # Burgers grid 9: one error assembly serves both tables.
     sweep = epsilon_sweep(CaseConfig(grid_no=9, n_eps=3))
-    grid = grid_convergence(CaseConfig(), grid_nos=(9,))
+    grid = grid_convergence(CaseConfig())
     _, _, _, err_shock, err_base = sweep.rows[-1]
-    assert grid.rows == [(sweep.metadata["dx"], err_shock, err_base)]
+    assert grid.rows[0] == (sweep.metadata["dx"], err_shock, err_base)
     assert list(sweep.metadata["jump"]) == ["u"]
     # Euler: the default family ends on the configured dx, which the sweep runs.
     cfg = CaseConfig(problem="euler", dx=0.0125, t_final=1.0, n_eps=3)
@@ -257,9 +257,9 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
 
     # grid_convergence imports the pool from concurrent.futures when jobs > 1.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    rep = grid_convergence(CaseConfig(jobs=8), grid_nos=(9, 8))
-    assert seen == [2]
-    assert len(rep.rows) == 2
+    rep = grid_convergence(CaseConfig(jobs=8))
+    assert seen == [5]
+    assert len(rep.rows) == 5
 
 
 @pytest.mark.parametrize(
@@ -271,8 +271,13 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
         {"problem": "euler", "gamma": 1.0},
         {"jobs": 0},
         {"jobs": 1.5},
+        # A cfl under a fixed dt, or a grid row next to a dx, would be ignored.
+        {"grid_no": 9, "cfl": 0.1},
+        {"grid_no": 7, "dx": 0.01},
+        {"dx": 0.01, "dt": 0.005, "cfl": 0.5},
     ],
-    ids=["nan-shift", "infinite-t-final", "euler-gamma-one", "zero-jobs", "fractional-jobs"],
+    ids=["nan-shift", "infinite-t-final", "euler-gamma-one", "zero-jobs", "fractional-jobs",
+         "grid-no-with-cfl", "grid-no-with-dx", "dt-with-cfl"],
 )
 def test_resolved_rejects_out_of_range_inputs(overrides):
     with pytest.raises(ConfigError):
@@ -295,3 +300,35 @@ def test_resolved_rejects_grids_above_the_cell_ceiling():
     assert cfg.build_grid().n_cells == MAX_CELLS
     with pytest.raises(ConfigError, match="exceeds"):
         CaseConfig(dx=1.0, domain_length=float(MAX_CELLS + 1)).resolved()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(
+            cli._case_config(cli._build_parser().parse_args(argv), argv[0])
+            for argv in (["burgers"], ["euler"], ["sweep"], ["sweep", "--problem", "euler"],
+                         ["gridconv"], ["gridconv", "--problem", "euler"])
+        ),
+        CaseConfig(grid_no=7),
+        CaseConfig(dx=0.01),
+        CaseConfig(dx=0.01, dt=0.005),
+    ],
+    ids=["burgers", "euler", "sweep-burgers", "sweep-euler", "gridconv-burgers",
+         "gridconv-euler", "grid-row", "dx", "dt"],
+)
+def test_resolving_a_resolved_config_changes_nothing(config):
+    # epsilon_sweep and grid_convergence resolve again through run_case.
+    cfg = config.resolved()
+    assert cfg.resolved() == cfg
+
+
+@pytest.mark.parametrize("given", [{"dt": 0.001}, {"grid_no": 3}], ids=["dt", "grid-no"])
+def test_grid_convergence_rejects_a_dt_or_a_grid_no(given, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("grid_convergence ran a grid")
+
+    monkeypatch.setattr(cases, "run", no_run)
+    # Each grid of the study takes its own dx and step, so either would be ignored.
+    with pytest.raises(ConfigError, match=next(iter(given))):
+        grid_convergence(CaseConfig(**given))

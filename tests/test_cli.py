@@ -7,7 +7,7 @@ import pytest
 
 from shocktangent import cli
 from shocktangent.cases import SweepReport
-from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from shocktangent.errors import ConfigError
 
 
@@ -195,13 +195,22 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         (["burgers", "--config", "{dir}/dt_mode.cfg"], "unknown key 'dt_mode'"),
         (["gridconv", "--jobs", "0"], "jobs"),
         (["gridconv", "--jobs", "-4"], "jobs"),
+        (["burgers", "--grid-no", "7", "--dx", "0.01", "--t-final", "0.5"], "grid_no = 7 and dx"),
+        (["euler", "--config", "{dir}/no_shock.cfg"], "shock_speed = 3.0"),
+        (["euler", "--config", "{dir}/far_shock.cfg"], "x_shock0 = 40.0"),
+        (["burgers", "--config", "{dir}/far_shift.cfg"], "shift = 5.0"),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
-         "removed-dt-mode-key", "zero-jobs", "negative-jobs"],
+         "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
+         "inadmissible-shock-speed", "shock-outside-grid", "shift-outside-grid"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
     (tmp_path / "dt_mode.cfg").write_text("dt_mode = fixed\n", encoding="utf-8")
+    # Each of the next three cannot start a case: no shock, or none inside the grid.
+    (tmp_path / "no_shock.cfg").write_text("shock_speed = 3.0\n", encoding="utf-8")
+    (tmp_path / "far_shock.cfg").write_text("x_shock0 = 40\n", encoding="utf-8")
+    (tmp_path / "far_shift.cfg").write_text("shift = 5\n", encoding="utf-8")
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -212,7 +221,7 @@ def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys
 
     def fake_grid_convergence(config):
         seen["jobs"] = config.jobs
-        return SweepReport("grid", [], {})
+        return SweepReport(("dx", "err_shock", "err_base"), [], {})
 
     monkeypatch.setattr(cli, "grid_convergence", fake_grid_convergence)
     cfg = tmp_path / "study.cfg"
@@ -338,6 +347,19 @@ def test_problem_flag_over_file_over_default(tmp_path, monkeypatch, capsys):
         assert main(argv) == EXIT_CONFIG
     assert seen == ["euler", "burgers", "burgers"]
     capsys.readouterr()
+
+
+def test_gridconv_reads_no_eps_min(capsys):
+    # Below the default eps_min of 1e-4, which only sweep reads.
+    assert main(["gridconv", "--eps-max", "5e-5", "--t-final", "0.2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("dx,err_shock,err_base\n")
+
+
+def test_a_probe_leaving_the_grid_during_the_march_is_a_numerical_failure(capsys):
+    # The case starts; on the coarsest grid (1.6) the probes at x +/- 32 leave [0, 30].
+    argv = ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_euler_gridconv_refines_to_the_given_dx(capsys):

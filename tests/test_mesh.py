@@ -104,9 +104,6 @@ def test_cell_field_api(grid):
     assert f.values.shape == (10,)
     assert np.allclose(f.tangents, 2.0)
     assert f.at(3).value == pytest.approx(0.3)
-    g = f.with_tangent(np.zeros(10))
-    assert np.allclose(g.values, f.values)
-    assert np.allclose(g.tangents, 0.0)
 
 
 def test_require_same_grid(grid):

@@ -176,7 +176,7 @@ def test_blackbox_sensitivity_grows_like_one_over_dx():
     xi = {}
     for no in (9, 8, 7):
         res = run_case(CaseConfig(grid_no=no, mode="blackbox"))
-        xi[no] = res.shock_state().tangent
+        xi[no] = res.tracker.state.tangent
     true_xi = res.oracle.xi(res.final_time)
     assert xi[9] > 5.0 * true_xi
     for coarse, fine in ((9, 8), (8, 7)):
@@ -186,16 +186,17 @@ def test_blackbox_sensitivity_grows_like_one_over_dx():
 def test_tracker_observer_keeps_history():
     f = linear_field()
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
-    tracker = ShockTracker(2.03, cfg, MODEL, xdot0=0.7)
+    tracker = ShockTracker(2.03, cfg, MODEL)
     scheme = SchemeConfig(t_final=0.12, dt=0.04)
     run(f, scheme, model=MODEL, observers=(tracker,))
     assert tracker.times == pytest.approx([0.0, 0.04, 0.08, 0.12])
     assert len(tracker.positions) == 4
     assert tracker.positions[0] == 2.03
-    assert tracker.tangents[0] == 0.7
-    # first step matches the hand-computed update exactly
+    assert tracker.tangents[0] == 0.0
+    # first step matches the hand-computed update exactly: with x' = 0 the
+    # speed's tangent is the mean of the probed tangents, x = 2.03
     assert tracker.positions[1] == pytest.approx(2.069, abs=1e-13)
-    assert tracker.tangents[1] == pytest.approx(0.7 + 0.04 * 1.68, abs=1e-12)
+    assert tracker.tangents[1] == pytest.approx(0.04 * 2.03, abs=1e-12)
 
 
 class ListTracker:
@@ -271,7 +272,7 @@ def tracked_fields():
     out = []
     for cfg in (CaseConfig(grid_no=7, t_final=1.0), CaseConfig(problem="euler", t_final=1.0)):
         res = run_case(cfg)
-        out.append((res.final_field, res.shock_state(), res.law, res.config))
+        out.append((res.final_field, res.tracker.state, res.law, res.config))
     return out
 
 
