@@ -266,7 +266,7 @@ def euler_profile(setup, grid, t, eps=0.0):
     """Exact perturbed single-shock profile as per-component cell averages."""
     left = setup.left_state()
     right = setup.right_state(lift(setup.shock_speed + eps))
-    x_pos = setup.x_shock0 + (setup.shock_speed + eps) * t
+    x_pos = setup.shock_position(t, eps)
     out = {}
     for name in ("rho", "u", "p"):
         lv = getattr(left, name).value
@@ -325,9 +325,24 @@ def _errors(runs, eps_values):
     return rows, dict(zip(law.components, jumps))
 
 
+def _resolved_study(config):
+    """config resolved for a study, whose exact profile at eps_max must fit its grid."""
+    cfg = config.resolved()
+    law, grid = LAWS[cfg.problem], cfg.build_grid()
+    x = law.setup(cfg)[0].shock_position(cfg.t_final, cfg.eps_max)
+    if not grid.x_left <= x < grid.x_right:
+        key = law.shock_key
+        raise ConfigError(
+            f"{key} = {getattr(cfg, key)!r} puts the exact shock at eps_max = {cfg.eps_max!r}, "
+            f"t_final = {cfg.t_final!r} at x = {x!r}, outside the grid "
+            f"[{grid.x_left!r}, {grid.x_right!r}); lower {key} or raise domain_length"
+        )
+    return cfg
+
+
 def epsilon_sweep(config):
     """Error-vs-eps table; one simulation per tracking mode, eps applied after."""
-    cfg = config.resolved()
+    cfg = _resolved_study(config)
     eps_values = cfg.eps_list()
     runs = {m: run_case(replace(cfg, mode=m)) for m in MODES}
     errors, jumps = _errors(runs, eps_values)
@@ -366,6 +381,7 @@ def grid_convergence(config):
         tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in family]
     else:
         tasks = [replace(cfg, dx=cfg.dx * 2.0**k, mode="shock") for k in (4, 3, 2, 1, 0)]
+    tasks = [_resolved_study(t) for t in tasks]  # every grid is checked before any runs
     if cfg.jobs > 1:
         # Imported here: the process pool costs about 2 MB that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4 I/O error.
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import typing
 
@@ -164,11 +165,9 @@ def _cmd_case(args):
     result = run_case(cfg)
     _print_case_summary(result)
     if args.out:
-        base, dot, ext = args.out.rpartition(".")
-        if not base:
-            base, ext = args.out, ""
+        base, ext = os.path.splitext(args.out)  # a dot in a directory name stays put
         for t, field in result.snapshots:
-            path = args.out if len(result.snapshots) == 1 else f"{base}_t{t:g}{dot}{ext}"
+            path = args.out if len(result.snapshots) == 1 else f"{base}_t{t:g}{ext}"
             emit_snapshot_csv(field, path)
             print(f"wrote {path}")
     return EXIT_OK

@@ -1,10 +1,14 @@
 """First-order dual numbers for forward-mode differentiation.
 
 A ``Dual`` carries a value and a directional derivative (tangent) through
-arithmetic; overloaded operators apply the usual chain rules, so any code
-written against ordinary floats propagates exact derivatives when fed duals.
-Payloads may be Python floats or numpy arrays of matching shape, which lets a
-whole cell field ride through a finite-volume update as one dual.
+arithmetic; overloaded operators apply the usual chain rules, so arithmetic
+written for floats runs on duals and propagates exact derivatives. Payloads
+may be Python floats or numpy arrays of matching shape, which lets a whole
+cell field ride through a finite-volume update as one dual.
+
+A dual has no ordering and ``==`` is identity: a branch must read ``.value``,
+so each non-smooth choice (``where``, ``maximum``, ``abs``) is named where it
+is made.
 
 ``with_custom_tangent`` is the escape hatch for non-smooth elementals: it
 assembles a result whose value and tangent are supplied independently, so a
@@ -15,10 +19,6 @@ spot while everything downstream stays ordinary dual arithmetic.
 import math
 
 import numpy as np
-
-
-def _value_of(x):
-    return x.value if isinstance(x, Dual) else x
 
 
 class Dual:
@@ -83,14 +83,9 @@ class Dual:
     def __neg__(self):
         return Dual(-self.value, -self.tangent)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, exponent):
         if isinstance(exponent, Dual):
             raise TypeError("dual exponents are not supported; exponent must be constant")
-        if exponent == 2:
-            return Dual(self.value * self.value, 2.0 * self.value * self.tangent)
         return Dual(
             self.value**exponent,
             exponent * self.value ** (exponent - 1) * self.tangent,
@@ -105,35 +100,8 @@ class Dual:
             )
         return -self if self.value < 0 else self
 
-    # -- comparisons branch on the value component --------------------------
-
-    def __lt__(self, other):
-        return self.value < _value_of(other)
-
-    def __le__(self, other):
-        return self.value <= _value_of(other)
-
-    def __gt__(self, other):
-        return self.value > _value_of(other)
-
-    def __ge__(self, other):
-        return self.value >= _value_of(other)
-
-    def __eq__(self, other):
-        return self.value == _value_of(other)
-
-    def __ne__(self, other):
-        return self.value != _value_of(other)
-
-    __hash__ = None
-
-    # -- array payload helpers ----------------------------------------------
-
     def __getitem__(self, key):
         return Dual(self.value[key], self.tangent[key])
-
-    def __len__(self):
-        return len(self.value)
 
 
 def _check_nonzero(value):
@@ -153,11 +121,7 @@ def lift(value):
 
 
 def seed(value, tangent=1.0):
-    """Mark an input as differentiated with the given direction."""
-    if isinstance(value, np.ndarray):
-        if not isinstance(tangent, np.ndarray):
-            tangent = np.full_like(value, float(tangent))
-        return Dual(value, tangent)
+    """Mark a scalar input as differentiated with the given direction."""
     return Dual(float(value), float(tangent))
 
 
@@ -175,18 +139,14 @@ def with_custom_tangent(value_result, tangent_result):
 
 
 def sqrt(x):
-    """Square root with the 1/(2 sqrt) tangent rule; domain-checked for scalars."""
-    if isinstance(x, Dual):
-        if isinstance(x.value, np.ndarray):
-            root = np.sqrt(x.value)
-        else:
-            if x.value <= 0.0:
-                raise ValueError(f"sqrt requires a positive value, got {x.value}")
-            root = math.sqrt(x.value)
-        return Dual(root, x.tangent / (2.0 * root))
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    return math.sqrt(x)
+    """Square root of a dual with the 1/(2 sqrt) tangent rule; domain-checked for scalars."""
+    if isinstance(x.value, np.ndarray):
+        root = np.sqrt(x.value)
+    else:
+        if x.value <= 0.0:
+            raise ValueError(f"sqrt requires a positive value, got {x.value}")
+        root = math.sqrt(x.value)
+    return Dual(root, x.tangent / (2.0 * root))
 
 
 def where(cond, a, b):

@@ -70,18 +70,6 @@ class BurgersModel:
         return (self.flux(v_plus) - self.flux(v_minus)) / (v_plus - v_minus)
 
 
-def _positive_everywhere(x):
-    v = x.value if isinstance(x, Dual) else x
-    if isinstance(v, np.ndarray):
-        return bool(np.all(v > 0.0))
-    return v > 0.0
-
-
-def _first_bad_cell(x):
-    v = x.value if isinstance(x, Dual) else x
-    return int(np.argmin(v)) if isinstance(v, np.ndarray) else -1
-
-
 @dataclass(frozen=True)
 class EulerState:
     """Primitive gas state; components are duals (scalar or per-cell arrays)."""
@@ -93,11 +81,10 @@ class EulerState:
 
     def __post_init__(self):
         for name in ("rho", "p"):
-            comp = getattr(self, name)
-            if not _positive_everywhere(comp):
-                raise NonPhysicalStateError(
-                    f"non-positive {name} (first offending cell {_first_bad_cell(comp)})"
-                )
+            v = getattr(self, name).value
+            if not np.all(v > 0.0):
+                cell = int(np.argmin(v)) if isinstance(v, np.ndarray) else -1
+                raise NonPhysicalStateError(f"non-positive {name} (first offending cell {cell})")
 
     def sound_speed(self):
         return sqrt(self.gamma * self.p / self.rho)
@@ -192,6 +179,9 @@ class MovingShockSetup:
         s = lift(self.shock_speed) if shock_speed is None else shock_speed
         return moving_shock_right_state(self.left_state(), s)
 
+    def shock_position(self, t, eps=0.0):
+        return self.x_shock0 + (self.shock_speed + eps) * t
+
 
 class EulerCellField:
     """Per-cell primitive gas states on a grid (array-backed EulerState)."""
@@ -249,6 +239,11 @@ class EulerModel:
         i_m = locate(x_minus.value)
         rho_m, u_m, p_m = (evaluate(c, x_minus, i_m) for c in (rho, u, p))
         p_p = evaluate(p, x_plus, locate(x_plus.value))
+        for name, probed, x in (("rho", rho_m, x_minus), ("p", p_m, x_minus), ("p", p_p, x_plus)):
+            if not probed.value > 0.0:
+                raise NonPhysicalStateError(
+                    f"probed {name} = {probed.value!r} at x = {x.value!r} is not positive"
+                )
         a_m = sqrt(field.gamma * p_m / rho_m)
         return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
 

@@ -332,3 +332,19 @@ def test_grid_convergence_rejects_a_dt_or_a_grid_no(given, monkeypatch):
     # Each grid of the study takes its own dx and step, so either would be ignored.
     with pytest.raises(ConfigError, match=next(iter(given))):
         grid_convergence(CaseConfig(**given))
+
+
+@pytest.mark.parametrize(
+    "study, config",
+    [(epsilon_sweep, CaseConfig(grid_no=9, shift=0.1)), (grid_convergence, CaseConfig(shift=0.1)),
+     (epsilon_sweep, CaseConfig(problem="euler", dx=0.05, t_final=250.0))],
+    ids=["sweep", "gridconv", "euler-sweep"],
+)
+def test_a_study_whose_exact_shock_leaves_a_grid_runs_nothing(study, config, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("the study ran a grid")
+
+    monkeypatch.setattr(cases, "run", no_run)
+    # The exact shock at eps_max lies past the grid's end at t_final.
+    with pytest.raises(ConfigError, match="domain_length"):
+        study(config)

@@ -47,17 +47,24 @@ def test_burgers_single_snapshot(tmp_path, capsys):
     assert len(lines) == 131
 
 
-def test_burgers_record_times_write_suffixed_files(tmp_path, capsys):
-    out_path = tmp_path / "field.csv"
-    code = main([
-        "burgers", "--grid-no", "9",
-        "--record", "1.0", "--record", "0.5",
-        "--out", str(out_path),
-    ])
-    assert code == EXIT_OK
-    capsys.readouterr()
-    for tag in ("t0.5", "t1", "t2"):
-        assert (tmp_path / f"field_{tag}.csv").exists()
+def test_burgers_record_times_write_suffixed_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    # The suffix goes before the last component's extension; a dot in a
+    # directory name, or a leading "./", is not an extension.
+    for out, base, ext in ((str(tmp_path / "field.csv"), str(tmp_path / "field"), ".csv"),
+                           ("./u", "./u", ""), ("run.v2/u", "run.v2/u", "")):
+        code = main([
+            "burgers", "--grid-no", "9",
+            "--record", "1.0", "--record", "0.5",
+            "--out", out,
+        ])
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out
+        for tag in ("t0.5", "t1", "t2"):
+            path = f"{base}_{tag}{ext}"
+            assert f"wrote {path}\n" in printed
+            assert (tmp_path / path).exists()
 
 
 def test_euler_case_runs_on_a_coarse_grid(capsys):
@@ -360,6 +367,17 @@ def test_a_probe_leaving_the_grid_during_the_march_is_a_numerical_failure(capsys
     argv = ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"]
     assert main(argv) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_non_physical_euler_probe_is_a_numerical_failure(capsys):
+    # With delta = dx the upstream probe at x = 4.95 reads a negative density
+    # and pressure; the jump-speed inversion must not take their root (an
+    # uncaught ValueError and its traceback).
+    argv = ["euler", "--dx", "0.05", "--t-final", "5", "--c-coeff", "1"]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: probed rho = -")
+    assert err.endswith(" at x = 4.95 is not positive\n")
 
 
 def test_euler_gridconv_refines_to_the_given_dx(capsys):

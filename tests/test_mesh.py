@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 
 from shocktangent import mesh
 from shocktangent.cases import MAX_CELLS
-from shocktangent.dual import Dual, lift, seed
+from shocktangent.dual import Dual, lift
 from shocktangent.errors import GridMismatchError, OutOfDomainError
 from shocktangent.mesh import (
     CellField,
@@ -99,7 +99,8 @@ def test_cell_average_splits_at_breakpoints(grid):
 
 
 def test_cell_field_api(grid):
-    data = seed(np.linspace(0.0, 0.9, 10), 2.0)
+    x = np.linspace(0.0, 0.9, 10)
+    data = Dual(x, np.full_like(x, 2.0))
     f = CellField(grid, data)
     assert f.values.shape == (10,)
     assert np.allclose(f.tangents, 2.0)
@@ -115,7 +116,8 @@ def test_require_same_grid(grid):
 
 
 def test_eval_constant_ignores_position_tangent(grid):
-    f = CellField(grid, seed(np.arange(10.0), 3.0))
+    x = np.arange(10.0)
+    f = CellField(grid, Dual(x, np.full_like(x, 3.0)))
     v = eval_constant(f, Dual(0.55, 99.0))
     assert v.value == 5.0
     assert v.tangent == 3.0

@@ -1,0 +1,101 @@
+"""Run a fixed list of CLI commands and keep everything they print and write.
+
+    python3 tools/same_outputs.py OUTDIR
+
+Run from the root of a source checkout; the package is imported from
+`./src`. Each command runs in a fresh process with its own directory
+OUTDIR/NAME as the working directory, which receives the command line
+(`argv.txt`), `stdout.txt`, `stderr.txt`, the exit code (`exit.txt`), any
+`--config` file, and every CSV the command writes. The checkout's path is
+replaced by `<checkout>` in stdout and stderr, so that two checkouts can be
+compared. A change keeps the outputs of two checkouts the same when
+
+    diff -r OLD_OUTDIR NEW_OUTDIR
+
+prints nothing. The list covers every command, both problems, all three
+tracker modes, snapshot and report CSVs, the benchmark's three workloads
+with fixed `--config` inputs, and a few inputs that stop with an error.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+#: (name, argv, --config file contents or None, subdirectories to make first).
+COMMANDS = [
+    ("euler_t3", ["euler", "--t-final", "3", "--out", "euler.csv"], None, ()),
+    ("burgers_g7_record", ["burgers", "--grid-no", "7", "--record", "1", "--out", "u.csv"],
+     None, ()),
+    ("sweep_g5", ["sweep", "--grid-no", "5", "--out", "s.csv"], None, ()),
+    ("sweep_euler", ["sweep", "--problem", "euler", "--t-final", "1", "--out", "s.csv"], None, ()),
+    ("gridconv", ["gridconv", "--out", "g.csv"], None, ()),
+    ("gridconv_euler", ["gridconv", "--problem", "euler", "--dx", "0.0125", "--t-final", "1"],
+     None, ()),
+    ("burgers_blackbox", ["burgers", "--mode", "blackbox"], None, ()),
+    ("burgers_cfl", ["burgers", "--dx", "0.01", "--t-final", "0.5"], None, ()),
+    *((f"euler_t20_{m}", ["euler", "--t-final", "20", "--mode", m], None, ())
+      for m in ("none", "blackbox", "shock")),
+    ("validate_oracles", ["validate-oracles"], None, ()),
+    # The benchmark's workloads, on inputs inside its drawn ranges.
+    ("bench_euler_desk", ["euler", "--t-final", "20.0"],
+     "shock_speed = 0.10536\nx_shock0 = 4.8472\n", ()),
+    ("bench_burgers_sweep", ["sweep", "--grid-no", "5", "--out", "s.csv"], "shift = 0.0325\n", ()),
+    ("bench_burgers_fine",
+     ["burgers", "--grid-no", "2", "--record", "0.5", "--record", "1.0", "--record", "1.5",
+      "--out", "u.csv"],
+     "shift = 0.0475\n", ()),
+    # Inputs that stop: a probe reading a negative density, snapshot paths
+    # with a dot outside the file name, a shock leaving the grid at eps_max.
+    ("euler_negative_probe", ["euler", "--dx", "0.05", "--t-final", "5", "--c-coeff", "1"],
+     None, ()),
+    ("burgers_out_dot_slash", ["burgers", "--grid-no", "9", "--record", "1", "--out", "./u"],
+     None, ()),
+    ("burgers_out_dotted_dir",
+     ["burgers", "--grid-no", "9", "--record", "1", "--out", "run.v2/u"], None, ("run.v2",)),
+    ("sweep_shock_leaves_grid", ["sweep", "--grid-no", "9"], "shift = 0.1\n", ()),
+    ("gridconv_shock_leaves_grid", ["gridconv"], "shift = 0.1\n", ()),
+]
+
+
+def run_command(checkout, outdir, name, argv, config, subdirs):
+    workdir = outdir / name
+    workdir.mkdir()
+    for sub in subdirs:
+        (workdir / sub).mkdir()
+    if config is not None:
+        (workdir / "case.cfg").write_text(config, encoding="utf-8")
+        argv = [argv[0], "--config", "case.cfg", *argv[1:]]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "shocktangent.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True, text=True)
+    (workdir / "argv.txt").write_text(" ".join(argv) + "\n", encoding="utf-8")
+    for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        text = text.replace(str(checkout), "<checkout>")
+        (workdir / f"{stream}.txt").write_text(text, encoding="utf-8")
+    (workdir / "exit.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
+    return proc.returncode
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkout = Path.cwd().resolve()
+    if not (checkout / "src" / "shocktangent").is_dir():
+        print("run from the root of a source checkout", file=sys.stderr)
+        return 2
+    outdir = Path(args[0]).resolve()
+    if outdir.exists() and any(outdir.iterdir()):
+        print(f"{outdir} is not empty", file=sys.stderr)
+        return 2
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, cmd, config, subdirs in COMMANDS:
+        code = run_command(checkout, outdir, name, cmd, config, subdirs)
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
