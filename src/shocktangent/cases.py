@@ -33,7 +33,6 @@ from .models import (
     EulerModel,
     EulerState,
     MovingShockSetup,
-    law_of,
 )
 from .solver import SchemeConfig, run
 from .tracker import ShockTracker, TrackerConfig
@@ -55,6 +54,9 @@ MODES = ("none", "blackbox", "shock")
 
 #: Largest grid a case may ask for (127 times Burgers grid 1).
 MAX_CELLS = 2**22
+
+#: Most steps a fixed dt may take to t_final (153 times Burgers grid 1's 55k).
+MAX_STEPS = 2**23
 
 
 class BurgersLaw(BurgersModel):
@@ -180,19 +182,43 @@ class CaseConfig:
             raise ConfigError(f"jobs must be an integer of at least 1, got {cfg.jobs!r}")
         try:  # the grid, the tracker, the step control and the law check their own inputs
             grid = cfg.build_grid()
-            TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
+            tracker = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
             _scheme(cfg)
             _, x0 = law.setup(cfg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except NoShockError as exc:
             raise ConfigError(f"shock_speed = {cfg.shock_speed!r} makes no shock: {exc}") from exc
+        if cfg.dt is not None and not cfg.t_final / cfg.dt <= MAX_STEPS:
+            raise ConfigError(
+                f"t_final / dt = {cfg.t_final!r} / {cfg.dt!r} exceeds {MAX_STEPS} steps"
+            )
+        try:
+            delta = tracker.delta(cfg.dx)
+        except OverflowError:  # dx**alpha past the largest float
+            delta = math.inf
+        if not 0.0 < delta < math.inf:
+            raise ConfigError(
+                f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} give the probe offset "
+                f"c_coeff * dx**alpha = {delta!r} on dx = {cfg.dx!r}; it must be positive "
+                "and finite"
+            )
+        key = law.shock_key
         if not grid.x_left <= x0 < grid.x_right:
-            key = law.shock_key
             raise ConfigError(
                 f"{key} = {getattr(cfg, key)!r} puts the initial shock at x = {x0!r}, "
                 f"outside the grid [{grid.x_left!r}, {grid.x_right!r})"
             )
+        # The first shock-mode step reads linear probes at x0 -/+ delta: interior cells only.
+        if cfg.mode == "shock":
+            for x in (x0 - delta, x0 + delta):
+                if not (grid.x_left <= x < grid.x_right
+                        and 1 <= grid.cell_containing(x) <= grid.n_cells - 2):
+                    raise ConfigError(
+                        f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} put a probe of the "
+                        f"initial shock ({key} = {getattr(cfg, key)!r}) at x = {x!r}, outside "
+                        f"the cells [{grid.face(1)!r}, {grid.face(grid.n_cells - 1)!r}) it can read"
+                    )
         return cfg
 
     def eps_list(self):
@@ -326,8 +352,11 @@ def _errors(runs, eps_values):
 
 
 def _resolved_study(config):
-    """config resolved for a study, whose exact profile at eps_max must fit its grid."""
-    cfg = config.resolved()
+    """config resolved in shock mode, whose run the study's error assembly reads.
+
+    The exact profile at eps_max must fit the grid.
+    """
+    cfg = replace(config, mode="shock").resolved()
     law, grid = LAWS[cfg.problem], cfg.build_grid()
     x = law.setup(cfg)[0].shock_position(cfg.t_final, cfg.eps_max)
     if not grid.x_left <= x < grid.x_right:
@@ -410,9 +439,8 @@ def emit_csv(report, path):
     _write_csv(path, report.header, report.rows, "report")
 
 
-def emit_snapshot_csv(field, path):
-    """Write one field snapshot: x,u,v (scalar) or x,rho,u,p,v_rho,v_u,v_p."""
-    law = law_of(field, LAWS["burgers"])
+def emit_snapshot_csv(field, law, path):
+    """Write one field snapshot of `law`: x,u,v (scalar) or x,rho,u,p,v_rho,v_u,v_p."""
     comps = law.split(field)
     columns = [field.grid.centers(), *(c.values for c in comps), *(c.tangents for c in comps)]
     _write_csv(path, ("x", *law.columns), zip(*columns), "snapshot")

@@ -168,7 +168,7 @@ def _cmd_case(args):
         base, ext = os.path.splitext(args.out)  # a dot in a directory name stays put
         for t, field in result.snapshots:
             path = args.out if len(result.snapshots) == 1 else f"{base}_t{t:g}{ext}"
-            emit_snapshot_csv(field, path)
+            emit_snapshot_csv(field, result.law, path)
             print(f"wrote {path}")
     return EXIT_OK
 

@@ -19,10 +19,10 @@ conditions written with the shock-relative Mach number M~ = (u_l - S)/a_l:
 All formulas are plain dual arithmetic, so seeding any input (e.g. S)
 propagates exact state sensitivities.
 
-`law_of` gives each field its law: BurgersModel (scalar) or EulerModel. The
-solver and the tracker take from it all that depends on the problem. The
-Euler probe speed locates each probe point once and reads rho, u and p from
-that one cell.
+Each field has a law: BurgersModel (scalar) or EulerModel. The caller passes
+it to the solver and the tracker, which take from it all that depends on the
+problem. The Euler probe speed locates each probe point once and reads rho, u
+and p from that one cell.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, lift, sqrt
-from .errors import ConfigError, NonPhysicalStateError, NoShockError, probe_jump
+from .errors import NonPhysicalStateError, NoShockError, probe_jump
 from .mesh import CellField
 
 GAMMA = 1.4
@@ -247,14 +247,3 @@ class EulerModel:
         a_m = sqrt(field.gamma * p_m / rho_m)
         return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
 
-
-EULER = EulerModel()
-
-
-def law_of(field, model=None):
-    """The law of `field`: EulerModel for gas fields, else the scalar `model`."""
-    if isinstance(field, EulerCellField):
-        return EULER
-    if model is None:
-        raise ConfigError("scalar fields need a flux model")
-    return model

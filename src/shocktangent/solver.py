@@ -26,20 +26,21 @@ import numpy as np
 from .dual import edge_pad, maximum
 from .errors import CFLViolationError, ConfigError, NumericalError
 from .mesh import CellField
-from .models import EulerCellField, EulerState, law_of
+from .models import EulerCellField, EulerState
 from . import models
 
 #: Longest step `cfl_dt` takes, the cap of a quiescent field.
 DT_MAX = 1.0
 
 
-def cfl_dt(field, dx, cfl, model=None):
+def cfl_dt(field, dx, cfl, law=None):
     """Largest stable step: cfl * dx / C_n with C_n the max wave speed.
 
-    A quiescent field (C_n = 0) has no wave-speed limit; the step is capped
-    at DT_MAX instead.
+    C_n comes from `law`; without one, from the field itself, which a gas
+    field can report. A quiescent field (C_n = 0) has no wave-speed limit;
+    the step is capped at DT_MAX instead.
     """
-    c_n = law_of(field, model).max_char_speed(field)
+    c_n = field.max_char_speed() if law is None else law.max_char_speed(field)
     if c_n == 0.0:
         return DT_MAX
     return min(cfl * dx / c_n, DT_MAX)
@@ -154,8 +155,8 @@ def _check_finite(field, law, t):
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore")
-def run(ic, config, model=None, observers=()):
-    """March ic to t_final; returns [(t, field)] at each record time and t_final.
+def run(ic, config, law, observers=()):
+    """March ic under `law`; returns [(t, field)] at each record time and t_final.
 
     Observers are called once per accepted step with (t_n, dt, pre-step field)
     before the field advances, so auxiliary ODEs (shock tracking) stay in
@@ -169,7 +170,6 @@ def run(ic, config, model=None, observers=()):
     floating-point warnings are off during the march, so those checks are the
     only report.
     """
-    law = law_of(ic, model)
     dx = ic.grid.dx
 
     stops = list(config.record_times)

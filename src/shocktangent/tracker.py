@@ -30,8 +30,9 @@ the modes differ only in how the position tangent accumulates:
   none     - tangent frozen at zero.
 
 delta = c_coeff * dx**alpha is the half width assumed for the numerical shock
-layer; probes sit just outside it. A shock-mode step locates three points,
-the tracked one and one per probe, on either law. naive_probe_speed (the
+layer; probes sit just outside it. Every function takes the law the solver
+marches with as an argument. A shock-mode step locates three points, the
+tracked one and one per probe, on either law. naive_probe_speed (the
 same jump speed on flat probes) is kept as a reference rule; no mode uses it.
 """
 
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from .dual import Dual, with_custom_tangent
 from .errors import OutOfDomainError, TrackingLostError
 from .mesh import eval_constant, eval_linear
-from .models import law_of
 
 
 @dataclass(frozen=True)
@@ -68,57 +68,55 @@ def _read_dual(d, i):
     return Dual(float(d.value[i]), float(d.tangent[i]))
 
 
-def _char_speed(field, x, model, read):
+def _char_speed(field, x, law, read):
     """c(U_i) on the cell holding x; `read` yields floats or duals per cell.
 
     The float path is the position update; the dual path is the same formula
     run on duals, whose value rounds differently (dual division and powers),
     so only its tangent is used.
     """
-    i = field.grid.cell_containing(x)
-    return law_of(field, model).cell_char_speed(field, i, read)
+    return law.cell_char_speed(field, field.grid.cell_containing(x), read)
 
 
-def advance_position(position, field, dt, model=None):
+def advance_position(position, field, dt, law):
     """Position value after one step of the characteristic ODE."""
     x = position.value
-    new_x = x + dt * _char_speed(field, x, model, _read_value)
+    new_x = x + dt * _char_speed(field, x, law, _read_value)
     grid = field.grid
     if not grid.x_left + 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
         raise TrackingLostError(f"tracked position {new_x} left the grid interior")
     return new_x
 
 
-def char_speed(position, field, model=None):
+def char_speed(position, field, law):
     """c(U_i) at the tracked position as a dual: what black-box AD differentiates."""
-    return _char_speed(field, position.value, model, _read_dual)
+    return _char_speed(field, position.value, law, _read_dual)
 
 
-def _probe_speed(position, field, delta, model, evaluate):
+def _probe_speed(position, field, delta, law, evaluate):
     """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction.
 
     evaluate(field, x, i=None) reads a scalar field at the dual point x, on the
     cell i holding x when the law has located it already.
     """
-    law = law_of(field, model)
     try:
         return law.probe_speed(field, position - delta, position + delta, evaluate)
     except OutOfDomainError as exc:
         raise TrackingLostError(f"probe point left the grid: {exc}") from exc
 
 
-def rh_probe_speed(position, field, delta, model=None):
+def rh_probe_speed(position, field, delta, law):
     """Jump speed on linear reconstructions (the shock-AD rule)."""
-    return _probe_speed(position, field, delta, model, _linear_eval)
+    return _probe_speed(position, field, delta, law, _linear_eval)
 
 
-def naive_probe_speed(position, field, delta, model=None):
+def naive_probe_speed(position, field, delta, law):
     """Jump speed on piecewise-constant probes: the flat-probe RH reference.
 
     On constant flanking states it equals rh_probe_speed. No tracker mode
     uses it; black-box AD differentiates char_speed instead.
     """
-    return _probe_speed(position, field, delta, model, eval_constant)
+    return _probe_speed(position, field, delta, law, eval_constant)
 
 
 def _linear_eval(field, x, i=None):
@@ -126,15 +124,15 @@ def _linear_eval(field, x, i=None):
     return eval_linear(field, x, "center", i)
 
 
-def step_shock(position, field, dt, config, model=None):
+def step_shock(position, field, dt, config, law):
     """Advance a tracked dual position one step; dx and delta come from the field."""
-    new_x = advance_position(position, field, dt, model)
+    new_x = advance_position(position, field, dt, law)
     if config.mode == "none":
         return with_custom_tangent(new_x, 0.0)
     if config.mode == "shock":
-        speed = rh_probe_speed(position, field, config.delta(field.grid.dx), model)
+        speed = rh_probe_speed(position, field, config.delta(field.grid.dx), law)
     else:
-        speed = char_speed(position, field, model)
+        speed = char_speed(position, field, law)
     # Value from the float update above; tangent of x + dt * speed.
     return with_custom_tangent(new_x, position.tangent + dt * speed.tangent)
 
@@ -146,16 +144,16 @@ class ShockTracker:
     array('d'), 8 bytes a sample against a list's boxed floats.
     """
 
-    def __init__(self, x0, config, model=None):
+    def __init__(self, x0, config, law):
         self.state = Dual(float(x0), 0.0)
         self.config = config
-        self.model = model
+        self.law = law
         self.times = array("d", [0.0])
         self.positions = array("d", [x0])
         self.tangents = array("d", [0.0])
 
     def __call__(self, t, dt, field):
-        self.state = step_shock(self.state, field, dt, self.config, self.model)
+        self.state = step_shock(self.state, field, dt, self.config, self.law)
         self.times.append(t + dt)
         self.positions.append(self.state.value)
         self.tangents.append(self.state.tangent)

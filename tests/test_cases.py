@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shocktangent import cases, cli
 from shocktangent.cases import (
     BURGERS_GRIDS,
+    LAWS,
     MAX_CELLS,
+    MAX_STEPS,
+    MODES,
     CaseConfig,
     _euler_initial_field,
     emit_csv,
@@ -21,6 +26,7 @@ from shocktangent.cases import (
 from shocktangent.errors import ConfigError
 from shocktangent.mesh import Grid1D
 from shocktangent.models import MovingShockSetup
+from shocktangent.tracker import TrackerConfig
 
 ROOT3 = math.sqrt(3.0)
 
@@ -196,7 +202,7 @@ def test_emit_csv_round_trips(tmp_path):
 def test_emit_snapshot_csv(tmp_path):
     res = run_case(CaseConfig(grid_no=9))
     path = tmp_path / "field.csv"
-    emit_snapshot_csv(res.final_field, path)
+    emit_snapshot_csv(res.final_field, res.law, path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x,u,v"
     assert len(lines) == res.grid.n_cells + 1
@@ -212,7 +218,7 @@ def test_emit_csv_wraps_write_failures(tmp_path):
         emit_csv(rep, tmp_path / "missing" / "out.csv")
     res = run_case(CaseConfig(grid_no=9))
     with pytest.raises(OSError, match="cannot write"):
-        emit_snapshot_csv(res.final_field, tmp_path / "missing" / "snap.csv")
+        emit_snapshot_csv(res.final_field, res.law, tmp_path / "missing" / "snap.csv")
 
 
 def test_grid_row_equals_the_sweep_row_at_eps_max():
@@ -275,9 +281,18 @@ def test_grid_convergence_starts_no_more_workers_than_grids(monkeypatch):
         {"grid_no": 9, "cfl": 0.1},
         {"grid_no": 7, "dx": 0.01},
         {"dx": 0.01, "dt": 0.005, "cfl": 0.5},
+        # delta = c_coeff * dx**alpha overflows, or rounds to 0.
+        {"alpha": -400.0},
+        {"problem": "euler", "dx": 0.1, "alpha": -400.0},
+        {"alpha": 1e300},
+        # A first shock-mode probe at 1.05 - 1.472 < 0, or at 5 - 32 < 0.
+        {"grid_no": 9, "c_coeff": 100.0},
+        {"problem": "euler", "dx": 1.6, "t_final": 1.0},
     ],
     ids=["nan-shift", "infinite-t-final", "euler-gamma-one", "zero-jobs", "fractional-jobs",
-         "grid-no-with-cfl", "grid-no-with-dx", "dt-with-cfl"],
+         "grid-no-with-cfl", "grid-no-with-dx", "dt-with-cfl", "delta-overflow",
+         "euler-delta-overflow", "delta-underflow", "initial-probe-outside",
+         "euler-initial-probe-outside"],
 )
 def test_resolved_rejects_out_of_range_inputs(overrides):
     with pytest.raises(ConfigError):
@@ -296,10 +311,79 @@ def test_resolved_rejects_grids_above_the_cell_ceiling():
     with pytest.raises(ConfigError, match="exceeds"):
         CaseConfig(problem="euler", dx=5e-324).resolved()
     # Resolving builds no arrays, so the largest allowed grid resolves at once.
-    cfg = CaseConfig(dx=1.0, domain_length=float(MAX_CELLS)).resolved()
+    # The shock sits at 6 so that the probes at 6 -/+ 5 lie in interior cells.
+    cfg = CaseConfig(dx=1.0, domain_length=float(MAX_CELLS), shift=5.0).resolved()
     assert cfg.build_grid().n_cells == MAX_CELLS
     with pytest.raises(ConfigError, match="exceeds"):
-        CaseConfig(dx=1.0, domain_length=float(MAX_CELLS + 1)).resolved()
+        CaseConfig(dx=1.0, domain_length=float(MAX_CELLS + 1), shift=5.0).resolved()
+
+
+def test_resolved_rejects_a_fixed_dt_past_the_step_ceiling():
+    # Unchecked, dt = 1e-300 marches for ever: t + dt rounds back to t.
+    with pytest.raises(ConfigError, match=r"t_final / dt = 2\.0 / 1e-300 exceeds"):
+        CaseConfig(problem="euler", dx=0.1, t_final=2.0, dt=1e-300).resolved()
+    with pytest.raises(ConfigError, match="t_final / dt"):
+        CaseConfig(grid_no=1, t_final=2.0 * MAX_STEPS * 3.64e-5).resolved()
+    # Every reference row fits with room to spare; grid 1 takes about 55k steps.
+    for no, (_, dt) in BURGERS_GRIDS.items():
+        cfg = CaseConfig(grid_no=no).resolved()
+        assert cfg.t_final / dt < MAX_STEPS / 100, no
+    cfg = CaseConfig(dx=0.01, dt=2.0 / MAX_STEPS).resolved()
+    assert cfg.t_final / cfg.dt == MAX_STEPS
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_initial_probes_bind_only_a_shock_mode_case(mode):
+    # delta = 14.72 puts both probes off grid 9; only the shock mode reads them.
+    if mode != "shock":
+        assert CaseConfig(grid_no=9, c_coeff=1000.0, mode=mode).resolved().c_coeff == 1000.0
+    # A delta below dx is allowed: both probes still read interior cells.
+    assert CaseConfig(grid_no=9, c_coeff=0.5, mode=mode).resolved().c_coeff == 0.5
+
+
+#: Edge values for the numeric inputs of the property below: unset, zero,
+#: signs, non-finite, extreme magnitudes, and both sides of the bounds on dx
+#: (3 cells, MAX_CELLS), dt (MAX_STEPS), c_coeff (probes inside the default
+#: grids) and alpha (dx**alpha overflowing or rounding to 0 on dx = 0.01).
+_EDGES = (None, 0.0, -0.0, -1.0, 1.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300,
+          -1e-300, 400.0, -400.0, 5e-324)
+_NEAR = {
+    "dx": (1.9 / 3, 10.0, 1.9 / MAX_CELLS, 30.0 / MAX_CELLS, 0.01, 9.2e-4),
+    "dt": (2.0 / MAX_STEPS, 100.0 / MAX_STEPS, 5.88e-4, 1e-3),
+    "t_final": (2.0, 100.0, 0.5),
+    "c_coeff": (0.5, 5.0, 499.0, (1.05 - 9.2e-4) / 9.2e-4, 20.0),
+    "alpha": (-154.0, -154.3, 161.0, 163.0, 1.0, 0.5),
+}
+
+
+def _draws(name):
+    near = _NEAR[name]
+    near = (*near, *(v * (1.0 - 1e-9) for v in near), *(v * (1.0 + 1e-9) for v in near))
+    # One draw in three keeps the default, so that many drawn configs resolve.
+    return st.one_of(st.none(), st.sampled_from(near), st.sampled_from(_EDGES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(problem=st.sampled_from(sorted(LAWS)), mode=st.sampled_from(MODES),
+       dx=_draws("dx"), dt=_draws("dt"), t_final=_draws("t_final"),
+       c_coeff=_draws("c_coeff"), alpha=_draws("alpha"))
+def test_resolved_admits_only_configs_that_can_start(problem, mode, dx, dt, t_final,
+                                                     c_coeff, alpha):
+    raw = {"dx": dx, "dt": dt, "t_final": t_final, "c_coeff": c_coeff, "alpha": alpha}
+    given = {k: v for k, v in raw.items() if v is not None}
+    try:
+        cfg = CaseConfig(problem=problem, mode=mode, **given).resolved()
+    except ConfigError:
+        return
+    delta = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode).delta(cfg.dx)
+    assert math.isfinite(delta) and delta > 0.0
+    if cfg.dt is not None:
+        assert cfg.t_final / cfg.dt <= MAX_STEPS
+    if mode == "shock":
+        grid, x0 = cfg.build_grid(), LAWS[problem].setup(cfg)[1]
+        for x in (x0 - delta, x0 + delta):
+            assert grid.x_left <= x < grid.x_right
+            assert 1 <= grid.cell_containing(x) <= grid.n_cells - 2
 
 
 @pytest.mark.parametrize(
@@ -347,4 +431,21 @@ def test_a_study_whose_exact_shock_leaves_a_grid_runs_nothing(study, config, mon
     monkeypatch.setattr(cases, "run", no_run)
     # The exact shock at eps_max lies past the grid's end at t_final.
     with pytest.raises(ConfigError, match="domain_length"):
+        study(config)
+
+
+@pytest.mark.parametrize(
+    "study, config",
+    [(epsilon_sweep, CaseConfig(grid_no=9, c_coeff=100.0, mode="none")),
+     (grid_convergence, CaseConfig(problem="euler", dx=0.1, t_final=1.0))],
+    ids=["sweep-from-mode-none", "euler-gridconv"],
+)
+def test_a_study_checks_its_first_probes_before_it_marches(study, config, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("the study ran a grid")
+
+    monkeypatch.setattr(cases, "run", no_run)
+    # The study reads a shock-mode run, whatever mode it is given; a first
+    # probe lies left of the grid (at 1.05 - 1.472, or at 5 - 32 on the 1.6 row).
+    with pytest.raises(ConfigError, match="put a probe of the initial shock"):
         study(config)

@@ -206,10 +206,21 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         (["euler", "--config", "{dir}/no_shock.cfg"], "shock_speed = 3.0"),
         (["euler", "--config", "{dir}/far_shock.cfg"], "x_shock0 = 40.0"),
         (["burgers", "--config", "{dir}/far_shift.cfg"], "shift = 5.0"),
+        # delta = c_coeff * dx**alpha past the largest float, or rounded to 0.
+        (["burgers", "--alpha", "-400"], "alpha = -400.0"),
+        (["euler", "--dx", "0.1", "--t-final", "1", "--alpha", "-400"], "alpha = -400.0"),
+        (["sweep", "--grid-no", "9", "--alpha", "-400"], "alpha = -400.0"),
+        (["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "1e300"], "alpha = 1e+300"),
+        # A first shock-mode probe outside the cells a linear probe reads.
+        (["sweep", "--grid-no", "9", "--c-coeff", "100"], "at x = -0.42"),
+        (["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"], "at x = -27.0"),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
          "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
-         "inadmissible-shock-speed", "shock-outside-grid", "shift-outside-grid"],
+         "inadmissible-shock-speed", "shock-outside-grid", "shift-outside-grid",
+         "burgers-delta-overflow", "euler-delta-overflow", "sweep-delta-overflow",
+         "euler-delta-underflow", "sweep-initial-probe-outside",
+         "gridconv-initial-probe-outside"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -362,11 +373,14 @@ def test_gridconv_reads_no_eps_min(capsys):
     assert capsys.readouterr().out.startswith("dx,err_shock,err_base\n")
 
 
-def test_a_probe_leaving_the_grid_during_the_march_is_a_numerical_failure(capsys):
-    # The case starts; on the coarsest grid (1.6) the probes at x +/- 32 leave [0, 30].
-    argv = ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"]
+def test_a_probe_leaving_the_grid_during_the_march_is_a_numerical_failure(tmp_path, capsys):
+    # The probes at 29.5 -/+ 0.2 start inside; the shock moves right at 0.1 and
+    # its right probe reaches the last cell of [0, 30] before t = 5.
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("x_shock0 = 29.5\n", encoding="utf-8")
+    argv = ["euler", "--config", str(cfg), "--t-final", "5"]
     assert main(argv) == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: probe point left the grid" in capsys.readouterr().err
 
 
 def test_a_non_physical_euler_probe_is_a_numerical_failure(capsys):

@@ -12,6 +12,7 @@ from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import (
     BurgersModel,
     EulerCellField,
+    EulerModel,
     EulerState,
     euler_left_state,
     moving_shock_right_state,
@@ -29,6 +30,7 @@ from shocktangent.tracker import (
 )
 
 MODEL = BurgersModel()
+GAS = EulerModel()
 
 
 def linear_field():
@@ -126,7 +128,7 @@ def two_state_gas_field():
 def test_gas_probe_speed_recovers_the_shock_speed():
     field = two_state_gas_field()
     state = Dual(5.0, 0.0)
-    speed = rh_probe_speed(state, field, 0.5)
+    speed = rh_probe_speed(state, field, 0.5, GAS)
     assert speed.value == pytest.approx(0.1, abs=1e-12)
     # downstream pressure was seeded by the speed, so the recovered
     # sensitivity is exactly one
@@ -138,8 +140,8 @@ def test_gas_probes_agree_across_reconstructions_on_constant_states():
     # read the same numbers, so both modes see the identical speed
     field = two_state_gas_field()
     state = Dual(5.0, 0.3)
-    a = rh_probe_speed(state, field, 0.5)
-    b = naive_probe_speed(state, field, 0.5)
+    a = rh_probe_speed(state, field, 0.5, GAS)
+    b = naive_probe_speed(state, field, 0.5, GAS)
     assert a.value == pytest.approx(b.value, abs=1e-15)
     assert a.tangent == pytest.approx(b.tangent, abs=1e-14)
 
@@ -161,10 +163,10 @@ def test_blackbox_differentiates_the_position_update_on_gas_states():
     # pre-shock one, whose state does not depend on the shock speed.
     for x, c_tangent in ((5.0, dc_ds), (4.95, 0.0)):
         state = Dual(x, 0.3)
-        assert char_speed(state, field).tangent == pytest.approx(c_tangent, rel=1e-6)
-        bb = step_shock(state, field, dt, blackbox)
-        sh = step_shock(state, field, dt, shock)
-        assert bb.value == sh.value == advance_position(state, field, dt)
+        assert char_speed(state, field, GAS).tangent == pytest.approx(c_tangent, rel=1e-6)
+        bb = step_shock(state, field, dt, blackbox, GAS)
+        sh = step_shock(state, field, dt, shock, GAS)
+        assert bb.value == sh.value == advance_position(state, field, dt, GAS)
         assert bb.tangent == pytest.approx(0.3 + dt * c_tangent, rel=1e-6)
         # the custom rule reads the exact jump-speed sensitivity of one
         assert sh.tangent == pytest.approx(0.3 + dt * 1.0, rel=1e-12)
@@ -188,7 +190,7 @@ def test_tracker_observer_keeps_history():
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
     tracker = ShockTracker(2.03, cfg, MODEL)
     scheme = SchemeConfig(t_final=0.12, dt=0.04)
-    run(f, scheme, model=MODEL, observers=(tracker,))
+    run(f, scheme, MODEL, observers=(tracker,))
     assert tracker.times == pytest.approx([0.0, 0.04, 0.08, 0.12])
     assert len(tracker.positions) == 4
     assert tracker.positions[0] == 2.03
@@ -202,14 +204,14 @@ def test_tracker_observer_keeps_history():
 class ListTracker:
     """The tracker as it was before packing: history in lists of Python floats."""
 
-    def __init__(self, x0, config, model=None):
+    def __init__(self, x0, config, law):
         self.state = Dual(float(x0), 0.0)
         self.config = config
-        self.model = model
+        self.law = law
         self.times, self.positions, self.tangents = [0.0], [float(x0)], [0.0]
 
     def __call__(self, t, dt, field):
-        self.state = step_shock(self.state, field, dt, self.config, self.model)
+        self.state = step_shock(self.state, field, dt, self.config, self.law)
         self.times.append(t + dt)
         self.positions.append(self.state.value)
         self.tangents.append(self.state.tangent)

@@ -46,7 +46,9 @@ COMMANDS = [
       "--out", "u.csv"],
      "shift = 0.0475\n", ()),
     # Inputs that stop: a probe reading a negative density, snapshot paths
-    # with a dot outside the file name, a shock leaving the grid at eps_max.
+    # with a dot outside the file name, a shock leaving the grid at eps_max,
+    # a probe offset c_coeff * dx**alpha past the largest float, and a first
+    # probe outside the grid on a study's coarsest grid.
     ("euler_negative_probe", ["euler", "--dx", "0.05", "--t-final", "5", "--c-coeff", "1"],
      None, ()),
     ("burgers_out_dot_slash", ["burgers", "--grid-no", "9", "--record", "1", "--out", "./u"],
@@ -55,6 +57,9 @@ COMMANDS = [
      ["burgers", "--grid-no", "9", "--record", "1", "--out", "run.v2/u"], None, ("run.v2",)),
     ("sweep_shock_leaves_grid", ["sweep", "--grid-no", "9"], "shift = 0.1\n", ()),
     ("gridconv_shock_leaves_grid", ["gridconv"], "shift = 0.1\n", ()),
+    ("burgers_delta_overflow", ["burgers", "--alpha", "-400"], None, ()),
+    ("gridconv_euler_probe_outside",
+     ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"], None, ()),
 ]
 
 
