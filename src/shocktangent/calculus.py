@@ -69,20 +69,20 @@ class BurgersRampOracle:
         return cell_average(lambda x: self.solution(t, x, eps), grid, bps)
 
 
-def xi_ode_oracle(t_final, oracle=None, dt=1e-4):
+def xi_ode_oracle(t_final):
     """Integrate the jump-speed sensitivity ODE for the ramp family.
 
-    d xi / dt = (v^- + xi u_x^-) / 2 with xi(0) = 0, classic RK4 at fixed dt.
-    Independent of the closed form xi(t); used to cross-check it.
+    d xi / dt = (v^- + xi u_x^-) / 2 with xi(0) = 0, classic RK4 at the fixed
+    step 1e-4. Independent of the closed form xi(t); used to cross-check it.
     """
-    oracle = oracle or BurgersRampOracle()
+    oracle = BurgersRampOracle()
 
     def rhs(t, xi):
         return 0.5 * (oracle.v_left(t) + xi * oracle.ux_left(t))
 
     xi, t = 0.0, 0.0
     while t < t_final - 1e-15:
-        h = min(dt, t_final - t)
+        h = min(1e-4, t_final - t)
         k1 = rhs(t, xi)
         k2 = rhs(t + 0.5 * h, xi + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, xi + 0.5 * h * k2)
@@ -130,7 +130,7 @@ def tangential_shift(field_u, field_udot, position, jump, eps, delta):
 
     if displacement != 0.0:
         lo, hi = sorted((x_s, x_s + displacement))
-        if lo < grid.x_left or hi > grid.x_right:
+        if lo < 0.0 or hi > grid.x_right:
             raise OutOfDomainError(
                 f"displaced shock interval [{lo}, {hi}] exits the domain"
             )

@@ -35,7 +35,7 @@ from .models import (
     MovingShockSetup,
 )
 from .solver import SchemeConfig, run
-from .tracker import ShockTracker, TrackerConfig
+from .tracker import MODES, ShockTracker, TrackerConfig
 
 #: Reference Burgers grids: row -> (dx, fixed dt). Row 1 is the finest.
 BURGERS_GRIDS = {
@@ -50,13 +50,8 @@ BURGERS_GRIDS = {
     9: (1.472e-2, 9.52e-3),
 }
 
-MODES = ("none", "blackbox", "shock")
-
 #: Largest grid a case may ask for (127 times Burgers grid 1).
 MAX_CELLS = 2**22
-
-#: Most steps a fixed dt may take to t_final (153 times Burgers grid 1's 55k).
-MAX_STEPS = 2**23
 
 
 class BurgersLaw(BurgersModel):
@@ -65,8 +60,9 @@ class BurgersLaw(BurgersModel):
     Without a dx the grid is a row of `grids`. `family` lists the rows of the
     grid study; its finest row is the default grid. A law without a family
     takes dx from its defaults. `keys` are the CaseConfig fields that only
-    this law reads; `shock_key` places the initial shock. `setup` builds no
-    field, so `CaseConfig.resolved()` runs it to check that the case can start.
+    this law reads; `shock_key` places the initial shock. `setup` returns the
+    exact solution, whose `shock_position(t, eps)` places every shock; it builds
+    no field, so `CaseConfig.resolved()` runs it to check that the case can start.
     """
 
     grids = BURGERS_GRIDS
@@ -75,17 +71,16 @@ class BurgersLaw(BurgersModel):
     shock_key = "shift"
     defaults = {"cfl": 0.63, "t_final": 2.0, "c_coeff": 5.0, "eps_min": 1e-4,
                 "eps_max": 0.2, "domain_length": 1.9}
-    lower_bounds = {}
 
     def setup(self, cfg):
-        return BurgersRampOracle(cfg.shift), cfg.shift + 1.0
+        return BurgersRampOracle(cfg.shift)
 
     def start(self, cfg, grid):
-        """(exact solution, seeded initial field, initial shock position)."""
-        oracle, x0 = self.setup(cfg)
+        """(exact solution, seeded initial field)."""
+        oracle = self.setup(cfg)
         u0 = oracle.avg_solution(grid, 0.0)
         # The family scales the ramp amplitude, so the seed equals the profile.
-        return oracle, CellField(grid, Dual(u0.values, u0.values.copy())), x0
+        return oracle, CellField(grid, Dual(u0.values, u0.values.copy()))
 
     def reference(self, oracle, grid, t, eps):
         return {"u": oracle.avg_solution(grid, t, eps)}
@@ -100,14 +95,13 @@ class EulerLaw(EulerModel):
     shock_key = "x_shock0"
     defaults = {"dx": 0.01, "cfl": 0.82, "t_final": 100.0,
                 "c_coeff": 20.0, "eps_min": 1e-5, "eps_max": 0.1, "domain_length": 30.0}
-    lower_bounds = {"mach": 1.0, "gamma": 1.0}
 
     def setup(self, cfg):  # NoShockError unless shock_speed makes an admissible shock
-        return MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma), cfg.x_shock0
+        return MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma)
 
     def start(self, cfg, grid):
-        setup, x0 = self.setup(cfg)
-        return setup, _euler_initial_field(setup, grid), x0
+        setup = self.setup(cfg)
+        return setup, _euler_initial_field(setup, grid)
 
     def reference(self, setup, grid, t, eps):
         return euler_profile(setup, grid, t, eps)
@@ -171,9 +165,9 @@ class CaseConfig:
             value = getattr(cfg, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name, low in {"dx": 0.0, "eps_max": 0.0, **law.lower_bounds}.items():
-            if not getattr(cfg, name) > low:
-                raise ConfigError(f"{name} must exceed {low}, got {getattr(cfg, name)}")
+        for name in ("dx", "eps_max"):
+            if not getattr(cfg, name) > 0.0:
+                raise ConfigError(f"{name} must exceed 0.0, got {getattr(cfg, name)}")
         if not cfg.domain_length / cfg.dx <= MAX_CELLS:
             raise ConfigError(
                 f"domain_length / dx = {cfg.domain_length / cfg.dx:.4g} cells exceeds {MAX_CELLS}"
@@ -184,15 +178,11 @@ class CaseConfig:
             grid = cfg.build_grid()
             tracker = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
             _scheme(cfg)
-            _, x0 = law.setup(cfg)
+            x0 = law.setup(cfg).shock_position(0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except NoShockError as exc:
             raise ConfigError(f"shock_speed = {cfg.shock_speed!r} makes no shock: {exc}") from exc
-        if cfg.dt is not None and not cfg.t_final / cfg.dt <= MAX_STEPS:
-            raise ConfigError(
-                f"t_final / dt = {cfg.t_final!r} / {cfg.dt!r} exceeds {MAX_STEPS} steps"
-            )
         try:
             delta = tracker.delta(cfg.dx)
         except OverflowError:  # dx**alpha past the largest float
@@ -204,15 +194,24 @@ class CaseConfig:
                 "and finite"
             )
         key = law.shock_key
-        if not grid.x_left <= x0 < grid.x_right:
+        if not 0.0 <= x0 < grid.x_right:
             raise ConfigError(
                 f"{key} = {getattr(cfg, key)!r} puts the initial shock at x = {x0!r}, "
-                f"outside the grid [{grid.x_left!r}, {grid.x_right!r})"
+                f"outside the grid [0.0, {grid.x_right!r})"
             )
-        # The first shock-mode step reads linear probes at x0 -/+ delta: interior cells only.
         if cfg.mode == "shock":
+            # x -/+ delta differs from every x in [0, x_right] once delta is at
+            # least the float spacing at x_right, the widest there.
+            if delta < math.ulp(grid.x_right):
+                raise ConfigError(
+                    f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} give the probe offset "
+                    f"c_coeff * dx**alpha = {delta!r} on dx = {cfg.dx!r}, below the float spacing "
+                    f"{math.ulp(grid.x_right)!r} at x = {grid.x_right!r}: a probe would be the "
+                    "tracked point itself"
+                )
+            # The first step reads linear probes at x0 -/+ delta: interior cells only.
             for x in (x0 - delta, x0 + delta):
-                if not (grid.x_left <= x < grid.x_right
+                if not (0.0 <= x < grid.x_right
                         and 1 <= grid.cell_containing(x) <= grid.n_cells - 2):
                     raise ConfigError(
                         f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} put a probe of the "
@@ -230,7 +229,7 @@ class CaseConfig:
         return np.geomspace(self.eps_min, self.eps_max, self.n_eps)
 
     def build_grid(self):
-        return Grid1D(0.0, self.dx, math.ceil(self.domain_length / self.dx - 1e-12))
+        return Grid1D(self.dx, math.ceil(self.domain_length / self.dx - 1e-12))
 
 
 @dataclass
@@ -282,8 +281,8 @@ def run_case(config):
     law = LAWS[cfg.problem]
     grid = cfg.build_grid()
     tracker_cfg = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
-    oracle, ic, x0 = law.start(cfg, grid)
-    tracker = ShockTracker(x0, tracker_cfg, law)
+    oracle, ic = law.start(cfg, grid)
+    tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law)
     snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
     return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
 
@@ -358,13 +357,13 @@ def _resolved_study(config):
     """
     cfg = replace(config, mode="shock").resolved()
     law, grid = LAWS[cfg.problem], cfg.build_grid()
-    x = law.setup(cfg)[0].shock_position(cfg.t_final, cfg.eps_max)
-    if not grid.x_left <= x < grid.x_right:
+    x = law.setup(cfg).shock_position(cfg.t_final, cfg.eps_max)
+    if not 0.0 <= x < grid.x_right:
         key = law.shock_key
         raise ConfigError(
             f"{key} = {getattr(cfg, key)!r} puts the exact shock at eps_max = {cfg.eps_max!r}, "
             f"t_final = {cfg.t_final!r} at x = {x!r}, outside the grid "
-            f"[{grid.x_left!r}, {grid.x_right!r}); lower {key} or raise domain_length"
+            f"[0.0, {grid.x_right!r}); lower {key} or raise domain_length"
         )
     return cfg
 

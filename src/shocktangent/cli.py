@@ -20,9 +20,7 @@ import typing
 
 from .calculus import BurgersRampOracle, xi_ode_oracle
 from .cases import (
-    BURGERS_GRIDS,
     LAWS,
-    MODES,
     CaseConfig,
     emit_csv,
     emit_snapshot_csv,
@@ -31,6 +29,7 @@ from .cases import (
     run_case,
 )
 from .errors import ConfigError, NumericalError
+from .tracker import MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +58,7 @@ _READS = {
 #: The fields that have a flag, in help order, with the flag's choices; the
 #: other fields are file keys only. A flag parses as its file key does.
 _FLAGS = {
-    "problem": sorted(LAWS), "mode": MODES, "grid_no": sorted(BURGERS_GRIDS),
+    "problem": sorted(LAWS), "mode": MODES, "grid_no": sorted(LAWS["burgers"].grids),
     **dict.fromkeys(("dx", "dt", "cfl", "t_final", "c_coeff", "alpha",
                      "eps_min", "eps_max", "n_eps", "jobs")),
 }

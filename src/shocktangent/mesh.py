@@ -1,6 +1,6 @@
 """Uniform 1D cell-centered grids and piecewise reconstructions.
 
-Cells are half-open intervals [x_left + i dx, x_left + (i+1) dx); a query
+Grids start at x = 0. Cells are half-open intervals [i dx, (i+1) dx); a query
 landing exactly on an interior face therefore resolves to the cell on the
 right. Fields store one dual per cell (array-backed), so both the solution
 and its tangent move through every operation together.
@@ -21,9 +21,8 @@ from .errors import GridMismatchError, OutOfDomainError
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid: n_cells cells of width dx starting at x_left."""
+    """Uniform grid: n_cells cells of width dx starting at 0."""
 
-    x_left: float
     dx: float
     n_cells: int
 
@@ -35,21 +34,19 @@ class Grid1D:
 
     @property
     def x_right(self):
-        return self.x_left + self.n_cells * self.dx
+        return self.n_cells * self.dx
 
     def centers(self):
-        return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
+        return (np.arange(self.n_cells) + 0.5) * self.dx
 
     def face(self, i):
-        return self.x_left + i * self.dx
+        return i * self.dx
 
     def cell_containing(self, x):
         """Index of the cell holding x; exact face hits go to the right cell."""
-        if x < self.x_left or x >= self.x_right:
-            raise OutOfDomainError(
-                f"x = {x} outside grid extent [{self.x_left}, {self.x_right})"
-            )
-        i = math.floor((x - self.x_left) / self.dx)
+        if x < 0.0 or x >= self.x_right:
+            raise OutOfDomainError(f"x = {x} outside grid extent [0.0, {self.x_right})")
+        i = math.floor(x / self.dx)
         # Rounding in the division can misplace an exact face hit by one.
         if i + 1 < self.n_cells and x >= self.face(i + 1):
             i += 1
@@ -116,7 +113,7 @@ def cell_average(fn, grid, breakpoints=()):
     nodes = centers[:, None] + half * _GL_NODES[None, :]
     avgs = 0.5 * (np.asarray(fn(nodes)) @ _GL_WEIGHTS)
 
-    interior = [b for b in breakpoints if grid.x_left < b < grid.x_right]
+    interior = [b for b in breakpoints if 0.0 < b < grid.x_right]
     touched = sorted({grid.cell_containing(b) for b in interior})
     for i in touched:
         lo, hi = grid.face(i), grid.face(i + 1)
@@ -188,5 +185,5 @@ def eval_linear(field, x, side, i=None):
         s = s_minus
     else:
         s = 0.5 * (s_plus + s_minus)
-    center = grid.x_left + (i + 0.5) * grid.dx
+    center = (i + 0.5) * grid.dx
     return u_i + (x - center) * s

@@ -168,8 +168,10 @@ class MovingShockSetup:
     gamma: float = GAMMA
 
     def __post_init__(self):
-        if not self.mach > 1.0:
-            raise ValueError(f"setup requires a supersonic left state, got M = {self.mach}")
+        # A supersonic left state first; its isentropic relations divide by gamma - 1.
+        for name in ("mach", "gamma"):
+            if not getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must exceed 1.0, got {getattr(self, name)}")
         self.right_state()  # raises NoShockError unless the shock is admissible
 
     def left_state(self):

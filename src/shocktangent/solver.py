@@ -32,6 +32,10 @@ from . import models
 #: Longest step `cfl_dt` takes, the cap of a quiescent field.
 DT_MAX = 1.0
 
+#: Most steps a march may take (153 times Burgers grid 1's 55k): a fixed dt
+#: to t_final at most, or a CFL march before it stops.
+MAX_STEPS = 2**23
+
 
 def cfl_dt(field, dx, cfl, law=None):
     """Largest stable step: cfl * dx / C_n with C_n the max wave speed.
@@ -56,7 +60,7 @@ def _check_cfl(c_n, dt, dx):
 def lxf_step(field, dt, model):
     """One Lax-Friedrichs step of a scalar field."""
     dx = field.grid.dx
-    u = edge_pad(field.data, 1)
+    u = edge_pad(field.data)
     f = model.flux(u)
     new = 0.5 * (u[2:] + u[:-2]) - (dt / (2.0 * dx)) * (f[2:] - f[:-2])
     return CellField(field.grid, new)
@@ -88,9 +92,9 @@ def rusanov_step_euler(field, dt):
     _, h_mom, h_en = models.euler_flux(s, cons)
     lam = abs(s.u) + s.sound_speed()
 
-    q_rho, q_mom, q_en = (edge_pad(c, 1) for c in cons)
+    q_rho, q_mom, q_en = (edge_pad(c) for c in cons)
     h_rho = q_mom  # the mass flux is the momentum
-    h_mom, h_en, lam = (edge_pad(c, 1) for c in (h_mom, h_en, lam))
+    h_mom, h_en, lam = (edge_pad(c) for c in (h_mom, h_en, lam))
 
     new = []
     half_lam = 0.5 * maximum(lam[:-1], lam[1:])
@@ -140,6 +144,11 @@ class SchemeConfig:
             raise ConfigError("record_times must be strictly increasing")
         if any(not 0.0 < r <= self.t_final for r in times):
             raise ConfigError("record_times must lie in (0, t_final]")
+        # Within the ceiling t + dt > t holds up to t_final, so a fixed march ends.
+        if self.dt is not None and not self.t_final / self.dt <= MAX_STEPS:
+            raise ConfigError(
+                f"t_final / dt = {self.t_final!r} / {self.dt!r} exceeds {MAX_STEPS} steps"
+            )
 
 
 def _check_finite(field, law, t):
@@ -163,7 +172,9 @@ def run(ic, config, law, observers=()):
     lockstep with the scheme.
 
     A fixed step is checked against the CFL bound of the pre-step field; a
-    CFL step lies within it by construction (cfl_number <= 1).
+    CFL step lies within it by construction (cfl_number <= 1). A CFL march
+    that would take more than MAX_STEPS steps stops with a NumericalError;
+    SchemeConfig bounds a fixed march.
 
     A non-finite step size stops the march at once; each returned field is
     checked for non-finite values and tangents, once per stop. numpy's
@@ -178,10 +189,14 @@ def run(ic, config, law, observers=()):
 
     fixed = config.dt is not None
     t = 0.0
+    steps = 0
     field = ic
     out = []
     for stop in stops:
         while t < stop:
+            if not fixed and steps >= MAX_STEPS:
+                raise NumericalError(f"CFL march took {steps} steps, the most it may, and "
+                                     f"stands at t = {t!r} of t_final = {config.t_final!r}")
             dt_nom = config.dt if fixed else cfl_dt(field, dx, config.cfl_number, law)
             if not math.isfinite(dt_nom):
                 raise NumericalError(f"non-finite time step {dt_nom} at t = {t!r}")
@@ -194,6 +209,7 @@ def run(ic, config, law, observers=()):
                 _check_cfl(law.max_char_speed(field), dt_step, dx)
             field = lxf_step(field, dt_step, law) if law.scalar else rusanov_step_euler(field, dt_step)
             t = stop if hit else t + dt_step
+            steps += 1
         _check_finite(field, law, stop)
         out.append((stop, field))
     return out

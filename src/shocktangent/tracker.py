@@ -43,6 +43,9 @@ from .dual import Dual, with_custom_tangent
 from .errors import OutOfDomainError, TrackingLostError
 from .mesh import eval_constant, eval_linear
 
+#: The tracker modes: how the position tangent accumulates (module docstring).
+MODES = ("none", "blackbox", "shock")
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -51,8 +54,8 @@ class TrackerConfig:
     mode: str = "shock"
 
     def __post_init__(self):
-        if self.mode not in ("none", "blackbox", "shock"):
-            raise ValueError(f"mode must be none|blackbox|shock, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {'|'.join(MODES)}, got {self.mode!r}")
         if not self.c_coeff > 0.0:
             raise ValueError("c_coeff must be positive")
 
@@ -83,7 +86,7 @@ def advance_position(position, field, dt, law):
     x = position.value
     new_x = x + dt * _char_speed(field, x, law, _read_value)
     grid = field.grid
-    if not grid.x_left + 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
+    if not 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
         raise TrackingLostError(f"tracked position {new_x} left the grid interior")
     return new_x
 

@@ -314,7 +314,7 @@ def test_criterion_6_mass_update_equals_boundary_fluxes():
 
     # gas scheme on a coarsened moving-shock case
     setup = MovingShockSetup(mach=5.3452, shock_speed=0.1, x_shock0=5.0)
-    ggrid = Grid1D(0.0, 0.03, 1000)
+    ggrid = Grid1D(0.03, 1000)
     gfield = _euler_initial_field(setup, ggrid)
     gdt = cfl_dt(gfield, ggrid.dx, 0.8)
     worst = 0.0
@@ -374,9 +374,9 @@ def _desk_runs():
     """
     cfg = CaseConfig(problem="euler").resolved()
     law = LAWS["euler"]
-    _, ic, x0 = law.start(cfg, cfg.build_grid())
+    setup, ic = law.start(cfg, cfg.build_grid())
     trackers = {
-        m: ShockTracker(x0, TrackerConfig(cfg.c_coeff, cfg.alpha, m), law)
+        m: ShockTracker(setup.shock_position(0.0), TrackerConfig(cfg.c_coeff, cfg.alpha, m), law)
         for m in ("shock", "blackbox")
     }
     scheme = SchemeConfig(t_final=cfg.t_final, dt=cfg.dt, cfl_number=cfg.cfl)

@@ -75,7 +75,7 @@ def test_ode_cross_check_agrees_with_closed_form():
 
 
 def test_cell_average_projection_conserves_mass():
-    grid = Grid1D(x_left=0.0, dx=0.01, n_cells=260)
+    grid = Grid1D(dx=0.01, n_cells=260)
     for eps in (0.0, 0.2):
         f = ORACLE.avg_solution(grid, 2.0, eps)
         mass = grid.dx * float(np.sum(f.values))
@@ -84,11 +84,11 @@ def test_cell_average_projection_conserves_mass():
 
 
 def test_l1_error():
-    grid = Grid1D(x_left=0.0, dx=0.5, n_cells=4)
+    grid = Grid1D(dx=0.5, n_cells=4)
     a = CellField(grid, lift(np.array([1.0, 2.0, 3.0, 4.0])))
     b = CellField(grid, lift(np.array([0.0, 4.0, 3.0, 2.0])))
     assert l1_error(a, b) == pytest.approx(0.5 * (1.0 + 2.0 + 0.0 + 2.0))
-    other = Grid1D(x_left=0.0, dx=0.5, n_cells=5)
+    other = Grid1D(dx=0.5, n_cells=5)
     c = CellField(other, lift(np.zeros(5)))
     with pytest.raises(GridMismatchError):
         l1_error(a, c)
@@ -96,7 +96,7 @@ def test_l1_error():
 
 def test_jump_estimate_on_projected_reference():
     t = 2.0
-    grid = Grid1D(x_left=0.0, dx=0.01, n_cells=260)
+    grid = Grid1D(dx=0.01, n_cells=260)
     f = ORACLE.avg_solution(grid, t)
     shock = Dual(ORACLE.shock_position(t), 0.0)
     delta = 0.05
@@ -108,14 +108,14 @@ def test_jump_estimate_on_projected_reference():
 
 
 def test_jump_estimate_rejects_smooth_data():
-    grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
+    grid = Grid1D(dx=0.1, n_cells=40)
     flat = CellField(grid, lift(np.full(40, 2.0)))
     with pytest.raises(ProbeDegenerateError):
         jump_estimate(flat, Dual(2.0, 0.0), 0.5)
 
 
 def step_field():
-    grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
+    grid = Grid1D(dx=0.1, n_cells=40)
     vals = np.where(grid.centers() < 2.0, 1.0, 0.0)
     return CellField(grid, lift(vals))
 
@@ -171,7 +171,7 @@ def test_tangential_shift_conserves_the_displaced_mass(dx, n, data):
     # With udot = 0 and delta = 0 only the jump block changes the field. A shift
     # of at least one cell keeps the rounding of u in the two partly covered
     # cells far below 1e-12 of the displaced mass.
-    grid = Grid1D(x_left=0.0, dx=dx, n_cells=n)
+    grid = Grid1D(dx=dx, n_cells=n)
     u = data.draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
     x_s = data.draw(st.floats(0.0, grid.x_right))
     shift = data.draw(st.floats(-x_s, grid.x_right - x_s).filter(lambda d: abs(d) >= dx))

@@ -12,7 +12,6 @@ from shocktangent.cases import (
     BURGERS_GRIDS,
     LAWS,
     MAX_CELLS,
-    MAX_STEPS,
     MODES,
     CaseConfig,
     _euler_initial_field,
@@ -26,6 +25,7 @@ from shocktangent.cases import (
 from shocktangent.errors import ConfigError
 from shocktangent.mesh import Grid1D
 from shocktangent.models import MovingShockSetup
+from shocktangent.solver import MAX_STEPS
 from shocktangent.tracker import TrackerConfig
 
 ROOT3 = math.sqrt(3.0)
@@ -131,7 +131,7 @@ def test_modes_share_the_primal_trajectory():
 
 def test_euler_profile_matches_initial_projection():
     setup = MovingShockSetup(mach=5.3452, shock_speed=0.1, x_shock0=5.0)
-    grid = Grid1D(0.0, 0.5, 60)
+    grid = Grid1D(0.5, 60)
     field = _euler_initial_field(setup, grid)
     prof = euler_profile(setup, grid, 0.0)
     for name in ("rho", "u", "p"):
@@ -380,10 +380,15 @@ def test_resolved_admits_only_configs_that_can_start(problem, mode, dx, dt, t_fi
     if cfg.dt is not None:
         assert cfg.t_final / cfg.dt <= MAX_STEPS
     if mode == "shock":
-        grid, x0 = cfg.build_grid(), LAWS[problem].setup(cfg)[1]
+        grid, x0 = cfg.build_grid(), LAWS[problem].setup(cfg).shock_position(0.0)
         for x in (x0 - delta, x0 + delta):
-            assert grid.x_left <= x < grid.x_right
+            assert 0.0 <= x < grid.x_right
             assert 1 <= grid.cell_containing(x) <= grid.n_cells - 2
+        # No point the tracker can reach is its own probe: the largest has the
+        # widest float spacing, and every point below the grid's end a finer one.
+        for x in (x0, 2 * grid.dx, grid.x_right - 2 * grid.dx, grid.x_right):
+            assert x - delta < x < x + delta, x
+        assert delta >= math.ulp(grid.x_right)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from shocktangent import cli
+from shocktangent import cli, solver
 from shocktangent.cases import SweepReport
 from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from shocktangent.errors import ConfigError
@@ -214,13 +214,17 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         # A first shock-mode probe outside the cells a linear probe reads.
         (["sweep", "--grid-no", "9", "--c-coeff", "100"], "at x = -0.42"),
         (["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"], "at x = -27.0"),
+        # A probe offset below the float spacing: x -/+ delta rounds to the tracked x.
+        (["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], "alpha = 100.0"),
+        (["burgers", "--grid-no", "9", "--alpha", "30"], "alpha = 30.0"),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
          "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
          "inadmissible-shock-speed", "shock-outside-grid", "shift-outside-grid",
          "burgers-delta-overflow", "euler-delta-overflow", "sweep-delta-overflow",
          "euler-delta-underflow", "sweep-initial-probe-outside",
-         "gridconv-initial-probe-outside"],
+         "gridconv-initial-probe-outside", "euler-probe-offset-rounds-away",
+         "burgers-probe-offset-rounds-away"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -381,6 +385,12 @@ def test_a_probe_leaving_the_grid_during_the_march_is_a_numerical_failure(tmp_pa
     argv = ["euler", "--config", str(cfg), "--t-final", "5"]
     assert main(argv) == EXIT_NUMERICAL
     assert "numerical failure: probe point left the grid" in capsys.readouterr().err
+
+
+def test_a_cfl_march_past_the_step_ceiling_is_a_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    assert main(["burgers", "--dx", "0.05", "--t-final", "0.5"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: CFL march took 10 steps")
 
 
 def test_a_non_physical_euler_probe_is_a_numerical_failure(capsys):

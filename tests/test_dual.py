@@ -131,21 +131,21 @@ def test_where_and_maximum_follow_the_winning_branch():
 
 def test_edge_pad_repeats_ends():
     d = Dual(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-    p = edge_pad(d, 2)
-    assert np.array_equal(p.value, [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
-    assert np.array_equal(p.tangent, [4.0, 4.0, 4.0, 5.0, 6.0, 6.0, 6.0])
+    p = edge_pad(d)
+    assert np.array_equal(p.value, [1.0, 1.0, 2.0, 3.0, 3.0])
+    assert np.array_equal(p.tangent, [4.0, 4.0, 5.0, 6.0, 6.0])
     assert p[0].value == 1.0 and p[-1].tangent == 6.0
 
 
 _payloads = arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=True, width=64))
 
 
-@given(value=_payloads, data=st.data(), width=st.integers(1, 3))
-def test_edge_pad_equals_numpy_edge_mode(value, data, width):
+@given(value=_payloads, data=st.data())
+def test_edge_pad_equals_numpy_edge_mode(value, data):
     tangent = data.draw(arrays(np.float64, value.shape))
-    p = edge_pad(Dual(value, tangent), width)
+    p = edge_pad(Dual(value, tangent))
     for got, src in ((p.value, value), (p.tangent, tangent)):
-        want = np.pad(src, width, mode="edge")
+        want = np.pad(src, 1, mode="edge")
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True)
 

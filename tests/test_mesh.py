@@ -23,7 +23,7 @@ from shocktangent.mesh import (
 
 @pytest.fixture
 def grid():
-    return Grid1D(x_left=0.0, dx=0.1, n_cells=10)
+    return Grid1D(dx=0.1, n_cells=10)
 
 
 def test_grid_geometry(grid):
@@ -38,9 +38,9 @@ def test_grid_geometry(grid):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        Grid1D(x_left=0.0, dx=-0.1, n_cells=10)
+        Grid1D(dx=-0.1, n_cells=10)
     with pytest.raises(ValueError):
-        Grid1D(x_left=0.0, dx=0.1, n_cells=0)
+        Grid1D(dx=0.1, n_cells=0)
 
 
 def test_cell_containing(grid):
@@ -56,7 +56,7 @@ def test_cell_containing(grid):
 
 @given(dx=st.floats(1e-5, 0.2), n=st.integers(3, MAX_CELLS), data=st.data())
 def test_cell_containing_resolves_faces_and_brackets_every_point(dx, n, data):
-    grid = Grid1D(x_left=0.0, dx=dx, n_cells=n)  # builds no arrays at any size
+    grid = Grid1D(dx=dx, n_cells=n)  # builds no arrays at any size
     i = data.draw(st.integers(0, n - 1))
     assert grid.cell_containing(grid.face(i)) == i
     near_face = [np.nextafter(grid.face(i), -np.inf), np.nextafter(grid.face(i), np.inf)]
@@ -68,7 +68,7 @@ def test_cell_containing_resolves_faces_and_brackets_every_point(dx, n, data):
 
 def test_grid_needs_enough_cells_for_reconstruction():
     with pytest.raises(ValueError):
-        Grid1D(x_left=0.0, dx=0.1, n_cells=2)
+        Grid1D(dx=0.1, n_cells=2)
 
 
 def test_cell_average_integrates_smooth_functions(grid):
@@ -108,7 +108,7 @@ def test_cell_field_api(grid):
 
 
 def test_require_same_grid(grid):
-    other = Grid1D(x_left=0.0, dx=0.1, n_cells=11)
+    other = Grid1D(dx=0.1, n_cells=11)
     a = CellField(grid, lift(np.zeros(10)))
     b = CellField(other, lift(np.zeros(11)))
     with pytest.raises(GridMismatchError):
@@ -138,7 +138,7 @@ def test_one_sided_slopes(grid):
 
 def test_eval_linear_hand_case():
     # three cells of width 1 centered at 0.5, 1.5, 2.5 with values 0, 1, 4
-    g = Grid1D(x_left=0.0, dx=1.0, n_cells=3)
+    g = Grid1D(dx=1.0, n_cells=3)
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     x = 1.7
     # slopes at cell 1: minus = 1, plus = 3, center = 2
@@ -153,7 +153,7 @@ def test_eval_linear_hand_case():
 
 
 def test_eval_linear_position_tangent_feeds_through_slope():
-    g = Grid1D(x_left=0.0, dx=1.0, n_cells=3)
+    g = Grid1D(dx=1.0, n_cells=3)
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     xdot = 0.25
     v = eval_linear(f, Dual(1.7, xdot), "center")
@@ -162,7 +162,7 @@ def test_eval_linear_position_tangent_feeds_through_slope():
 
 
 def test_eval_linear_value_tangents_feed_through():
-    g = Grid1D(x_left=0.0, dx=1.0, n_cells=3)
+    g = Grid1D(dx=1.0, n_cells=3)
     data = Dual(np.array([0.0, 1.0, 4.0]), np.array([1.0, 2.0, 3.0]))
     f = CellField(g, data)
     v = eval_linear(f, 1.7, "center")

@@ -45,7 +45,7 @@ def test_burgers_flux_and_speed():
     assert f.value == pytest.approx(4.5)
     assert f.tangent == pytest.approx(3.0)  # d(u^2/2)/du = u
     assert m.char_speed(u).value == 3.0
-    grid = Grid1D(x_left=0.0, dx=1.0, n_cells=3)
+    grid = Grid1D(dx=1.0, n_cells=3)
     field = CellField(grid, lift(np.array([-4.0, 2.0, 1.0])))
     assert m.max_char_speed(field) == 4.0
 
@@ -167,7 +167,17 @@ def test_moving_shock_setup_bundles_both_states():
     assert right.u.value == pytest.approx(REF["u_r"], rel=1e-12)
     seeded = setup.right_state(seed(SPEED))
     assert seeded.u.tangent != 0.0  # downstream state carries the speed seed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mach must exceed 1\.0, got 0\.8$"):
         MovingShockSetup(mach=0.8, shock_speed=SPEED, x_shock0=5.0)
     with pytest.raises(NoShockError):
         MovingShockSetup(mach=1.05, shock_speed=1.0, x_shock0=5.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, -1.4])
+def test_moving_shock_setup_rejects_gamma_at_most_one(gamma):
+    # The isentropic relations divide by gamma - 1; below 1 they take a negative root.
+    with pytest.raises(ValueError, match=rf"^gamma must exceed 1\.0, got {gamma}$"):
+        MovingShockSetup(MACH, SPEED, 5.0, gamma)
+    # mach is checked first.
+    with pytest.raises(ValueError, match="^mach must exceed"):
+        MovingShockSetup(0.8, SPEED, 5.0, gamma)

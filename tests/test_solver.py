@@ -8,8 +8,10 @@ from shocktangent.dual import Dual, lift, maximum
 from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalStateError, NumericalError
 from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import BurgersModel, EulerCellField, EulerModel, EulerState, euler_flux
+from shocktangent import solver
 from shocktangent.solver import (
     DT_MAX,
+    MAX_STEPS,
     SchemeConfig,
     cfl_dt,
     euler_boundary_fluxes,
@@ -24,7 +26,7 @@ GAS = EulerModel()
 
 
 def small_field(values, tangents=None, dx=1.0):
-    grid = Grid1D(x_left=0.0, dx=dx, n_cells=len(values))
+    grid = Grid1D(dx=dx, n_cells=len(values))
     data = Dual(np.asarray(values, dtype=float), np.zeros(len(values)))
     if tangents is not None:
         data = Dual(data.value, np.asarray(tangents, dtype=float))
@@ -80,6 +82,33 @@ def test_scheme_config_validation():
         SchemeConfig(t_final=1.0, dt=0.1, record_times=(0.5, 2.0))
 
 
+def test_scheme_config_bounds_the_steps_of_a_fixed_dt():
+    with pytest.raises(ConfigError, match=r"^t_final / dt = 2\.0 / 1e-07 exceeds 8388608 steps$"):
+        SchemeConfig(t_final=2.0, dt=1e-7)
+    assert SchemeConfig(t_final=2.0, dt=2.0 / MAX_STEPS).dt == 2.0 / MAX_STEPS
+
+
+def test_a_cfl_march_stops_past_the_step_ceiling(monkeypatch):
+    cfg = SchemeConfig(t_final=0.2, cfl_number=0.5)
+    steps = []
+    run(_burgers_ramp(), cfg, MODEL, observers=(lambda t, dt, field: steps.append(t),))
+    n = len(steps)
+    monkeypatch.setattr(solver, "MAX_STEPS", n)
+    run(_burgers_ramp(), cfg, MODEL)  # exactly at the ceiling: the march ends
+    monkeypatch.setattr(solver, "MAX_STEPS", n - 1)
+    with pytest.raises(NumericalError, match=rf"took {n - 1} steps, .* at t = {steps[-1]!r} of"):
+        run(_burgers_ramp(), cfg, MODEL)
+
+
+def test_a_fixed_dt_march_never_meets_the_step_ceiling(monkeypatch):
+    # t_final / dt = 10 is at the ceiling; the record stops add clipped steps.
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    cfg = SchemeConfig(t_final=10 * 2.0**-7, dt=2.0**-7, record_times=(0.004, 0.05))
+    steps = []
+    run(_burgers_ramp(), cfg, MODEL, observers=(lambda t, dt, field: steps.append(t),))
+    assert len(steps) > 10
+
+
 def test_run_hits_record_times_by_clipping():
     f = small_field([0.0, 0.5, 0.0])
     seen = []
@@ -113,7 +142,7 @@ def test_observers_see_the_prestep_field():
 
 
 def wavy_euler_field(n=24):
-    grid = Grid1D(x_left=0.0, dx=1.0 / n, n_cells=n)
+    grid = Grid1D(dx=1.0 / n, n_cells=n)
     x = grid.centers()
     state = EulerState(
         lift(1.0 + 0.1 * np.sin(2.0 * np.pi * x)),
@@ -142,7 +171,7 @@ def test_dual_tangent_matches_finite_differences_for_smooth_data():
     # perturb a smooth profile along a fixed direction and compare the
     # propagated tangent with a central difference of two primal runs
     n = 64
-    grid = Grid1D(x_left=0.0, dx=1.0 / n, n_cells=n)
+    grid = Grid1D(dx=1.0 / n, n_cells=n)
     x = grid.centers()
     base = 1.0 + 0.3 * np.sin(2.0 * np.pi * x)
     direction = np.cos(2.0 * np.pi * x)
@@ -213,7 +242,7 @@ def test_rusanov_step_rejects_a_step_past_the_cfl_bound():
 def test_rusanov_step_rejects_a_negative_pressure():
     # Rusanov keeps pressure positive up to CFL 1, so step backward in time:
     # the anti-diffusive update undershoots the low side of a pressure jump.
-    grid = Grid1D(x_left=0.0, dx=1.0, n_cells=4)
+    grid = Grid1D(dx=1.0, n_cells=4)
     state = EulerState(lift(np.ones(4)), lift(np.zeros(4)), lift(np.array([1.0, 1.0, 1e-3, 1e-3])))
     field = EulerCellField(grid, state)
     with pytest.raises(NonPhysicalStateError, match="non-positive p"):
@@ -221,7 +250,7 @@ def test_rusanov_step_rejects_a_negative_pressure():
 
 
 def _burgers_ramp(bad_value=None, bad_tangent=None):
-    grid = Grid1D(x_left=0.0, dx=1.0 / 64, n_cells=64)
+    grid = Grid1D(dx=1.0 / 64, n_cells=64)
     values = 0.5 + 0.4 * np.sin(2.0 * np.pi * grid.centers())
     tangents = np.ones(64)
     if bad_value is not None:

@@ -35,7 +35,7 @@ GAS = EulerModel()
 
 def linear_field():
     """u = 2 - x/2 on [0, 4] with per-cell tangent equal to the cell center."""
-    grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
+    grid = Grid1D(dx=0.1, n_cells=40)
     x = grid.centers()
     return CellField(grid, Dual(2.0 - 0.5 * x, x.copy()))
 
@@ -102,7 +102,7 @@ def test_probe_exit_is_reported_as_tracking_loss():
 
 
 def test_degenerate_probe_jump_is_rejected():
-    grid = Grid1D(x_left=0.0, dx=0.1, n_cells=40)
+    grid = Grid1D(dx=0.1, n_cells=40)
     flat = CellField(grid, lift(np.full(40, 1.0)))
     state = Dual(2.0, 0.0)
     with pytest.raises(ProbeDegenerateError):
@@ -110,7 +110,7 @@ def test_degenerate_probe_jump_is_rejected():
 
 
 def two_state_gas_field():
-    grid = Grid1D(x_left=0.0, dx=0.1, n_cells=100)
+    grid = Grid1D(dx=0.1, n_cells=100)
     left = euler_left_state(5.3452)
     right = moving_shock_right_state(left, seed(0.1))
     x = grid.centers()
@@ -237,7 +237,7 @@ def _five_read_linear(field, x):
     s_plus = (field.at(i + 1) - field.at(i)) / grid.dx
     s_minus = (field.at(i) - field.at(i - 1)) / grid.dx
     s = 0.5 * (s_plus + s_minus)
-    return field.at(i) + (x - (grid.x_left + (i + 0.5) * grid.dx)) * s
+    return field.at(i) + (x - (i + 0.5) * grid.dx) * s
 
 
 def _reference_step(state, field, dt, config, law):

@@ -60,6 +60,15 @@ COMMANDS = [
     ("burgers_delta_overflow", ["burgers", "--alpha", "-400"], None, ()),
     ("gridconv_euler_probe_outside",
      ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"], None, ()),
+    # Inputs that a case's own parts reject: a subsonic upstream state and gamma = 1
+    # (the gas setup), and a fixed dt past the step ceiling (the step control).
+    ("euler_subsonic_mach", ["euler"], "mach = 0.8\n", ()),
+    ("euler_gamma_one", ["euler"], "gamma = 1.0\n", ()),
+    ("burgers_dt_past_step_ceiling", ["burgers", "--dx", "0.01", "--dt", "1e-7"], None, ()),
+    # A probe offset so small that x -/+ delta rounds to the tracked x.
+    ("euler_probe_offset_rounds_away",
+     ["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], None, ()),
+    ("burgers_probe_offset_rounds_away", ["burgers", "--grid-no", "9", "--alpha", "30"], None, ()),
 ]
 
 
