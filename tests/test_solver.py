@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from shocktangent import solver
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, maximum
 from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalStateError, NumericalError
 from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import BurgersModel, EulerCellField, EulerModel, EulerState, euler_flux
-from shocktangent import solver
 from shocktangent.solver import (
     DT_MAX,
     MAX_STEPS,
