@@ -111,22 +111,21 @@ def jump_estimate(field, position, delta):
     return probe_jump(v_plus, v_minus, "estimated jump")
 
 
-def tangential_shift(field_u, field_udot, position, jump, eps, delta):
+def tangential_shift(field, position, jump, eps, delta):
     """First-order reconstruction of the eps-perturbed solution on cell averages.
 
-    position is the tracked dual (x_s, xdot). The result is u_i + eps udot_i
-    outside the shock band |X_i - x_s| <= delta, plus the jump block over the
-    displacement interval, cell-averaged as exact overlap fractions (their
-    total is |eps xdot| / dx, conserving the displaced mass).
+    The generalized tangent is the dual field (u, v) plus the tracked dual position
+    (x_s, xi). The result is u_i + eps v_i outside the shock band |X_i - x_s| <= delta,
+    plus the jump block over the displacement interval, cell-averaged as exact
+    overlap fractions (their total is |eps xi| / dx, conserving the displaced mass).
     """
-    require_same_grid(field_u, field_udot)
-    grid = field_u.grid
+    grid = field.grid
     x_s = position.value
     displacement = eps * position.tangent
 
     centers = grid.centers()
     outside = np.abs(centers - x_s) > delta
-    values = field_u.values + eps * field_udot.values * outside
+    values = field.values + eps * field.tangents * outside
 
     if displacement != 0.0:
         lo, hi = sorted((x_s, x_s + displacement))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import BurgersRampOracle, jump_estimate, l1_error, tangential_shift
 from .dual import Dual, lift, seed
-from .errors import ConfigError, NoShockError
+from .errors import ConfigError, NoShockError, OutOfDomainError
 from .mesh import CellField, Grid1D, cell_average
 from .models import (
     BurgersModel,
@@ -193,12 +193,7 @@ class CaseConfig:
                 f"c_coeff * dx**alpha = {delta!r} on dx = {cfg.dx!r}; it must be positive "
                 "and finite"
             )
-        key = law.shock_key
-        if not 0.0 <= x0 < grid.x_right:
-            raise ConfigError(
-                f"{key} = {getattr(cfg, key)!r} puts the initial shock at x = {x0!r}, "
-                f"outside the grid [0.0, {grid.x_right!r})"
-            )
+        _require_shock_in_grid(cfg, grid, "the initial shock", x0)
         if cfg.mode == "shock":
             # x -/+ delta differs from every x in [0, x_right] once delta is at
             # least the float spacing at x_right, the widest there.
@@ -209,15 +204,16 @@ class CaseConfig:
                     f"{math.ulp(grid.x_right)!r} at x = {grid.x_right!r}: a probe would be the "
                     "tracked point itself"
                 )
-            # The first step reads linear probes at x0 -/+ delta: interior cells only.
-            for x in (x0 - delta, x0 + delta):
-                if not (0.0 <= x < grid.x_right
-                        and 1 <= grid.cell_containing(x) <= grid.n_cells - 2):
-                    raise ConfigError(
-                        f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} put a probe of the "
-                        f"initial shock ({key} = {getattr(cfg, key)!r}) at x = {x!r}, outside "
-                        f"the cells [{grid.face(1)!r}, {grid.face(grid.n_cells - 1)!r}) it can read"
-                    )
+            try:  # the first step reads linear probes at x0 -/+ delta
+                for x in (x0 - delta, x0 + delta):
+                    grid.probe_cell(x)
+            except OutOfDomainError as exc:
+                key = law.shock_key
+                raise ConfigError(
+                    f"c_coeff = {cfg.c_coeff!r} and alpha = {cfg.alpha!r} put a probe of the "
+                    f"initial shock ({key} = {getattr(cfg, key)!r}) at x = {x!r}, outside "
+                    f"the cells [{grid.face(1)!r}, {grid.face(grid.n_cells - 1)!r}) it can read"
+                ) from exc
         return cfg
 
     def eps_list(self):
@@ -249,6 +245,17 @@ class CaseResult:
     @property
     def final_time(self):
         return self.snapshots[-1][0]
+
+
+def _require_shock_in_grid(cfg, grid, shock, x, study=False):
+    """ConfigError naming the shock key unless `shock` (a description) lies at x in the grid."""
+    if not 0.0 <= x < grid.x_right:
+        key = LAWS[cfg.problem].shock_key
+        advice = f"; lower {key} or raise domain_length" if study else ""
+        raise ConfigError(
+            f"{key} = {getattr(cfg, key)!r} puts {shock} at x = {x!r}, "
+            f"outside the grid [0.0, {grid.x_right!r}){advice}"
+        )
 
 
 def _scheme(cfg):
@@ -324,12 +331,10 @@ def _errors(runs, eps_values):
     law, grid, t, delta = shock.law, shock.grid, shock.final_time, shock.delta
     position = shock.tracker.state
 
-    base = [CellField(grid, f.values) for f in law.split(runs["none"].final_field)]
+    base = law.split(runs["none"].final_field)
     bb = law.split(runs["blackbox"].final_field)
     sh = law.split(shock.final_field)
-    u_fields = [CellField(grid, f.values) for f in sh]
-    udot_fields = [CellField(grid, f.tangents) for f in sh]
-    jumps = [jump_estimate(u, position, delta) for u in u_fields]
+    jumps = [jump_estimate(f, position, delta) for f in sh]
 
     def reference(eps):
         return law.reference(shock.oracle, grid, t, eps).values()
@@ -343,8 +348,8 @@ def _errors(runs, eps_values):
             l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(bb, ref)
         ) / eps
         err_sh = sum(
-            l1_error(tangential_shift(u, udot, position, jump, eps, delta), r)
-            for u, udot, jump, r in zip(u_fields, udot_fields, jumps, ref)
+            l1_error(tangential_shift(f, position, jump, eps, delta), r)
+            for f, jump, r in zip(sh, jumps, ref)
         ) / eps
         rows.append((err_no, err_bb, err_sh, base_l1 / eps))
     return rows, dict(zip(law.components, jumps))
@@ -353,18 +358,17 @@ def _errors(runs, eps_values):
 def _resolved_study(config):
     """config resolved in shock mode, whose run the study's error assembly reads.
 
-    The exact profile at eps_max must fit the grid.
+    The exact shock at eps_max must fit the grid, and so must the first-order
+    one x_s + eps_max * xi that the shifted reconstruction moves its jump to.
     """
     cfg = replace(config, mode="shock").resolved()
-    law, grid = LAWS[cfg.problem], cfg.build_grid()
-    x = law.setup(cfg).shock_position(cfg.t_final, cfg.eps_max)
-    if not 0.0 <= x < grid.x_right:
-        key = law.shock_key
-        raise ConfigError(
-            f"{key} = {getattr(cfg, key)!r} puts the exact shock at eps_max = {cfg.eps_max!r}, "
-            f"t_final = {cfg.t_final!r} at x = {x!r}, outside the grid "
-            f"[0.0, {grid.x_right!r}); lower {key} or raise domain_length"
-        )
+    grid, exact, t = cfg.build_grid(), LAWS[cfg.problem].setup(cfg), cfg.t_final
+    at = f"at eps_max = {cfg.eps_max!r}, t_final = {t!r}"
+    x = exact.shock_position(t, cfg.eps_max)
+    _require_shock_in_grid(cfg, grid, f"the exact shock {at}", x, study=True)
+    x = exact.shock_position(t) + cfg.eps_max * exact.xi(t)
+    _require_shock_in_grid(cfg, grid, f"the first-order shock x_s + eps_max * xi {at}", x,
+                           study=True)
     return cfg
 
 
@@ -406,9 +410,9 @@ def grid_convergence(config):
     cfg = config.resolved()
     family = LAWS[cfg.problem].family
     if config.dx is None and family:
-        tasks = [replace(cfg, grid_no=no, dx=None, dt=None, mode="shock") for no in family]
+        tasks = [replace(cfg, grid_no=no, dx=None, dt=None) for no in family]
     else:
-        tasks = [replace(cfg, dx=cfg.dx * 2.0**k, mode="shock") for k in (4, 3, 2, 1, 0)]
+        tasks = [replace(cfg, dx=cfg.dx * 2.0**k) for k in (4, 3, 2, 1, 0)]
     tasks = [_resolved_study(t) for t in tasks]  # every grid is checked before any runs
     if cfg.jobs > 1:
         # Imported here: the process pool costs about 2 MB that a serial run never uses.

@@ -4,7 +4,8 @@ A ``Dual`` carries a value and a directional derivative (tangent) through
 arithmetic; overloaded operators apply the usual chain rules, so arithmetic
 written for floats runs on duals and propagates exact derivatives. Payloads
 may be Python floats or numpy arrays of matching shape, which lets a whole
-cell field ride through a finite-volume update as one dual.
+cell field ride through a finite-volume update as one dual. Division by a
+zero float raises ZeroDivisionError; arrays follow IEEE (`run` checks them).
 
 A dual has no ordering and ``==`` is identity: a branch must read ``.value``,
 so each non-smooth choice (``where``, ``maximum``, ``abs``) is named where it
@@ -66,16 +67,13 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            _check_nonzero(other.value)
             inv = 1.0 / other.value
             val = self.value * inv
             return Dual(val, (self.tangent - val * other.tangent) * inv)
-        _check_nonzero(other)
         inv = 1.0 / other
         return Dual(self.value * inv, self.tangent * inv)
 
     def __rtruediv__(self, other):
-        _check_nonzero(self.value)
         inv = 1.0 / self.value
         val = other * inv
         return Dual(val, -val * inv * self.tangent)
@@ -102,13 +100,6 @@ class Dual:
 
     def __getitem__(self, key):
         return Dual(self.value[key], self.tangent[key])
-
-
-def _check_nonzero(value):
-    if isinstance(value, np.ndarray):
-        return  # array divisions guarded by callers (positivity invariants)
-    if value == 0:
-        raise ZeroDivisionError("division by a dual with zero value")
 
 
 def lift(value):

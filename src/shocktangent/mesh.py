@@ -6,8 +6,8 @@ right. Fields store one dual per cell (array-backed), so both the solution
 and its tangent move through every operation together.
 
 The tracker's linear probe reads cells i - 1, i and i + 1 once each
-(`one_sided_slopes`); the components of a system share one lookup of the
-probe point (`eval_linear`'s i).
+(`one_sided_slopes`), for an i that `Grid1D.probe_cell` admits; the components
+of a system share one lookup of the probe point (`eval_linear`'s i).
 """
 
 import math
@@ -52,6 +52,13 @@ class Grid1D:
             i += 1
         elif x < self.face(i):
             i -= 1
+        return i
+
+    def probe_cell(self, x):
+        """Index of the cell holding x, which a linear probe reads: cells 1 to n - 2."""
+        i = self.cell_containing(x)
+        if not 1 <= i <= self.n_cells - 2:
+            raise OutOfDomainError(f"linear reconstruction at x = {x} needs an interior cell, got {i}")
         return i
 
 
@@ -146,9 +153,6 @@ def one_sided_slopes(field, i):
 
     Cells i - 1, i and i + 1 are read once each, from one slice per payload.
     """
-    n = field.grid.n_cells
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"one-sided slopes need both neighbors; cell {i} of {n}")
     dx = field.grid.dx
     d = field.data
     v_minus, v_i, v_plus = d.value[i - 1 : i + 2].tolist()
@@ -173,11 +177,7 @@ def eval_linear(field, x, side, i=None):
     x = lift(x)
     grid = field.grid
     if i is None:
-        i = grid.cell_containing(x.value)
-    if not 1 <= i <= grid.n_cells - 2:
-        raise OutOfDomainError(
-            f"linear reconstruction at x = {x.value} needs an interior cell, got {i}"
-        )
+        i = grid.probe_cell(x.value)
     u_i, s_plus, s_minus = one_sided_slopes(field, i)
     if side == "plus":
         s = s_plus

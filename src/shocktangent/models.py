@@ -184,6 +184,10 @@ class MovingShockSetup:
     def shock_position(self, t, eps=0.0):
         return self.x_shock0 + (self.shock_speed + eps) * t
 
+    def xi(self, t):
+        """Shock-displacement sensitivity d/deps x_s(t)."""
+        return t
+
 
 class EulerCellField:
     """Per-cell primitive gas states on a grid (array-backed EulerState)."""
@@ -236,7 +240,7 @@ class EulerModel:
         Each probe point is located once: evaluate(component, x, i) reconstructs
         a component on the cell i holding x.
         """
-        locate = field.grid.cell_containing
+        locate = field.grid.probe_cell
         rho, u, p = self.split(field)
         i_m = locate(x_minus.value)
         rho_m, u_m, p_m = (evaluate(c, x_minus, i_m) for c in (rho, u, p))

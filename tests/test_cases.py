@@ -426,15 +426,18 @@ def test_grid_convergence_rejects_a_dt_or_a_grid_no(given, monkeypatch):
 @pytest.mark.parametrize(
     "study, config",
     [(epsilon_sweep, CaseConfig(grid_no=9, shift=0.1)), (grid_convergence, CaseConfig(shift=0.1)),
-     (epsilon_sweep, CaseConfig(problem="euler", dx=0.05, t_final=250.0))],
-    ids=["sweep", "gridconv", "euler-sweep"],
+     (epsilon_sweep, CaseConfig(problem="euler", dx=0.05, t_final=250.0)),
+     (epsilon_sweep, CaseConfig(grid_no=5, shift=0.056)),
+     (grid_convergence, CaseConfig(shift=0.056))],
+    ids=["sweep", "gridconv", "euler-sweep", "sweep-first-order", "gridconv-first-order"],
 )
 def test_a_study_whose_exact_shock_leaves_a_grid_runs_nothing(study, config, monkeypatch):
     def no_run(*args, **kwargs):
         pytest.fail("the study ran a grid")
 
     monkeypatch.setattr(cases, "run", no_run)
-    # The exact shock at eps_max lies past the grid's end at t_final.
+    # The exact shock at eps_max lies past the grid's end at t_final; with shift =
+    # 0.056 only the first-order shock x_s + eps_max * xi does (on the 1.90072 rows).
     with pytest.raises(ConfigError, match="domain_length"):
         study(config)
 

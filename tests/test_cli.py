@@ -217,6 +217,9 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         # A probe offset below the float spacing: x -/+ delta rounds to the tracked x.
         (["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], "alpha = 100.0"),
         (["burgers", "--grid-no", "9", "--alpha", "30"], "alpha = 30.0"),
+        # A study whose first-order shock x_s + eps_max * xi leaves the grid.
+        (["sweep", "--grid-no", "5", "--config", "{dir}/near_shift.cfg"], "first-order shock"),
+        (["gridconv", "--config", "{dir}/near_shift.cfg"], "first-order shock"),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
          "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
@@ -224,7 +227,8 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
          "burgers-delta-overflow", "euler-delta-overflow", "sweep-delta-overflow",
          "euler-delta-underflow", "sweep-initial-probe-outside",
          "gridconv-initial-probe-outside", "euler-probe-offset-rounds-away",
-         "burgers-probe-offset-rounds-away"],
+         "burgers-probe-offset-rounds-away", "sweep-first-order-shock-outside",
+         "gridconv-first-order-shock-outside"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -233,6 +237,7 @@ def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "no_shock.cfg").write_text("shock_speed = 3.0\n", encoding="utf-8")
     (tmp_path / "far_shock.cfg").write_text("x_shock0 = 40\n", encoding="utf-8")
     (tmp_path / "far_shift.cfg").write_text("shift = 5\n", encoding="utf-8")
+    (tmp_path / "near_shift.cfg").write_text("shift = 0.056\n", encoding="utf-8")
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err

@@ -46,9 +46,17 @@ def test_quotient_rule():
     assert r.tangent == pytest.approx(-3.0 * (-8.0) / 16.0)
 
 
-def test_division_by_zero_value_raises():
+@pytest.mark.parametrize(
+    "divide",
+    [lambda t: Dual(1.0, 0.0) / Dual(0.0, t), lambda t: Dual(1.0, t) / 0.0,
+     lambda t: 1.0 / Dual(0.0, t)],
+    ids=["dual-by-dual", "dual-by-float", "float-by-dual"],
+)
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_division_by_zero_value_raises(divide, t):
+    # Scalar payloads are Python floats, whose division by zero raises on its own.
     with pytest.raises(ZeroDivisionError):
-        Dual(1.0, 0.0) / Dual(0.0, 1.0)
+        divide(t)
 
 
 def test_power_rule():

@@ -66,6 +66,23 @@ def test_cell_containing_resolves_faces_and_brackets_every_point(dx, n, data):
     assert grid.face(j) <= x < grid.face(j + 1)
 
 
+def test_probe_cell_admits_only_cells_with_both_neighbors(grid):
+    # A linear probe reads cells i - 1, i and i + 1: i runs from 1 to n - 2.
+    for x in (0.1, 0.15, 0.55, 0.8999, grid.face(5)):
+        assert grid.probe_cell(x) == grid.cell_containing(x)
+    assert [grid.probe_cell(0.1 * i + 0.05) for i in range(1, 9)] == list(range(1, 9))
+    for x, cell in ((0.0, 0), (0.05, 0), (0.95, 9), (0.999, 9)):
+        with pytest.raises(OutOfDomainError) as err:
+            grid.probe_cell(x)
+        assert str(err.value) == (
+            f"linear reconstruction at x = {x} needs an interior cell, got {cell}"
+        )
+    for x in (-0.01, 1.0, 1.5):
+        with pytest.raises(OutOfDomainError) as err:
+            grid.probe_cell(x)
+        assert str(err.value) == f"x = {x} outside grid extent [0.0, {grid.x_right})"
+
+
 def test_grid_needs_enough_cells_for_reconstruction():
     with pytest.raises(ValueError):
         Grid1D(dx=0.1, n_cells=2)
@@ -130,10 +147,6 @@ def test_one_sided_slopes(grid):
     assert cell.value == vals[4]
     assert plus.value == pytest.approx((vals[5] - vals[4]) / 0.1)
     assert minus.value == pytest.approx((vals[4] - vals[3]) / 0.1)
-    with pytest.raises(IndexError):
-        one_sided_slopes(f, 0)
-    with pytest.raises(IndexError):
-        one_sided_slopes(f, 9)
 
 
 def test_eval_linear_hand_case():
