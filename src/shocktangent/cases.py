@@ -11,10 +11,10 @@ its canonical case:
   marched to t_final = 100. The tangent seed is the sensitivity of the whole
   construction to S.
 
-``epsilon_sweep`` reruns a case once per tracking mode, then measures for each
-perturbation size eps how well the first-order reconstruction matches the
-analytic perturbed solution, normalized by eps. ``grid_convergence`` repeats
-the eps = eps_max comparison over a sequence of grids.
+``epsilon_sweep`` runs a case once in shock mode, then measures for each
+perturbation size eps how well each mode's first-order reconstruction of that
+one field matches the analytic perturbed solution, normalized by eps.
+``grid_convergence`` repeats the eps = eps_max comparison over a sequence of grids.
 """
 
 import csv
@@ -35,7 +35,7 @@ from .models import (
     MovingShockSetup,
 )
 from .solver import SchemeConfig, run
-from .tracker import MODES, ShockTracker, TrackerConfig
+from .tracker import ShockTracker, TrackerConfig
 
 #: Reference Burgers grids: row -> (dx, fixed dt). Row 1 is the finest.
 BURGERS_GRIDS = {
@@ -318,38 +318,37 @@ class SweepReport:
     metadata: dict
 
 
-def _errors(runs, eps_values):
+def _errors(result, eps_values):
     """(err_no_ad, err_blackbox, err_shock, err_base) at each eps, and the jumps.
 
-    runs maps each tracking mode to its result. Each error is the L1 distance
-    to the exact eps-perturbed profile, summed over the law's components, then
-    divided by eps; err_base is the unperturbed field against the unperturbed
-    profile on the same scale. The jumps, per component, are estimated at the
-    shock-mode position.
+    result is one shock-mode run. Its tracker only observes the march, so the
+    field's values and tangents are every mode's: err_no_ad reads the values,
+    err_blackbox the values plus eps times the tangents, and err_shock moves
+    the jump, estimated per component, to the tracked position. Each error is
+    the L1 distance to the exact eps-perturbed profile, summed over the law's
+    components, then divided by eps; err_base is the unperturbed field against
+    the unperturbed profile on the same scale.
     """
-    shock = runs["shock"]
-    law, grid, t, delta = shock.law, shock.grid, shock.final_time, shock.delta
-    position = shock.tracker.state
+    law, grid, t, delta = result.law, result.grid, result.final_time, result.delta
+    position = result.tracker.state
 
-    base = law.split(runs["none"].final_field)
-    bb = law.split(runs["blackbox"].final_field)
-    sh = law.split(shock.final_field)
-    jumps = [jump_estimate(f, position, delta) for f in sh]
+    comps = law.split(result.final_field)
+    jumps = [jump_estimate(f, position, delta) for f in comps]
 
     def reference(eps):
-        return law.reference(shock.oracle, grid, t, eps).values()
+        return law.reference(result.oracle, grid, t, eps).values()
 
-    base_l1 = sum(l1_error(b, r) for b, r in zip(base, reference(0.0)))
+    base_l1 = sum(l1_error(f, r) for f, r in zip(comps, reference(0.0)))
     rows = []
     for eps in eps_values:
         ref = list(reference(eps))
-        err_no = sum(l1_error(b, r) for b, r in zip(base, ref)) / eps
+        err_no = sum(l1_error(f, r) for f, r in zip(comps, ref)) / eps
         err_bb = sum(
-            l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(bb, ref)
+            l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(comps, ref)
         ) / eps
         err_sh = sum(
             l1_error(tangential_shift(f, position, jump, eps, delta), r)
-            for f, jump, r in zip(sh, jumps, ref)
+            for f, jump, r in zip(comps, jumps, ref)
         ) / eps
         rows.append((err_no, err_bb, err_sh, base_l1 / eps))
     return rows, dict(zip(law.components, jumps))
@@ -373,14 +372,13 @@ def _resolved_study(config):
 
 
 def epsilon_sweep(config):
-    """Error-vs-eps table; one simulation per tracking mode, eps applied after."""
+    """Error-vs-eps table from one shock-mode simulation, eps applied after."""
     cfg = _resolved_study(config)
     eps_values = cfg.eps_list()
-    runs = {m: run_case(replace(cfg, mode=m)) for m in MODES}
-    errors, jumps = _errors(runs, eps_values)
+    result = run_case(cfg)
+    errors, jumps = _errors(result, eps_values)
     rows = [(float(eps), *row) for eps, row in zip(eps_values, errors)]
-    shock = runs["shock"]
-    position, delta = shock.tracker.state, shock.delta
+    position, delta = result.tracker.state, result.delta
     xi = position.tangent
     meta = {"delta": delta, "eps_dagger": delta / xi if xi else math.inf, "xi": xi,
             "shock_position": position.value, "jump": jumps,
@@ -391,8 +389,7 @@ def epsilon_sweep(config):
 
 def _grid_row(case):
     result = run_case(case)
-    # The field is the same in every mode, so one shock-mode run serves all three.
-    ((_, _, err_sh, err_base),), _ = _errors(dict.fromkeys(MODES, result), [case.eps_max])
+    ((_, _, err_sh, err_base),), _ = _errors(result, [case.eps_max])
     return (result.config.dx, err_sh, err_base)
 
 

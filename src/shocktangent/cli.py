@@ -4,7 +4,7 @@ Subcommands:
 
 * ``burgers`` / ``euler``: run one case, print the shock trajectory summary,
   optionally write field snapshots.
-* ``sweep``: perturbation-size study (one run per tracking mode), CSV out.
+* ``sweep``: perturbation-size study (one shock-mode run), CSV out.
 * ``gridconv``: grid-refinement study at the largest perturbation, CSV out.
 * ``validate-oracles``: self-check of the analytic references.
 

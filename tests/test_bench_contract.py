@@ -45,6 +45,9 @@ def test_traced_names_record_spans(tmp_path, capsys):
             ["sweep", "--grid-no", "9", "--n-eps", "3", "--out", str(tmp_path / "sweep.csv")],
             ["sweep", "--problem", "euler", "--dx", "0.05", "--t-final", "0.5", "--n-eps", "3"],
             ["euler", "--dx", "0.05", "--t-final", "0.5", "--out", str(tmp_path / "euler.csv")],
+            # The sweep marches in shock mode only; these record the other modes' spans.
+            ["burgers", "--grid-no", "9", "--mode", "none"],
+            ["burgers", "--grid-no", "9", "--mode", "blackbox"],
         ):
             assert cli.main(argv) == EXIT_OK, argv
     finally:
@@ -65,7 +68,7 @@ def test_traced_names_record_spans(tmp_path, capsys):
     "call, runs",
     [
         (lambda: run_case(CaseConfig(grid_no=9)), 1),
-        (lambda: epsilon_sweep(CaseConfig(grid_no=9, n_eps=3)), 3),
+        (lambda: epsilon_sweep(CaseConfig(grid_no=9, n_eps=3)), 1),
         (lambda: grid_convergence(CaseConfig()), 5),
     ],
     ids=["run_case", "epsilon_sweep", "grid_convergence"],

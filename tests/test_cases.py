@@ -1,6 +1,7 @@
 """Canonical cases, perturbation sweeps, grid studies, CSV emission."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shocktangent import cases, cli
+from shocktangent.calculus import l1_error
 from shocktangent.cases import (
     BURGERS_GRIDS,
     LAWS,
     MAX_CELLS,
-    MODES,
     CaseConfig,
     _euler_initial_field,
     emit_csv,
@@ -23,10 +24,10 @@ from shocktangent.cases import (
     run_case,
 )
 from shocktangent.errors import ConfigError
-from shocktangent.mesh import Grid1D
+from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import MovingShockSetup
 from shocktangent.solver import MAX_STEPS
-from shocktangent.tracker import TrackerConfig
+from shocktangent.tracker import MODES, TrackerConfig
 
 ROOT3 = math.sqrt(3.0)
 
@@ -235,6 +236,35 @@ def test_grid_row_equals_the_sweep_row_at_eps_max():
     _, _, _, err_shock, err_base = sweep.rows[-1]
     assert grid.rows[-1] == (0.0125, err_shock, err_base)
     assert list(sweep.metadata["jump"]) == ["rho", "u", "p"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CaseConfig(grid_no=9, n_eps=3),
+     CaseConfig(problem="euler", dx=0.05, t_final=0.5, n_eps=3)],
+    ids=["burgers", "euler"],
+)
+def test_the_sweep_reads_every_mode_from_its_one_shock_mode_run(config):
+    # The tracker only observes the march: values and tangents agree bit for bit.
+    runs = {m: run_case(replace(config, mode=m)) for m in MODES}
+    law = runs["shock"].law
+    shock = law.split(runs["shock"].final_field)
+    for m in ("none", "blackbox"):
+        for f, g in zip(law.split(runs[m].final_field), shock):
+            assert np.array_equal(f.values, g.values), m
+            assert np.array_equal(f.tangents, g.tangents), m
+    # So the sweep's columns equal the errors of a none run and a blackbox run.
+    sweep = epsilon_sweep(config)
+    for eps, err_no_ad, err_blackbox, *_ in sweep.rows:
+        own = {}
+        for m in ("none", "blackbox"):
+            res = runs[m]
+            ref = law.reference(res.oracle, res.grid, res.final_time, eps).values()
+            fields = law.split(res.final_field)
+            if m == "blackbox":
+                fields = [CellField(res.grid, f.values + eps * f.tangents) for f in fields]
+            own[m] = sum(l1_error(f, r) for f, r in zip(fields, ref)) / eps
+        assert (err_no_ad, err_blackbox) == (own["none"], own["blackbox"])
 
 
 def test_grid_family_comes_from_the_law():

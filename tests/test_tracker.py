@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from shocktangent.cases import MODES, CaseConfig, run_case
+from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import ProbeDegenerateError, TrackingLostError
 from shocktangent.mesh import CellField, Grid1D
@@ -20,6 +20,7 @@ from shocktangent.models import (
 )
 from shocktangent.solver import SchemeConfig, run
 from shocktangent.tracker import (
+    MODES,
     ShockTracker,
     TrackerConfig,
     advance_position,
