@@ -254,17 +254,16 @@ def test_the_sweep_reads_every_mode_from_its_one_shock_mode_run(config):
             assert np.array_equal(f.values, g.values), m
             assert np.array_equal(f.tangents, g.tangents), m
     # So the sweep's columns equal the errors of a none run and a blackbox run.
-    sweep = epsilon_sweep(config)
-    for eps, err_no_ad, err_blackbox, *_ in sweep.rows:
-        own = {}
-        for m in ("none", "blackbox"):
-            res = runs[m]
-            ref = law.reference(res.oracle, res.grid, res.final_time, eps).values()
-            fields = law.split(res.final_field)
-            if m == "blackbox":
-                fields = [CellField(res.grid, f.values + eps * f.tangents) for f in fields]
-            own[m] = sum(l1_error(f, r) for f, r in zip(fields, ref)) / eps
-        assert (err_no_ad, err_blackbox) == (own["none"], own["blackbox"])
+    none, bb = runs["none"], runs["blackbox"]
+
+    def error(res, fields, eps):
+        ref = law.reference(res.oracle, res.grid, res.final_time, eps).values()
+        return sum(l1_error(f, r) for f, r in zip(fields, ref)) / eps
+
+    for eps, err_no_ad, err_blackbox, *_ in epsilon_sweep(config).rows:
+        assert err_no_ad == error(none, law.split(none.final_field), eps)
+        moved = [CellField(bb.grid, f.values + eps * f.tangents) for f in law.split(bb.final_field)]
+        assert err_blackbox == error(bb, moved, eps)
 
 
 def test_grid_family_comes_from_the_law():
