@@ -105,9 +105,10 @@ def jump_estimate(field, position, delta):
     v(x_s - delta) (right minus left). A jump below the degeneracy floor means
     there is no discontinuity to displace.
     """
-    x = position.value
-    v_plus = eval_linear(field, x + delta, "plus").value
-    v_minus = eval_linear(field, x - delta, "minus").value
+    locate = field.grid.probe_cell
+    x_plus, x_minus = position.value + delta, position.value - delta
+    v_plus = eval_linear(field, x_plus, "plus", locate(x_plus)).value
+    v_minus = eval_linear(field, x_minus, "minus", locate(x_minus)).value
     return probe_jump(v_plus, v_minus, "estimated jump")
 
 

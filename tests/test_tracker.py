@@ -5,6 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
+from shocktangent import tracker
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import ProbeDegenerateError, TrackingLostError
@@ -145,6 +146,43 @@ def test_gas_probes_agree_across_reconstructions_on_constant_states():
     b = naive_probe_speed(state, field, 0.5, GAS)
     assert a.value == pytest.approx(b.value, abs=1e-15)
     assert a.tangent == pytest.approx(b.tangent, abs=1e-14)
+
+
+@pytest.mark.parametrize("probe, reader", [(rh_probe_speed, "_linear_eval"),
+                                           (naive_probe_speed, "eval_constant")])
+@pytest.mark.parametrize("law", [MODEL, GAS], ids=["burgers", "euler"])
+def test_probe_speed_finds_each_probe_cell_once_and_passes_it(law, probe, reader, monkeypatch):
+    field = linear_field() if law is MODEL else two_state_gas_field()
+    state = Dual(2.03 if law is MODEL else 5.0, 0.3)
+    lookups, cells = [], []
+    find = Grid1D.probe_cell
+
+    def counting(grid, x):
+        lookups.append(x)
+        return find(grid, x)
+
+    inner = getattr(tracker, reader)
+
+    def spy(f, x, i):
+        assert type(i) is int and i == find(f.grid, x.value)
+        cells.append(i)
+        return inner(f, x, i)
+
+    monkeypatch.setattr(Grid1D, "probe_cell", counting)
+    monkeypatch.setattr(tracker, reader, spy)
+    probe(state, field, 0.5, law)
+    assert sorted(lookups) == [state.value - 0.5, state.value + 0.5]
+    # one read per probe on Burgers; rho, u, p at the minus probe and p at the plus one on Euler
+    assert len(cells) == (2 if law is MODEL else 4)
+
+
+@pytest.mark.parametrize("law, x", [(GAS, 0.55), (GAS, 9.45), (MODEL, 0.55), (MODEL, 3.45)],
+                         ids=["euler-cell-0", "euler-cell-n-1", "burgers-cell-0", "burgers-cell-n-1"])
+def test_flat_probe_in_an_edge_cell_is_a_tracking_loss(law, x):
+    # the flat reader obeys the linear one's rule: cells 1 to n - 2 only
+    field = linear_field() if law is MODEL else two_state_gas_field()
+    with pytest.raises(TrackingLostError, match="needs an interior cell"):
+        naive_probe_speed(Dual(x, 0.0), field, 0.5, law)
 
 
 def right_char_speed(shock_speed):

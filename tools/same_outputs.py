@@ -69,10 +69,12 @@ COMMANDS = [
     ("euler_probe_offset_rounds_away",
      ["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], None, ()),
     ("burgers_probe_offset_rounds_away", ["burgers", "--grid-no", "9", "--alpha", "30"], None, ()),
-    # A probe that reaches the grid's last cell while the shock runs out, a
-    # study whose first-order shock x_s + eps_max * xi lies past the grid's end,
-    # and a study whose shock-mode march loses its probe at the grid's end.
+    # A probe that reaches the grid's last cell while the shock runs out (on
+    # each law), a study whose first-order shock x_s + eps_max * xi lies past
+    # the grid's end, and a study whose shock-mode march loses its probe at the
+    # grid's end.
     ("euler_probe_leaves_grid", ["euler", "--t-final", "5"], "x_shock0 = 29.5\n", ()),
+    ("burgers_probe_leaves_grid", ["burgers", "--grid-no", "9"], "shift = 0.12\n", ()),
     ("sweep_first_order_shock_leaves_grid", ["sweep", "--grid-no", "5", "--out", "s.csv"],
      "shift = 0.056\n", ()),
     ("sweep_euler_probe_leaves_grid",
