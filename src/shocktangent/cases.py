@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import BurgersRampOracle, jump_estimate, l1_error, tangential_shift
 from .dual import Dual, lift, seed
-from .errors import ConfigError, NoShockError, OutOfDomainError
+from .errors import ConfigError, NoShockError, NumericalError, OutOfDomainError
 from .mesh import CellField, Grid1D, cell_average
 from .models import (
     BurgersModel,
@@ -60,9 +60,12 @@ class BurgersLaw(BurgersModel):
     Without a dx the grid is a row of `grids`. `family` lists the rows of the
     grid study; its finest row is the default grid. A law without a family
     takes dx from its defaults. `keys` are the CaseConfig fields that only
-    this law reads; `shock_key` places the initial shock. `setup` returns the
-    exact solution, whose `shock_position(t, eps)` places every shock; it builds
-    no field, so `CaseConfig.resolved()` runs it to check that the case can start.
+    this law reads; `shock_key` places the initial shock. A case reads three
+    methods: `setup(cfg)` returns the exact solution, whose
+    `shock_position(t, eps)` places every shock; `initial_field(exact, grid)`
+    seeds the t = 0 field; `reference(exact, grid, t, eps)` is the exact
+    eps-perturbed profile per component. `setup` builds no field, so
+    `CaseConfig.resolved()` runs it to check that the case can start.
     """
 
     grids = BURGERS_GRIDS
@@ -75,12 +78,10 @@ class BurgersLaw(BurgersModel):
     def setup(self, cfg):
         return BurgersRampOracle(cfg.shift)
 
-    def start(self, cfg, grid):
-        """(exact solution, seeded initial field)."""
-        oracle = self.setup(cfg)
+    def initial_field(self, oracle, grid):
         u0 = oracle.avg_solution(grid, 0.0)
         # The family scales the ramp amplitude, so the seed equals the profile.
-        return oracle, CellField(grid, Dual(u0.values, u0.values.copy()))
+        return CellField(grid, Dual(u0.values, u0.values.copy()))
 
     def reference(self, oracle, grid, t, eps):
         return {"u": oracle.avg_solution(grid, t, eps)}
@@ -99,9 +100,14 @@ class EulerLaw(EulerModel):
     def setup(self, cfg):  # NoShockError unless shock_speed makes an admissible shock
         return MovingShockSetup(cfg.mach, cfg.shock_speed, cfg.x_shock0, cfg.gamma)
 
-    def start(self, cfg, grid):
-        setup = self.setup(cfg)
-        return setup, _euler_initial_field(setup, grid)
+    def initial_field(self, setup, grid):
+        """The t = 0 profile, seeded with d/dS of the post-shock state."""
+        right = setup.right_state(seed(setup.shock_speed, 1.0))
+        values = euler_profile(setup, grid, 0.0)
+        tangents = _step_averages(grid, setup.x_shock0, (0.0,) * 3,
+                                  [getattr(right, c).tangent for c in self.components])
+        return EulerCellField(grid, EulerState(
+            *(Dual(values[c].values, tangents[c].values) for c in self.components), setup.gamma))
 
     def reference(self, setup, grid, t, eps):
         return euler_profile(setup, grid, t, eps)
@@ -267,46 +273,33 @@ def _scheme(cfg):
     )
 
 
-def _euler_initial_field(setup, grid):
-    """The t = 0 profile, seeded with d/dS of the post-shock state."""
-    right = setup.right_state(seed(setup.shock_speed, 1.0))
-    values = euler_profile(setup, grid, 0.0)
-    parts = []
-    for name in ("rho", "u", "p"):
-        tangents = cell_average(
-            lambda x, r=getattr(right, name).tangent: np.where(x < setup.x_shock0, 0.0, r),
-            grid,
-            (setup.x_shock0,),
-        )
-        parts.append(Dual(values[name].values, tangents.values))
-    return EulerCellField(grid, EulerState(*parts, setup.gamma))
-
-
 def run_case(config):
     """Simulate one case; returns fields, snapshots, and the shock history."""
     cfg = config.resolved()
     law = LAWS[cfg.problem]
     grid = cfg.build_grid()
     tracker_cfg = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
-    oracle, ic = law.start(cfg, grid)
+    oracle = law.setup(cfg)
     tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law)
-    snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
+    snapshots = run(law.initial_field(oracle, grid), _scheme(cfg), law, observers=(tracker,))
     return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
+
+
+def _step_averages(grid, x_step, left, right):
+    """Per Euler component, the cell averages of a step from `left` to `right` at x_step."""
+    return {
+        name: cell_average(lambda x, lv=lv, rv=rv: np.where(x < x_step, lv, rv), grid, (x_step,))
+        for name, lv, rv in zip(EulerModel.components, left, right)
+    }
 
 
 def euler_profile(setup, grid, t, eps=0.0):
     """Exact perturbed single-shock profile as per-component cell averages."""
     left = setup.left_state()
     right = setup.right_state(lift(setup.shock_speed + eps))
-    x_pos = setup.shock_position(t, eps)
-    out = {}
-    for name in ("rho", "u", "p"):
-        lv = getattr(left, name).value
-        rv = getattr(right, name).value
-        out[name] = cell_average(
-            lambda x, lv=lv, rv=rv: np.where(x < x_pos, lv, rv), grid, (x_pos,)
-        )
-    return out
+    return _step_averages(grid, setup.shock_position(t, eps),
+                          *([getattr(s, c).value for c in EulerModel.components]
+                            for s in (left, right)))
 
 
 @dataclass
@@ -327,7 +320,8 @@ def _errors(result, eps_values):
     the jump, estimated per component, to the tracked position. Each error is
     the L1 distance to the exact eps-perturbed profile, summed over the law's
     components, then divided by eps; err_base is the unperturbed field against
-    the unperturbed profile on the same scale.
+    the unperturbed profile on the same scale. A quotient that is not finite
+    (eps so small that it overflows) raises NumericalError naming eps.
     """
     law, grid, t, delta = result.law, result.grid, result.final_time, result.delta
     position = result.tracker.state
@@ -342,15 +336,19 @@ def _errors(result, eps_values):
     rows = []
     for eps in eps_values:
         ref = list(reference(eps))
-        err_no = sum(l1_error(f, r) for f, r in zip(comps, ref)) / eps
-        err_bb = sum(
-            l1_error(CellField(grid, f.values + eps * f.tangents), r) for f, r in zip(comps, ref)
-        ) / eps
-        err_sh = sum(
-            l1_error(tangential_shift(f, position, jump, eps, delta), r)
-            for f, jump, r in zip(comps, jumps, ref)
-        ) / eps
-        rows.append((err_no, err_bb, err_sh, base_l1 / eps))
+        l1 = (
+            sum(l1_error(f, r) for f, r in zip(comps, ref)),
+            sum(l1_error(CellField(grid, f.values + eps * f.tangents), r)
+                for f, r in zip(comps, ref)),
+            sum(l1_error(tangential_shift(f, position, jump, eps, delta), r)
+                for f, jump, r in zip(comps, jumps, ref)),
+            base_l1,
+        )
+        with np.errstate(over="ignore"):  # a tiny eps overflows the quotient; raised below
+            row = tuple(e / eps for e in l1)
+        if not all(map(math.isfinite, row)):
+            raise NumericalError(f"an L1 error divided by eps = {float(eps)!r} is not finite")
+        rows.append(row)
     return rows, dict(zip(law.components, jumps))
 
 

@@ -1,12 +1,10 @@
 """Command-line entry point.
 
-Subcommands:
-
-* ``burgers`` / ``euler``: run one case, print the shock trajectory summary,
-  optionally write field snapshots.
-* ``sweep``: perturbation-size study (one shock-mode run), CSV out.
-* ``gridconv``: grid-refinement study at the largest perturbation, CSV out.
-* ``validate-oracles``: self-check of the analytic references.
+`_COMMANDS` wires each subcommand once: its help text, the CaseConfig fields
+it reads and its handler. The single-case commands print the shock trajectory
+summary and may write field snapshots; the studies (a perturbation-size sweep
+from one shock-mode run, and a grid refinement at the largest perturbation)
+write CSV; the last command self-checks the analytic references.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4 I/O error.
 """
@@ -43,17 +41,6 @@ _CONFIG_FIELDS = {
     if f.name != "record_times"
 }
 
-#: The CaseConfig fields each command reads besides its law's `keys`; a flag or
-#: file key outside them exits 2. record_times is set by --record.
-_GRID_AND_STEP = ("dx", "cfl", "t_final", "c_coeff", "alpha", "domain_length")
-_READS = {
-    "burgers": ("mode", "record_times", "dt", *_GRID_AND_STEP),
-    "euler": ("mode", "record_times", "dt", *_GRID_AND_STEP),
-    "sweep": ("problem", "eps_min", "eps_max", "n_eps", "dt", *_GRID_AND_STEP),
-    # Each grid of the study takes its step from its grid row or from cfl.
-    "gridconv": ("problem", "eps_max", "jobs", *_GRID_AND_STEP),
-}
-
 #: The fields that have a flag, in help order, with the flag's choices; the
 #: other fields are file keys only. A flag parses as its file key does.
 _FLAGS = {
@@ -65,7 +52,7 @@ _FLAGS = {
 
 def _keys_read(command, law):
     """The CaseConfig fields that `command` reads on `law`."""
-    keys = {*_READS[command], *law.keys}
+    keys = {*_COMMANDS[command][1], *law.keys}
     if command == "gridconv":
         keys.discard("grid_no")  # the study runs the law's own grid family
     return keys
@@ -102,14 +89,11 @@ def _build_parser():
         description="Finite-volume solver with shock-aware forward sensitivities.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "burgers": "run one decaying-ramp case",
-        "euler": "run one moving-shock case",
-        "sweep": "perturbation-size error study",
-        "gridconv": "grid-refinement error study",
-    }
-    for command, help_text in commands.items():
+    for command, (help_text, reads, handler) in _COMMANDS.items():
         p = subs.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler)
+        if reads is None:
+            continue
         p.add_argument("--config", metavar="FILE", help="key=value defaults file")
         laws = [LAWS[command]] if command in LAWS else LAWS.values()
         keys = set().union(*(_keys_read(command, law) for law in laws))
@@ -121,13 +105,12 @@ def _build_parser():
             p.add_argument("--record", type=float, action="append", default=None,
                            metavar="T", help="extra snapshot time (repeatable)")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
-
-    subs.add_parser("validate-oracles", help="self-check the analytic references")
     return parser
 
 
-def _case_config(args, command):
+def _case_config(args):
     """Flags over the --config file over the defaults; only keys the command reads."""
+    command = args.command
     values = _read_config_file(args.config) if args.config else {}
     for field in _CONFIG_FIELDS:  # flags override the file; absent flags read None
         val = getattr(args, field, None)
@@ -159,7 +142,7 @@ def _print_case_summary(result):
 
 
 def _cmd_case(args):
-    cfg = _case_config(args, args.command)
+    cfg = _case_config(args)
     result = run_case(cfg)
     _print_case_summary(result)
     if args.out:
@@ -182,7 +165,7 @@ def _write_report(report, out):
 
 
 def _cmd_sweep(args):
-    report = epsilon_sweep(_case_config(args, "sweep"))
+    report = epsilon_sweep(_case_config(args))
     _write_report(report, args.out)
     meta = report.metadata
     print(f"delta: {meta['delta']!r}")
@@ -191,11 +174,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_gridconv(args):
-    _write_report(grid_convergence(_case_config(args, "gridconv")), args.out)
+    _write_report(grid_convergence(_case_config(args)), args.out)
     return EXIT_OK
 
 
-def _cmd_validate_oracles():
+def _cmd_validate_oracles(_args):
     oracle = BurgersRampOracle()
     checks = []
 
@@ -228,6 +211,24 @@ def _cmd_validate_oracles():
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
+#: Each command in help order: its help text, the CaseConfig fields it reads
+#: besides its law's `keys` (None: it reads no case), and its handler. A flag or
+#: file key outside a command's fields exits 2; record_times is set by --record.
+_GRID_AND_STEP = ("dx", "cfl", "t_final", "c_coeff", "alpha", "domain_length")
+_COMMANDS = {
+    "burgers": ("run one decaying-ramp case",
+                ("mode", "record_times", "dt", *_GRID_AND_STEP), _cmd_case),
+    "euler": ("run one moving-shock case",
+              ("mode", "record_times", "dt", *_GRID_AND_STEP), _cmd_case),
+    "sweep": ("perturbation-size error study",
+              ("problem", "eps_min", "eps_max", "n_eps", "dt", *_GRID_AND_STEP), _cmd_sweep),
+    # Each grid of the study takes its step from its grid row or from cfl.
+    "gridconv": ("grid-refinement error study",
+                 ("problem", "eps_max", "jobs", *_GRID_AND_STEP), _cmd_gridconv),
+    "validate-oracles": ("self-check the analytic references", None, _cmd_validate_oracles),
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -235,15 +236,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command in ("burgers", "euler"):
-            return _cmd_case(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "gridconv":
-            return _cmd_gridconv(args)
-        if args.command == "validate-oracles":
-            return _cmd_validate_oracles()
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

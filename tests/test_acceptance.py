@@ -17,7 +17,6 @@ from shocktangent.calculus import BurgersRampOracle, xi_ode_oracle
 from shocktangent.cases import (
     LAWS,
     CaseConfig,
-    _euler_initial_field,
     epsilon_sweep,
     grid_convergence,
     run_case,
@@ -315,7 +314,7 @@ def test_criterion_6_mass_update_equals_boundary_fluxes():
     # gas scheme on a coarsened moving-shock case
     setup = MovingShockSetup(mach=5.3452, shock_speed=0.1, x_shock0=5.0)
     ggrid = Grid1D(0.03, 1000)
-    gfield = _euler_initial_field(setup, ggrid)
+    gfield = LAWS["euler"].initial_field(setup, ggrid)
     gdt = cfl_dt(gfield, ggrid.dx, 0.8)
     worst = 0.0
     for _ in range(1000):
@@ -374,7 +373,8 @@ def _desk_runs():
     """
     cfg = CaseConfig(problem="euler").resolved()
     law = LAWS["euler"]
-    setup, ic = law.start(cfg, cfg.build_grid())
+    setup = law.setup(cfg)
+    ic = law.initial_field(setup, cfg.build_grid())
     trackers = {
         m: ShockTracker(setup.shock_position(0.0), TrackerConfig(cfg.c_coeff, cfg.alpha, m), law)
         for m in ("shock", "blackbox")

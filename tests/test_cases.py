@@ -15,17 +15,15 @@ from shocktangent.cases import (
     LAWS,
     MAX_CELLS,
     CaseConfig,
-    _euler_initial_field,
     emit_csv,
     emit_snapshot_csv,
     epsilon_sweep,
-    euler_profile,
     grid_convergence,
     run_case,
 )
 from shocktangent.errors import ConfigError
-from shocktangent.mesh import CellField, Grid1D
-from shocktangent.models import MovingShockSetup
+from shocktangent.dual import seed
+from shocktangent.mesh import CellField, Grid1D, cell_average
 from shocktangent.solver import MAX_STEPS
 from shocktangent.tracker import MODES, TrackerConfig
 
@@ -131,14 +129,28 @@ def test_modes_share_the_primal_trajectory():
 
 
 def test_euler_profile_matches_initial_projection():
-    setup = MovingShockSetup(mach=5.3452, shock_speed=0.1, x_shock0=5.0)
-    grid = Grid1D(0.5, 60)
-    field = _euler_initial_field(setup, grid)
-    prof = euler_profile(setup, grid, 0.0)
-    for name in ("rho", "u", "p"):
-        assert np.allclose(
-            field.component(name).values, prof[name].values, rtol=0.0, atol=1e-15
-        )
+    # Each law's initial field holds its exact t = 0 profile as values.
+    fields = {}
+    for problem, grid in (("burgers", Grid1D(0.1, 19)), ("euler", Grid1D(0.3, 100))):
+        law = LAWS[problem]
+        exact = law.setup(CaseConfig(problem=problem))
+        comps = law.split(law.initial_field(exact, grid))
+        for f, ref in zip(comps, law.reference(exact, grid, 0.0, 0.0).values(), strict=True):
+            assert np.array_equal(f.values, ref.values)
+        fields[problem] = exact, grid, comps
+    # Burgers' seed scales the ramp, so its tangents are its values.
+    (u,) = fields["burgers"][2]
+    assert np.array_equal(u.tangents, u.values)
+    # Euler's are the cell averages of d/dS of the right state: 0 left of the
+    # shock at x = 5.0, which leaves the right third of cell 16 [4.8, 5.1).
+    setup, grid, comps = fields["euler"]
+    right = setup.right_state(seed(setup.shock_speed, 1.0))
+    for name, f in zip(LAWS["euler"].components, comps, strict=True):
+        r = getattr(right, name).tangent
+        step = cell_average(lambda x, r=r: np.where(x < 5.0, 0.0, r), grid, (5.0,))
+        assert np.array_equal(f.tangents, step.values)
+        assert np.all(f.tangents[:16] == 0.0)
+        assert np.allclose(f.tangents[16:], [r / 3, *[r] * 83], rtol=1e-12, atol=0.0)
 
 
 def test_epsilon_sweep_report_shape_and_regimes():
@@ -424,7 +436,7 @@ def test_resolved_admits_only_configs_that_can_start(problem, mode, dx, dt, t_fi
     "config",
     [
         *(
-            cli._case_config(cli._build_parser().parse_args(argv), argv[0])
+            cli._case_config(cli._build_parser().parse_args(argv))
             for argv in (["burgers"], ["euler"], ["sweep"], ["sweep", "--problem", "euler"],
                          ["gridconv"], ["gridconv", "--problem", "euler"])
         ),

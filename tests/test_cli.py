@@ -398,6 +398,24 @@ def test_a_cfl_march_past_the_step_ceiling_is_a_numerical_failure(monkeypatch, c
     assert capsys.readouterr().err.startswith("numerical failure: CFL march took 10 steps")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--grid-no", "9", "--eps-min", "1e-320", "--eps-max", "1e-310", "--n-eps", "3"],
+     ["gridconv", "--eps-max", "1e-320"]],
+    ids=["sweep", "gridconv"],
+)
+def test_a_study_at_a_tiny_eps_is_a_numerical_failure(argv, tmp_path):
+    # An L1 error divided by eps = 1e-320 overflows. In a fresh process, so
+    # that stderr shows whatever numpy would warn.
+    out = tmp_path / "s.csv"
+    proc = subprocess.run([sys.executable, "-m", "shocktangent.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == ("numerical failure: an L1 error divided by eps = 1e-320 "
+                           "is not finite\n")
+    assert not out.exists()
+
+
 def test_a_non_physical_euler_probe_is_a_numerical_failure(capsys):
     # With delta = dx the upstream probe at x = 4.95 reads a negative density
     # and pressure; the jump-speed inversion must not take their root (an

@@ -8,13 +8,16 @@ OUTDIR/NAME as the working directory, which receives the command line
 (`argv.txt`), `stdout.txt`, `stderr.txt`, the exit code (`exit.txt`), any
 `--config` file, and every CSV the command writes. The checkout's path is
 replaced by `<checkout>` in stdout and stderr, so that two checkouts can be
-compared. A change keeps the outputs of two checkouts the same when
+compared. Each child runs with COLUMNS=80, so that argparse wraps its help
+pages the same way on every terminal. A change keeps the outputs of two
+checkouts the same when
 
     diff -r OLD_OUTDIR NEW_OUTDIR
 
 prints nothing. The list covers every command, both problems, all three
 tracker modes, snapshot and report CSVs, the benchmark's three workloads
-with fixed `--config` inputs, and a few inputs that stop with an error.
+with fixed `--config` inputs, a few inputs that stop with an error, and the
+parser's help pages.
 """
 
 import os
@@ -80,6 +83,10 @@ COMMANDS = [
     ("sweep_euler_probe_leaves_grid",
      ["sweep", "--problem", "euler", "--t-final", "9", "--eps-max", "0.001"],
      "x_shock0 = 29.0\n", ()),
+    # The help pages, which pin every command's flags and help text.
+    ("help", ["--help"], None, ()),
+    *((f"help_{c}", [c, "--help"], None, ())
+      for c in ("burgers", "euler", "sweep", "gridconv", "validate-oracles")),
 ]
 
 
@@ -91,7 +98,7 @@ def run_command(checkout, outdir, name, argv, config, subdirs):
     if config is not None:
         (workdir / "case.cfg").write_text(config, encoding="utf-8")
         argv = [argv[0], "--config", "case.cfg", *argv[1:]]
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "shocktangent.cli", *argv], cwd=workdir,
                           env=env, capture_output=True, text=True)
     (workdir / "argv.txt").write_text(" ".join(argv) + "\n", encoding="utf-8")
