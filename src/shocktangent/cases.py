@@ -34,7 +34,7 @@ from .models import (
     EulerState,
     MovingShockSetup,
 )
-from .solver import SchemeConfig, run
+from .solver import MAX_STEPS, SchemeConfig, run
 from .tracker import ShockTracker, TrackerConfig
 
 #: Reference Burgers grids: row -> (dx, fixed dt). Row 1 is the finest.
@@ -273,6 +273,20 @@ def _scheme(cfg):
     )
 
 
+def _require_cfl_march_within_ceiling(cfg, c_0):
+    """ConfigError naming cfl if t_final * c_0 / (cfl * dx) exceeds MAX_STEPS.
+
+    c_0 is the initial field's wave speed, so the bound is the number of steps
+    the march takes at its first step's size; `run` stops a march whose wave
+    speed grows past it.
+    """
+    if cfg.t_final * c_0 > MAX_STEPS * cfg.cfl * cfg.dx:
+        raise ConfigError(
+            f"cfl = {cfg.cfl!r} on dx = {cfg.dx!r} at the initial wave speed {c_0!r} takes "
+            f"more than {MAX_STEPS} steps to t_final = {cfg.t_final!r}; raise cfl"
+        )
+
+
 def run_case(config):
     """Simulate one case; returns fields, snapshots, and the shock history."""
     cfg = config.resolved()
@@ -281,7 +295,10 @@ def run_case(config):
     tracker_cfg = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
     oracle = law.setup(cfg)
     tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law)
-    snapshots = run(law.initial_field(oracle, grid), _scheme(cfg), law, observers=(tracker,))
+    ic = law.initial_field(oracle, grid)
+    if cfg.dt is None:
+        _require_cfl_march_within_ceiling(cfg, law.max_char_speed(ic))
+    snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
     return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
 
 

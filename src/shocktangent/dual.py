@@ -15,6 +15,15 @@ is made.
 assembles a result whose value and tangent are supplied independently, so a
 hand-derived propagation rule can replace the mechanical one at exactly one
 spot while everything downstream stays ordinary dual arithmetic.
+
+``trace`` records a scalar dual function once and replays it as plain float
+code (operator-overloading AD's tape, Griewank & Walther, *Evaluating
+Derivatives*, ch. 3 and 6). The function runs on duals whose payloads are
+recording floats, so the tangent code it emits is what the rules above
+produce, and the compiled kernel returns the dual evaluation's (value,
+tangent) bit for bit, with no ``Dual`` built per call. A recording float
+refuses every use but ``+ - * /``, so no branch on a value is ever baked
+into a kernel: a function that branches cannot be traced.
 """
 
 import math
@@ -160,3 +169,93 @@ def _edge_pad(a):
 def edge_pad(d):
     """Extend an array-backed dual by one copy of each end cell (zero-gradient)."""
     return Dual(_edge_pad(d.value), _edge_pad(d.tangent))
+
+
+class _Recorded:
+    """A float of a function being traced: each + - * / appends one line of code."""
+
+    __slots__ = ("lines", "name")
+
+    # numpy scalars must not wrap us; their operators then give way, and fail.
+    __array_ufunc__ = None
+
+    def __init__(self, lines, name):
+        self.lines = lines
+        self.name = name
+
+    def _record(self, left, op, right):
+        a, b = _operand(left), _operand(right)
+        if a is None or b is None:
+            return NotImplemented
+        name = f"t{len(self.lines)}"
+        self.lines.append((name, f"{a} {op} {b}", (a, b)))
+        return _Recorded(self.lines, name)
+
+    def __add__(self, other):
+        return self._record(self, "+", other)
+
+    def __radd__(self, other):
+        return self._record(other, "+", self)
+
+    def __sub__(self, other):
+        return self._record(self, "-", other)
+
+    def __rsub__(self, other):
+        return self._record(other, "-", self)
+
+    def __mul__(self, other):
+        return self._record(self, "*", other)
+
+    def __rmul__(self, other):
+        return self._record(other, "*", self)
+
+    def __truediv__(self, other):
+        return self._record(self, "/", other)
+
+    def __rtruediv__(self, other):
+        return self._record(other, "/", self)
+
+    def _refuse(self, *_):
+        raise TypeError(
+            "a traced float takes only + - * /: a comparison, bool(), float(), abs() "
+            "or ** would fix the branch of one value into the kernel"
+        )
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __bool__ = __float__ = __abs__ = __pow__ = __rpow__ = _refuse
+
+
+def _operand(x):
+    """x as code: a recorded name or a finite int or float literal, else None."""
+    if isinstance(x, _Recorded):
+        return x.name
+    if type(x) is int or type(x) is float and math.isfinite(x):
+        return repr(x)
+    return None
+
+
+def trace(fn):
+    """Compile fn, from floats to a scalar Dual, into kernel(*floats) -> (value, tangent).
+
+    fn runs once, on recording floats, one per positional parameter. Lines that
+    no output reads are dropped; the rest run in recorded order, so the kernel
+    rounds as fn does on floats. Its source is kept as `kernel.source`.
+    """
+    lines = []
+    args = [f"a{k}" for k in range(fn.__code__.co_argcount)]
+    out = fn(*(_Recorded(lines, a) for a in args))
+    results = (_operand(out.value), _operand(out.tangent))
+    if None in results:
+        raise TypeError(f"{fn.__qualname__} must return a Dual of traced or constant floats")
+    live, body = set(results), []
+    for name, code, operands in reversed(lines):
+        if name in live:
+            body.append(f"    {name} = {code}\n")
+            live.update(operands)
+    source = (f"def kernel({', '.join(args)}):\n{''.join(reversed(body))}"
+              f"    return {results[0]}, {results[1]}\n")
+    namespace = {}
+    exec(compile(source, f"<trace of {fn.__qualname__}>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel

@@ -9,14 +9,19 @@ The probe readers `eval_linear` and `eval_constant` look nothing up: the
 caller finds the probe point's cell once with `Grid1D.probe_cell` and passes it
 as i, so the components of a system share one lookup. A linear probe reads
 cells i - 1, i and i + 1 once each (`one_sided_slopes`).
+
+`eval_linear` is the dual reference. `trace_linear_probe` records it once per
+side into float code (`dual.trace`), which the shock tracker runs on every
+probe; the probe tangent is the one `eval_linear`'s dual arithmetic gives.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dual import Dual, lift
+from .dual import Dual, lift, trace
 from .errors import GridMismatchError, OutOfDomainError
 
 
@@ -180,3 +185,35 @@ def eval_linear(field, x, side, i):
         s = 0.5 * (s_plus + s_minus)
     center = (i + 0.5) * field.grid.dx
     return u_i + (x - center) * s
+
+
+class _StencilCells:
+    """Cells i - 1, i and i + 1 of one payload, however `one_sided_slopes` slices them."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, *cells):
+        self.cells = list(cells)
+
+    def __getitem__(self, _):
+        return self
+
+    def tolist(self):
+        return self.cells
+
+
+def trace_linear_probe(side):
+    """`eval_linear` with the given side, traced into float code.
+
+    The kernel takes (x, x', i, dx, u_{i-1}, u_i, u_{i+1}, u'_{i-1}, u'_i,
+    u'_{i+1}): the probe point and its tangent, its cell, the grid spacing and
+    the three cells `one_sided_slopes` reads. It returns eval_linear's (value,
+    tangent) of the dual point (x, x') on that cell, bit for bit.
+    """
+
+    def probe(x, x_dot, i, dx, u_minus, u_i, u_plus, t_minus, t_i, t_plus):
+        data = Dual(_StencilCells(u_minus, u_i, u_plus), _StencilCells(t_minus, t_i, t_plus))
+        field = SimpleNamespace(grid=SimpleNamespace(dx=dx), data=data)
+        return eval_linear(field, Dual(x, x_dot), side, i)
+
+    return trace(probe)

@@ -23,14 +23,16 @@ Each field has a law: BurgersModel (scalar) or EulerModel. The caller passes
 it to the solver and the tracker, which take from it all that depends on the
 problem. Each law's probe speed finds the cell of each probe point once with
 `Grid1D.probe_cell` and hands it to the reader; the Euler law reads rho, u and
-p from that one cell.
+p from that one cell. The Burgers probe speed runs `BurgersModel.jump_speed`
+traced once at import into float code (`dual.trace`), after the degeneracy
+check on the probed values.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, lift, sqrt
+from .dual import Dual, lift, sqrt, trace
 from .errors import NonPhysicalStateError, NoShockError, probe_jump
 from .mesh import CellField
 
@@ -72,7 +74,20 @@ class BurgersModel:
         v_plus = evaluate(field, x_plus, locate(x_plus.value))
         v_minus = evaluate(field, x_minus, locate(x_minus.value))
         probe_jump(v_plus.value, v_minus.value, "probe jump")
-        return (self.flux(v_plus) - self.flux(v_minus)) / (v_plus - v_minus)
+        return Dual(*_JUMP_SPEED(v_minus.value, v_minus.tangent, v_plus.value, v_plus.tangent))
+
+    def jump_speed(self, u_minus, u_plus):
+        """Rankine-Hugoniot speed (f(u+) - f(u-)) / (u+ - u-) of the jump from u- to u+."""
+        return (self.flux(u_plus) - self.flux(u_minus)) / (u_plus - u_minus)
+
+
+def _dual_jump_speed(u_minus, t_minus, u_plus, t_plus):
+    return BurgersModel().jump_speed(Dual(u_minus, t_minus), Dual(u_plus, t_plus))
+
+
+#: BurgersModel.jump_speed as float code, traced once at import:
+#: (u-, u-', u+, u+') -> (speed, speed').
+_JUMP_SPEED = trace(_dual_jump_speed)
 
 
 @dataclass(frozen=True)

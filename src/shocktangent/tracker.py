@@ -19,7 +19,13 @@ the modes differ only in how the position tangent accumulates:
              cell: with the staggered averaging of the base scheme the two
              one-sided differences carry an O(1) odd-even bias of opposite
              sign (measured ~+14% / ~-13% on the tracked sensitivity, grid
-             independent), and their mean cancels it.
+             independent), and their mean cancels it. Each probe runs
+             `mesh.eval_linear` traced once at import into float code
+             (`mesh.trace_linear_probe`, `dual.trace`), and so does the Burgers
+             jump speed (`BurgersModel.jump_speed`); the probe tangent is what
+             dual arithmetic on those functions gives, bit for bit, without a
+             Dual per operation. Euler's sound speed and shock speed from the
+             probed states stay on duals, since `dual.sqrt` checks its value.
   blackbox - plain forward AD of the position update itself, with no custom
              rule: x' + dt * c(U_i)', the characteristic speed differentiated
              on the piecewise-constant cell that holds x. That cell is flat,
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 from .dual import Dual, with_custom_tangent
 from .errors import OutOfDomainError, TrackingLostError
-from .mesh import eval_constant, eval_linear
+from .mesh import eval_constant, trace_linear_probe
 
 #: The tracker modes: how the position tangent accumulates (module docstring).
 MODES = ("none", "blackbox", "shock")
@@ -122,9 +128,15 @@ def naive_probe_speed(position, field, delta, law):
     return _probe_speed(position, field, delta, law, eval_constant)
 
 
+#: eval_linear(field, x, "center", i) as float code, traced once at import.
+_LINEAR_CENTER = trace_linear_probe("center")
+
+
 def _linear_eval(field, x, i):
     # Central-difference slope on either probe side; see module docstring.
-    return eval_linear(field, x, "center", i)
+    d = field.data
+    return Dual(*_LINEAR_CENTER(x.value, x.tangent, i, field.grid.dx,
+                                *d.value[i - 1 : i + 2].tolist(), *d.tangent[i - 1 : i + 2].tolist()))
 
 
 def step_shock(position, field, dt, config, law):

@@ -1,11 +1,13 @@
 """Command-line surface: parsing, config files, outputs, exit codes."""
 
+import math
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
-from shocktangent import cli, solver
+from shocktangent import cases, cli, solver
 from shocktangent.cases import SweepReport
 from shocktangent.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from shocktangent.errors import ConfigError
@@ -396,6 +398,40 @@ def test_a_cfl_march_past_the_step_ceiling_is_a_numerical_failure(monkeypatch, c
     monkeypatch.setattr(solver, "MAX_STEPS", 10)
     assert main(["burgers", "--dx", "0.05", "--t-final", "0.5"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure: CFL march took 10 steps")
+
+
+@pytest.mark.parametrize(
+    "argv, cfl",
+    [(["burgers", "--dx", "0.01", "--cfl", "1e-6", "--mode", "none"], 1e-6),
+     (["euler", "--dx", "0.05", "--t-final", "1", "--cfl", "1e-300"], 1e-300)],
+    ids=["burgers", "euler"],
+)
+def test_a_cfl_too_small_for_the_step_ceiling_stops_before_the_march(argv, cfl, monkeypatch,
+                                                                      capsys):
+    # At the initial wave speed these take 2e8 and 8e300 steps; marching would
+    # take minutes (Burgers) or never end (Euler).
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(cases, "run", no_march)
+    start = perf_counter()
+    assert main(argv) == EXIT_CONFIG
+    assert perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cfl = {cfl!r} on dx")
+    assert err.count("\n") == 1 and "steps to t_final" in err
+
+
+def test_a_cfl_march_is_checked_against_the_ceiling_at_its_initial_wave_speed(monkeypatch, capsys):
+    # dx 0.05, cfl 0.63 (the default) and the ramp's initial speed 0.995 give
+    # 0.5 * 0.995 / (0.63 * 0.05) = 15.8 steps to t_final = 0.5.
+    argv = ["burgers", "--dx", "0.05", "--t-final", "0.5"]
+    steps = 0.5 * 0.995 / (0.63 * 0.05)
+    monkeypatch.setattr(cases, "MAX_STEPS", math.ceil(steps))
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(cases, "MAX_STEPS", math.floor(steps))
+    assert main(argv) == EXIT_CONFIG
+    assert "error: cfl = 0.63 on dx = 0.05 at the initial wave speed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Dual-number arithmetic and the custom-tangent escape hatch."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from shocktangent.dual import (
     maximum,
     seed,
     sqrt,
+    trace,
     where,
     with_custom_tangent,
 )
@@ -242,3 +245,56 @@ def test_array_division_equals_the_quotient_rule_written_out_bit_for_bit(data):
     q = a / b
     value, tangent = _division_written_out(a, b)
     assert np.array_equal(q.value, value) and np.array_equal(q.tangent, tangent)
+
+
+def _bits(*floats):
+    # Equal under this, two results round alike to the last bit, NaN payloads included.
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+def _every_operation(a, b, c):
+    # Each dual + - * / with a dual, a float and an int on either side.
+    x, y = Dual(a, 1.0), Dual(b, c)
+    return ((x + y) * (2 - x) - 0.5 * y / x + (3.0 + y) / (1 - x) - y * 2.5) / (x - 0.25)
+
+
+@settings(derandomize=True, deadline=None)
+@given(a=_finite, b=_finite, c=_finite)
+def test_a_traced_kernel_equals_the_dual_evaluation_bit_for_bit(a, b, c):
+    kernel = trace(_every_operation)
+    try:
+        ref = _every_operation(a, b, c)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            kernel(a, b, c)
+        return
+    assert _bits(*kernel(a, b, c)) == _bits(ref.value, ref.tangent)
+
+
+def test_a_traced_kernel_drops_the_lines_no_output_reads():
+    def fn(a, b):
+        unread = (a - b) * 2.0  # noqa: F841
+        return Dual(a * b, 3.0)
+
+    kernel = trace(fn)
+    assert kernel.source == "def kernel(a0, a1):\n    t2 = a0 * a1\n    return t2, 3.0\n"
+    assert kernel(2.0, 5.0) == (10.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda a: a < 1.0, lambda a: a == a, lambda a: a != 0.0, lambda a: 0.0 >= a,
+     bool, float, abs, lambda a: a ** 2, lambda a: 2.0 ** a,
+     lambda a: sqrt(Dual(a, 1.0))],
+    ids=["lt", "eq", "ne", "ge", "bool", "float", "abs", "pow", "rpow", "sqrt"],
+)
+def test_a_traced_float_refuses_every_use_that_reads_its_value(use):
+    # dual.sqrt checks its domain on the value, so it cannot be traced either
+    with pytest.raises(TypeError, match=r"takes only \+ - \* /"):
+        trace(lambda a: Dual(use(a), 0.0))
+
+
+@pytest.mark.parametrize("const", [np.float64(2.0), float("inf"), 1j], ids=["numpy", "inf", "complex"])
+def test_a_traced_float_takes_only_finite_int_and_float_constants(const):
+    with pytest.raises(TypeError):
+        trace(lambda a: Dual(a * const, a))

@@ -1,8 +1,10 @@
 """Grid geometry, cell fields, averaging, and sub-cell linear evaluation."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -18,6 +20,7 @@ from shocktangent.mesh import (
     eval_linear,
     one_sided_slopes,
     require_same_grid,
+    trace_linear_probe,
 )
 
 
@@ -178,3 +181,21 @@ def test_eval_linear_value_tangents_feed_through():
     v = eval_linear(f, 1.7, "center", 1)
     # tangent = udot_i + (x - X_i) * sdot, center slope tangent = (3 - 1) / 2
     assert v.tangent == pytest.approx(2.0 + 0.2 * 1.0)
+
+
+_finite = st.floats(-1e6, 1e6)
+_LINEAR_KERNELS = {side: trace_linear_probe(side) for side in ("plus", "minus", "center")}
+
+
+@pytest.mark.parametrize("side", sorted(_LINEAR_KERNELS))
+@settings(derandomize=True, deadline=None)
+@given(dx=st.floats(1e-5, 10.0), n=st.integers(3, 12), x=_finite, x_dot=_finite,
+       data=st.data())
+def test_the_traced_linear_probe_equals_eval_linear_bit_for_bit(side, dx, n, x, x_dot, data):
+    values, tangents = (np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+                        for _ in range(2))
+    i = data.draw(st.integers(1, n - 2))
+    ref = eval_linear(CellField(Grid1D(dx, n), Dual(values, tangents)), Dual(x, x_dot), side, i)
+    got = _LINEAR_KERNELS[side](x, x_dot, i, dx, *values[i - 1 : i + 2].tolist(),
+                                *tangents[i - 1 : i + 2].tolist())
+    assert struct.pack("<2d", *got) == struct.pack("<2d", ref.value, ref.tangent)

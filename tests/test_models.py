@@ -1,8 +1,13 @@
 """Flux models: scalar conservation law and compressible gas states."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from shocktangent import models
 from shocktangent.dual import Dual, lift, seed
 from shocktangent.errors import NonPhysicalStateError, NoShockError
 from shocktangent.mesh import CellField, Grid1D
@@ -181,3 +186,15 @@ def test_moving_shock_setup_rejects_gamma_at_most_one(gamma):
     # mach is checked first.
     with pytest.raises(ValueError, match="^mach must exceed"):
         MovingShockSetup(0.8, SPEED, 5.0, gamma)
+
+
+_finite = st.floats(-1e6, 1e6)
+
+
+@settings(derandomize=True, deadline=None)
+@given(u_minus=_finite, t_minus=_finite, u_plus=_finite, t_plus=_finite)
+def test_the_traced_jump_speed_equals_the_dual_one_bit_for_bit(u_minus, t_minus, u_plus, t_plus):
+    assume(u_plus != u_minus)
+    ref = BurgersModel().jump_speed(Dual(u_minus, t_minus), Dual(u_plus, t_plus))
+    got = models._JUMP_SPEED(u_minus, t_minus, u_plus, t_plus)
+    assert struct.pack("<2d", *got) == struct.pack("<2d", ref.value, ref.tangent)

@@ -5,11 +5,11 @@ from array import array
 import numpy as np
 import pytest
 
-from shocktangent import tracker
+from shocktangent import models, tracker
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import ProbeDegenerateError, TrackingLostError
-from shocktangent.mesh import CellField, Grid1D
+from shocktangent.mesh import CellField, Grid1D, eval_linear
 from shocktangent.models import (
     BurgersModel,
     EulerCellField,
@@ -351,3 +351,28 @@ def test_shock_step_locates_three_points(tracked_fields, case, monkeypatch):
     step_shock(state, field, 1e-4, config, law)
     # the position update, then one lookup per probe point
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CaseConfig(grid_no=9), CaseConfig(problem="euler", dx=0.05, t_final=2.0)],
+    ids=["burgers-grid9", "euler-dx0.05"],
+)
+def test_traced_probes_track_as_dual_probes_bit_for_bit(cfg, monkeypatch):
+    traced = run_case(cfg).tracker
+    reads = []
+
+    def dual_linear_eval(field, x, i):
+        reads.append(i)
+        return eval_linear(field, x, "center", i)
+
+    def dual_jump_speed(*floats):
+        speed = models._dual_jump_speed(*floats)
+        return speed.value, speed.tangent
+
+    monkeypatch.setattr(tracker, "_linear_eval", dual_linear_eval)
+    monkeypatch.setattr(models, "_JUMP_SPEED", dual_jump_speed)
+    reference = run_case(cfg).tracker
+    assert len(reads) == (2 if cfg.problem == "burgers" else 4) * (len(reference.times) - 1)
+    for name in ("times", "positions", "tangents"):
+        assert getattr(traced, name).tobytes() == getattr(reference, name).tobytes(), name

@@ -64,10 +64,15 @@ COMMANDS = [
     ("gridconv_euler_probe_outside",
      ["gridconv", "--problem", "euler", "--dx", "0.1", "--t-final", "1"], None, ()),
     # Inputs that a case's own parts reject: a subsonic upstream state and gamma = 1
-    # (the gas setup), and a fixed dt past the step ceiling (the step control).
+    # (the gas setup), a fixed dt past the step ceiling (the step control), and a
+    # cfl so small that the march would pass the ceiling at its initial wave speed.
     ("euler_subsonic_mach", ["euler"], "mach = 0.8\n", ()),
     ("euler_gamma_one", ["euler"], "gamma = 1.0\n", ()),
     ("burgers_dt_past_step_ceiling", ["burgers", "--dx", "0.01", "--dt", "1e-7"], None, ()),
+    ("burgers_cfl_past_step_ceiling",
+     ["burgers", "--dx", "0.01", "--cfl", "1e-6", "--mode", "none"], None, ()),
+    ("euler_cfl_past_step_ceiling",
+     ["euler", "--dx", "0.05", "--t-final", "1", "--cfl", "1e-300"], None, ()),
     # A probe offset so small that x -/+ delta rounds to the tracked x.
     ("euler_probe_offset_rounds_away",
      ["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], None, ()),
