@@ -176,7 +176,8 @@ class _Recorded:
 
     __slots__ = ("lines", "name")
 
-    # numpy scalars must not wrap us; their operators then give way, and fail.
+    # A numpy scalar operand then gives way instead of wrapping this object, and
+    # fails like any constant that is not an int or a float.
     __array_ufunc__ = None
 
     def __init__(self, lines, name):
@@ -239,7 +240,7 @@ def trace(fn):
 
     fn runs once, on recording floats, one per positional parameter. Lines that
     no output reads are dropped; the rest run in recorded order, so the kernel
-    rounds as fn does on floats. Its source is kept as `kernel.source`.
+    rounds as fn does on floats.
     """
     lines = []
     args = [f"a{k}" for k in range(fn.__code__.co_argcount)]
@@ -256,6 +257,4 @@ def trace(fn):
               f"    return {results[0]}, {results[1]}\n")
     namespace = {}
     exec(compile(source, f"<trace of {fn.__qualname__}>", "exec"), namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
+    return namespace["kernel"]

@@ -277,7 +277,7 @@ def test_a_traced_kernel_drops_the_lines_no_output_reads():
         return Dual(a * b, 3.0)
 
     kernel = trace(fn)
-    assert kernel.source == "def kernel(a0, a1):\n    t2 = a0 * a1\n    return t2, 3.0\n"
+    assert kernel.__code__.co_varnames == ("a0", "a1", "t2")  # the inputs and a0 * a1
     assert kernel(2.0, 5.0) == (10.0, 3.0)
 
 
