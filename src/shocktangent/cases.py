@@ -273,20 +273,6 @@ def _scheme(cfg):
     )
 
 
-def _require_cfl_march_within_ceiling(cfg, c_0):
-    """ConfigError naming cfl if t_final * c_0 / (cfl * dx) exceeds MAX_STEPS.
-
-    c_0 is the initial field's wave speed, so the bound is the number of steps
-    the march takes at its first step's size; `run` stops a march whose wave
-    speed grows past it.
-    """
-    if cfg.t_final * c_0 > MAX_STEPS * cfg.cfl * cfg.dx:
-        raise ConfigError(
-            f"cfl = {cfg.cfl!r} on dx = {cfg.dx!r} at the initial wave speed {c_0!r} takes "
-            f"more than {MAX_STEPS} steps to t_final = {cfg.t_final!r}; raise cfl"
-        )
-
-
 def run_case(config):
     """Simulate one case; returns fields, snapshots, and the shock history."""
     cfg = config.resolved()
@@ -297,7 +283,14 @@ def run_case(config):
     tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law)
     ic = law.initial_field(oracle, grid)
     if cfg.dt is None:
-        _require_cfl_march_within_ceiling(cfg, law.max_char_speed(ic))
+        # At the initial wave speed c_0 a CFL march takes t_final * c_0 / (cfl * dx)
+        # steps; `run` stops one whose wave speed grows past MAX_STEPS.
+        c_0 = law.max_char_speed(ic)
+        if cfg.t_final * c_0 > MAX_STEPS * cfg.cfl * cfg.dx:
+            raise ConfigError(
+                f"cfl = {cfg.cfl!r} on dx = {cfg.dx!r} at the initial wave speed {c_0!r} takes "
+                f"more than {MAX_STEPS} steps to t_final = {cfg.t_final!r}; raise cfl"
+            )
     snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
     return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
 

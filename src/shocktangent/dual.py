@@ -171,6 +171,18 @@ def edge_pad(d):
     return Dual(_edge_pad(d.value), _edge_pad(d.tangent))
 
 
+def _operator(op):
+    """The forward and the reflected method of one operator of a recording float."""
+
+    def forward(self, other):
+        return self._record(self, op, other)
+
+    def reflected(self, other):
+        return self._record(other, op, self)
+
+    return forward, reflected
+
+
 class _Recorded:
     """A float of a function being traced: each + - * / appends one line of code."""
 
@@ -192,29 +204,10 @@ class _Recorded:
         self.lines.append((name, f"{a} {op} {b}", (a, b)))
         return _Recorded(self.lines, name)
 
-    def __add__(self, other):
-        return self._record(self, "+", other)
-
-    def __radd__(self, other):
-        return self._record(other, "+", self)
-
-    def __sub__(self, other):
-        return self._record(self, "-", other)
-
-    def __rsub__(self, other):
-        return self._record(other, "-", self)
-
-    def __mul__(self, other):
-        return self._record(self, "*", other)
-
-    def __rmul__(self, other):
-        return self._record(other, "*", self)
-
-    def __truediv__(self, other):
-        return self._record(self, "/", other)
-
-    def __rtruediv__(self, other):
-        return self._record(other, "/", self)
+    __add__, __radd__ = _operator("+")
+    __sub__, __rsub__ = _operator("-")
+    __mul__, __rmul__ = _operator("*")
+    __truediv__, __rtruediv__ = _operator("/")
 
     def _refuse(self, *_):
         raise TypeError(

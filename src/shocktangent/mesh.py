@@ -187,19 +187,14 @@ def eval_linear(field, x, side, i):
     return u_i + (x - center) * s
 
 
-class _StencilCells:
-    """Cells i - 1, i and i + 1 of one payload, however `one_sided_slopes` slices them."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, *cells):
-        self.cells = list(cells)
+class _StencilCells(list):
+    """Cells i - 1, i and i + 1 of one payload, whatever slice `one_sided_slopes` takes."""
 
     def __getitem__(self, _):
         return self
 
     def tolist(self):
-        return self.cells
+        return self
 
 
 def trace_linear_probe(side):
@@ -212,7 +207,7 @@ def trace_linear_probe(side):
     """
 
     def probe(x, x_dot, i, dx, u_minus, u_i, u_plus, t_minus, t_i, t_plus):
-        data = Dual(_StencilCells(u_minus, u_i, u_plus), _StencilCells(t_minus, t_i, t_plus))
+        data = Dual(_StencilCells([u_minus, u_i, u_plus]), _StencilCells([t_minus, t_i, t_plus]))
         field = SimpleNamespace(grid=SimpleNamespace(dx=dx), data=data)
         return eval_linear(field, Dual(x, x_dot), side, i)
 

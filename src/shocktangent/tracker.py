@@ -134,9 +134,10 @@ _LINEAR_CENTER = trace_linear_probe("center")
 
 def _linear_eval(field, x, i):
     # Central-difference slope on either probe side; see module docstring.
+    cells = slice(i - 1, i + 2)
     d = field.data
     return Dual(*_LINEAR_CENTER(x.value, x.tangent, i, field.grid.dx,
-                                *d.value[i - 1 : i + 2].tolist(), *d.tangent[i - 1 : i + 2].tolist()))
+                                *d.value[cells].tolist(), *d.tangent[cells].tolist()))
 
 
 def step_shock(position, field, dt, config, law):

@@ -294,7 +294,8 @@ def test_a_traced_float_refuses_every_use_that_reads_its_value(use):
         trace(lambda a: Dual(use(a), 0.0))
 
 
-@pytest.mark.parametrize("const", [np.float64(2.0), float("inf"), 1j], ids=["numpy", "inf", "complex"])
+@pytest.mark.parametrize("const", [np.float64(2.0), float("inf"), 1j],
+                         ids=["numpy", "inf", "complex"])
 def test_a_traced_float_takes_only_finite_int_and_float_constants(const):
     with pytest.raises(TypeError):
         trace(lambda a: Dual(a * const, a))
