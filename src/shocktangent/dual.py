@@ -22,8 +22,8 @@ Derivatives*, ch. 3 and 6). The function runs on duals whose payloads are
 recording floats, so the tangent code it emits is what the rules above
 produce, and the compiled kernel returns the dual evaluation's (value,
 tangent) bit for bit, with no ``Dual`` built per call. A recording float
-refuses every use but ``+ - * /``, so no branch on a value is ever baked
-into a kernel: a function that branches cannot be traced.
+refuses every use but ``+ - * /`` and negation, so no branch on a value is
+ever baked into a kernel: a function that branches cannot be traced.
 """
 
 import math
@@ -173,18 +173,22 @@ def edge_pad(d):
 
 def _operator(op):
     """The forward and the reflected method of one operator of a recording float."""
+    code = f"{{}} {op} {{}}"
 
     def forward(self, other):
-        return self._record(self, op, other)
+        return self._record(code, self, other)
 
     def reflected(self, other):
-        return self._record(other, op, self)
+        return self._record(code, other, self)
 
     return forward, reflected
 
 
 class _Recorded:
-    """A float of a function being traced: each + - * / appends one line of code."""
+    """A float of a function being traced: each + - * / appends one line of code.
+
+    Unary minus is recorded as such: 0.0 - x would turn a zero's sign.
+    """
 
     __slots__ = ("lines", "name")
 
@@ -196,18 +200,21 @@ class _Recorded:
         self.lines = lines
         self.name = name
 
-    def _record(self, left, op, right):
-        a, b = _operand(left), _operand(right)
-        if a is None or b is None:
+    def _record(self, code, *operands):
+        names = [_operand(x) for x in operands]
+        if None in names:
             return NotImplemented
         name = f"t{len(self.lines)}"
-        self.lines.append((name, f"{a} {op} {b}", (a, b)))
+        self.lines.append((name, code.format(*names), names))
         return _Recorded(self.lines, name)
 
     __add__, __radd__ = _operator("+")
     __sub__, __rsub__ = _operator("-")
     __mul__, __rmul__ = _operator("*")
     __truediv__, __rtruediv__ = _operator("/")
+
+    def __neg__(self):
+        return self._record("-{}", self)
 
     def _refuse(self, *_):
         raise TypeError(

@@ -408,7 +408,7 @@ def test_a_cfl_march_past_the_step_ceiling_is_a_numerical_failure(monkeypatch, c
 )
 def test_a_cfl_too_small_for_the_step_ceiling_stops_before_the_march(argv, cfl, monkeypatch,
                                                                       capsys):
-    # At the initial wave speed these take 2e8 and 8e300 steps; marching would
+    # At the initial wave speed these take 2e8 and 5e301 steps; marching would
     # take minutes (Burgers) or never end (Euler).
     def no_march(*args, **kwargs):
         raise AssertionError("the march started")

@@ -253,9 +253,10 @@ def _bits(*floats):
 
 
 def _every_operation(a, b, c):
-    # Each dual + - * / with a dual, a float and an int on either side.
+    # Each dual + - * / with a dual, a float and an int on either side, and negation.
     x, y = Dual(a, 1.0), Dual(b, c)
-    return ((x + y) * (2 - x) - 0.5 * y / x + (3.0 + y) / (1 - x) - y * 2.5) / (x - 0.25)
+    return (((x + y) * (2 - x) - 0.5 * y / x + (3.0 + y) / (1 - x) - y * 2.5) / (x - 0.25)
+            + (1.5 - y) * -y - 2.0 / y)
 
 
 @settings(derandomize=True, deadline=None)
@@ -292,6 +293,11 @@ def test_a_traced_float_refuses_every_use_that_reads_its_value(use):
     # dual.sqrt checks its domain on the value, so it cannot be traced either
     with pytest.raises(TypeError, match=r"takes only \+ - \* /"):
         trace(lambda a: Dual(use(a), 0.0))
+
+
+def test_a_traced_function_must_return_a_dual_of_traced_or_constant_floats():
+    with pytest.raises(TypeError, match="must return a Dual"):
+        trace(lambda a: Dual(a, np.float64(1.0)))
 
 
 @pytest.mark.parametrize("const", [np.float64(2.0), float("inf"), 1j],
