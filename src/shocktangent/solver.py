@@ -6,9 +6,19 @@ Scalar laws advance with the Lax-Friedrichs update
 
 the Euler system with a first-order Rusanov (local Lax-Friedrichs) flux and
 forward-Euler time integration in the conservative variables. Both updates
-run on dual-valued fields, so the tangent of every cell propagates through
-the identical formula with the flux replaced by its dual evaluation; no
-separate linearized scheme exists anywhere.
+are written once, on dual-valued fields (`_lxf_update`, `_rusanov_update`),
+so the tangent of every cell propagates through the identical formula with
+the flux replaced by its dual evaluation; no separate linearized scheme
+exists anywhere.
+
+Each formula is traced once at import (`dual.trace`) into straight-line
+numpy code, which `lxf_step` and `rusanov_step_euler` run: the same
+operations in the same order, so each step equals the dual formula bit for
+bit. The scalar formula is traced with Burgers' flux, so `lxf_step` refuses
+a law with another. A kernel writes its temporaries with out= into buffers it holds for the
+grid length of its last call, and a step returns fresh arrays, so snapshots
+and the pre-step field an observer reads are never overwritten. The kernels
+are not reentrant: two steps may not run at once in one process.
 
 Boundaries use one ghost cell per side filled by a zero-gradient copy, which
 makes the boundary numerical flux collapse to the physical flux of the edge
@@ -23,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import edge_pad, maximum
+from .dual import Dual, edge_pad, maximum, trace
 from .errors import CFLViolationError, ConfigError, NumericalError
 from .mesh import CellField
-from .models import EulerCellField, EulerState
+from .models import BurgersModel, EulerCellField, EulerState
 from . import models
 
 #: Longest step `cfl_dt` takes, the cap of a quiescent field.
@@ -57,13 +67,72 @@ def _check_cfl(c_n, dt, dx):
         )
 
 
+def _lxf_update(u, dt, dx, law):
+    """The Lax-Friedrichs update of the cells u, a dual field of a scalar law."""
+    u = edge_pad(u)
+    f = law.flux(u)
+    return 0.5 * (u[2:] + u[:-2]) - (dt / (2.0 * dx)) * (f[2:] - f[:-2])
+
+
+def _rusanov_update(state, dt, dx):
+    """The Rusanov/forward-Euler update of a gas state (primitives in and out).
+
+    The conserved variables, fluxes and wave speeds are computed once on the
+    cells, then extended by ghost copies: every formula is elementwise, so
+    this equals evaluating them on padded primitives, bit for bit. The new
+    state is of the class of `state`.
+    """
+    cons = state.conservative()
+    _, h_mom, h_en = models.euler_flux(state, cons)
+    lam = abs(state.u) + state.sound_speed()
+
+    q_rho, q_mom, q_en = (edge_pad(c) for c in cons)
+    h_rho = q_mom  # the mass flux is the momentum
+    h_mom, h_en, lam = (edge_pad(c) for c in (h_mom, h_en, lam))
+
+    new = []
+    half_lam = 0.5 * maximum(lam[:-1], lam[1:])
+    for q, h in ((q_rho, h_rho), (q_mom, h_mom), (q_en, h_en)):
+        # interface flux: central average minus local max-speed dissipation
+        f = 0.5 * (h[:-1] + h[1:]) - half_lam * (q[1:] - q[:-1])
+        new.append(q[1:-1] - (dt / dx) * (f[1:] - f[:-1]))
+    return state.from_conservative(*new, gamma=state.gamma)
+
+
+class _TracedState(EulerState):
+    """A gas state whose payloads are being traced: they have no values to check.
+
+    It exists only while `_rusanov_update` is traced; `rusanov_step_euler`
+    checks the kernel's outputs instead.
+    """
+
+    def __post_init__(self):
+        pass
+
+
+def _lxf_payloads(u, u_t, dt, dx):
+    return _lxf_update(Dual(u, u_t), dt, dx, BurgersModel())
+
+
+def _rusanov_payloads(rho, rho_t, u, u_t, p, p_t, gamma, dt, dx):
+    state = _TracedState(Dual(rho, rho_t), Dual(u, u_t), Dual(p, p_t), gamma)
+    new = _rusanov_update(state, dt, dx)
+    return new.rho, new.u, new.p
+
+
+#: The two updates as buffered array code, traced once at import:
+#: (u, u', dt, dx) -> (u, u') and (rho, rho', u, u', p, p', gamma, dt, dx)
+#: -> (rho, rho', u, u', p, p') of the next step.
+_LXF = trace(_lxf_payloads, arrays=2)
+_RUSANOV = trace(_rusanov_payloads, arrays=6)
+
+
 def lxf_step(field, dt, model):
-    """One Lax-Friedrichs step of a scalar field."""
-    dx = field.grid.dx
-    u = edge_pad(field.data)
-    f = model.flux(u)
-    new = 0.5 * (u[2:] + u[:-2]) - (dt / (2.0 * dx)) * (f[2:] - f[:-2])
-    return CellField(field.grid, new)
+    """One Lax-Friedrichs step of a scalar field under Burgers' flux."""
+    if getattr(getattr(model, "flux", None), "__func__", None) is not BurgersModel.flux:
+        raise TypeError(f"the traced Lax-Friedrichs step has Burgers' flux; {model!r} has another")
+    d = field.data
+    return CellField(field.grid, Dual(*_LXF(d.value, d.tangent, dt, field.grid.dx)))
 
 
 def lxf_boundary_fluxes(field, model):
@@ -81,29 +150,12 @@ def lxf_boundary_fluxes(field, model):
 def rusanov_step_euler(field, dt):
     """One Rusanov/forward-Euler step of the Euler system (primitives in/out).
 
-    The conserved variables, fluxes and wave speeds are computed once on the
-    field's own (already checked) state, then extended by ghost copies: every
-    formula is elementwise, so this equals evaluating them on padded
-    primitives, bit for bit.
+    The new state is checked for positive density and pressure.
     """
-    dx = field.grid.dx
     s = field.state
-    cons = s.conservative()
-    _, h_mom, h_en = models.euler_flux(s, cons)
-    lam = abs(s.u) + s.sound_speed()
-
-    q_rho, q_mom, q_en = (edge_pad(c) for c in cons)
-    h_rho = q_mom  # the mass flux is the momentum
-    h_mom, h_en, lam = (edge_pad(c) for c in (h_mom, h_en, lam))
-
-    new = []
-    half_lam = 0.5 * maximum(lam[:-1], lam[1:])
-    for q, h in ((q_rho, h_rho), (q_mom, h_mom), (q_en, h_en)):
-        # interface flux: central average minus local max-speed dissipation
-        f = 0.5 * (h[:-1] + h[1:]) - half_lam * (q[1:] - q[:-1])
-        new.append(q[1:-1] - (dt / dx) * (f[1:] - f[:-1]))
-
-    state = EulerState.from_conservative(*new, gamma=field.gamma)
+    rho, rho_t, u, u_t, p, p_t = _RUSANOV(s.rho.value, s.rho.tangent, s.u.value, s.u.tangent,
+                                          s.p.value, s.p.tangent, s.gamma, dt, field.grid.dx)
+    state = EulerState(Dual(rho, rho_t), Dual(u, u_t), Dual(p, p_t), s.gamma)
     return EulerCellField(field.grid, state)
 
 

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from shocktangent import cases, cli
+from shocktangent import cases, cli, solver
 from shocktangent.cases import CaseConfig, epsilon_sweep, grid_convergence, run_case
 from shocktangent.cli import EXIT_OK
+from shocktangent.dual import trace
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,6 +51,10 @@ def test_traced_names_record_spans(tmp_path, capsys):
             ["burgers", "--grid-no", "9", "--mode", "blackbox"],
         ):
             assert cli.main(argv) == EXIT_OK, argv
+        # The steps run the kernels traced from their dual formulas at import; the
+        # formulas' own calls record spans when they are traced again.
+        trace(solver._lxf_payloads, arrays=2)
+        trace(solver._rusanov_payloads, arrays=6)
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -90,8 +95,7 @@ def test_euler_step_computes_wave_speed_and_conserved_variables_once(capsys):
     # A CFL run of either law reduces the wave speed once per step, in cfl_dt.
     runs = [
         (["euler", "--dx", "0.05", "--t-final", "0.5"],
-         ("models.EulerCellField.max_char_speed", "models.EulerState.conservative",
-          "models.EulerState.__post_init__")),
+         ("models.EulerCellField.max_char_speed", "models.EulerState.__post_init__")),
         (["burgers", "--dx", "0.01", "--t-final", "0.5"], ("models.BurgersModel.max_char_speed",)),
     ]
     tracing = _tracing()
@@ -108,3 +112,13 @@ def test_euler_step_computes_wave_speed_and_conserved_variables_once(capsys):
         assert steps > 0
         for name in names:
             assert summary["spans"][name]["calls_in_run"] == steps, (argv[0], name)
+    # The conserved variables are computed once in the Euler step's formula, which
+    # runs once, when it is traced.
+    tracer = tracing.Tracer()
+    tracer.install("shocktangent")
+    try:
+        trace(solver._rusanov_payloads, arrays=6)
+    finally:
+        tracer.uninstall()
+    spans = tracing.summarize(tracer.names, **tracer.arrays())["spans"]
+    assert spans["models.EulerState.conservative"]["calls"] == 1

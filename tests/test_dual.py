@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from shocktangent.dual import (
     Dual,
+    _pad,
     edge_pad,
     lift,
     maximum,
@@ -141,12 +142,15 @@ _payloads = arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=
 
 @given(value=_payloads, data=st.data())
 def test_edge_pad_equals_numpy_edge_mode(value, data):
+    # Traced code pads into a buffer (dual._pad), holding what it held before.
     tangent = data.draw(arrays(np.float64, value.shape))
     p = edge_pad(Dual(value, tangent))
     for got, src in ((p.value, value), (p.tangent, tangent)):
         want = np.pad(src, 1, mode="edge")
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
+        buffered = _pad(src, np.full(len(src) + 2, 7.0))
+        for g in (got, buffered):
+            assert g.dtype == want.dtype
+            assert np.array_equal(_int_bits(g), _int_bits(want))
 
 
 def test_tangents_agree_with_finite_differences_on_a_composition():
@@ -286,8 +290,9 @@ def test_a_traced_kernel_drops_the_lines_no_output_reads():
     "use",
     [lambda a: a < 1.0, lambda a: a == a, lambda a: a != 0.0, lambda a: 0.0 >= a,
      bool, float, abs, lambda a: a ** 2, lambda a: 2.0 ** a,
-     lambda a: sqrt(Dual(a, 1.0))],
-    ids=["lt", "eq", "ne", "ge", "bool", "float", "abs", "pow", "rpow", "sqrt"],
+     lambda a: sqrt(Dual(a, 1.0)), np.sqrt, lambda a: maximum(Dual(a, 1.0), 0.0).value],
+    ids=["lt", "eq", "ne", "ge", "bool", "float", "abs", "pow", "rpow", "sqrt", "np-sqrt",
+         "maximum"],
 )
 def test_a_traced_float_refuses_every_use_that_reads_its_value(use):
     # dual.sqrt checks its domain on the value, so it cannot be traced either
@@ -305,3 +310,92 @@ def test_a_traced_function_must_return_a_dual_of_traced_or_constant_floats():
 def test_a_traced_float_takes_only_finite_int_and_float_constants(const):
     with pytest.raises(TypeError):
         trace(lambda a: Dual(a * const, a))
+
+
+def _every_array_operation(u, t, v, s, c):
+    # Each operation a traced array takes, on duals of arrays and floats: + - * / with
+    # a dual, an array, a float and an int on either side, negation, the four orderings,
+    # where, maximum, abs, sqrt, the edge pad and slices.
+    x, y = Dual(u, t), Dual(v, s * t)
+    p = edge_pad(x * y - 1.5)
+    d = p[2:] - 2 * p[:-2] / (3 - x) + (1.0 + -y) * c
+    e = where(x.value > y.value, d, where(0.5 <= y.value, s * y, 4 - x / s))
+    f = maximum(abs(e), y / c) + maximum(d, x)
+    g = sqrt(f * f + 1.0 / (x * x + 1.0)) - 2.0 * p[1:-1]
+    h = where(y.value < 0, x, where(y.value >= x.value, -x, y))
+    return g, Dual(h.value, g.tangent)
+
+
+_EVERY_ARRAY_OPERATION = trace(_every_array_operation, arrays=3)
+_ties = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+_tangents = st.floats(-1e3, 1e3)
+
+
+def _int_bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data(), lengths=st.lists(st.integers(3, 12), min_size=2, max_size=2),
+       s=st.sampled_from([-1.5, 0.5, 2.0]), c=_divisor)
+def test_an_array_kernel_equals_the_dual_evaluation_bit_for_bit(data, lengths, s, c):
+    # Values drawn from a few floats tie in maximum and where; the kernel's buffers are
+    # reallocated when the length changes and reused when it does not.
+    n, m = lengths
+    for k in (n, m, m, n):
+        u, v = (np.array(data.draw(st.lists(_ties, min_size=k, max_size=k))) for _ in "uv")
+        t = np.array(data.draw(st.lists(_tangents, min_size=k, max_size=k)))
+        with np.errstate(all="ignore"):
+            want = _every_array_operation(u, t, v, s, c)
+            got = _EVERY_ARRAY_OPERATION(u, t, v, s, c)
+        assert len(got) == 4
+        for g, w in zip(got, (want[0].value, want[0].tangent, want[1].value, want[1].tangent)):
+            assert np.array_equal(_int_bits(g), _int_bits(w))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [bool, float, len, abs, lambda a: a[0], lambda a: a[[0, 1]], lambda a: a[a < 1.0],
+     lambda a: a[::2], lambda a: a[-2:], lambda a: a[:2], lambda a: a[:0], np.sum,
+     np.add.reduce, np.add.accumulate, lambda a: np.sqrt(a, out=np.empty(3)),
+     lambda a: np.sqrt(a, np.empty(3)), np.exp,
+     lambda a: np.maximum(a, a), lambda a: np.concatenate([a, a]), np.asarray,
+     lambda a: np.pad(a, 2, mode="edge"), lambda a: np.where(a, a, 0.0),
+     lambda a: a == a, lambda a: a ** 2, lambda a: (a < 1.0) * 1.0, lambda a: a < 1.0,
+     lambda a: a[1:] + a, lambda a: a * np.ones(3), lambda a: a + np.float64(1.0)],
+    ids=["bool", "float", "len", "abs", "int-index", "fancy-index", "mask-index", "step",
+         "negative-start", "positive-stop", "empty", "sum", "reduce", "accumulate", "out",
+         "positional-out", "exp", "np-maximum", "concatenate", "asarray", "pad-2",
+         "where-on-values", "eq", "pow", "mask-arithmetic", "mask-output", "lengths",
+         "array-constant", "numpy-constant"],
+)
+def test_a_traced_array_refuses_every_use_outside_its_operations(use):
+    with pytest.raises(TypeError):
+        trace(lambda u, t: Dual(use(u), t), arrays=2)
+
+
+def _outputs_of_every_kind(u, t):
+    # A computed array and a repeat of it, an input, a view of one and a view of a buffer.
+    w = Dual(u, t) * 2.0
+    v = (Dual(u, t) * 3.0)[1:]
+    return w, Dual(w.value, u), Dual(u[1:], v.value)
+
+
+def test_an_array_kernel_returns_arrays_of_its_own():
+    kernel = trace(_outputs_of_every_kind, arrays=2)
+    u, t = np.arange(5.0), np.linspace(1.0, 2.0, 5)
+    first = kernel(u, t)
+    second = kernel(u, t)
+    want = [x for d in _outputs_of_every_kind(u, t) for x in (d.value, d.tangent)]
+    for a, b in zip(second, want):
+        assert np.array_equal(a, b)
+    assert kernel.buffers
+    for i, a in enumerate(second):
+        for b in (*second[:i], *first, u, t, *kernel.buffers):
+            assert not np.shares_memory(a, b)
+
+
+def test_an_array_kernel_refuses_arrays_of_two_lengths():
+    kernel = trace(lambda u, t: Dual(u, t) * 2.0, arrays=2)
+    with pytest.raises(ValueError, match="lengths 3 and 4"):
+        kernel(np.ones(3), np.ones(4))

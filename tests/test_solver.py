@@ -1,7 +1,12 @@
 """Time stepping: update formulas, step control, conservation, tangents."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shocktangent import solver
 from shocktangent.cases import CaseConfig, run_case
@@ -286,3 +291,113 @@ def test_run_rejects_a_nan_euler_tangent():
     cfg = SchemeConfig(t_final=0.01, cfl_number=0.4)
     with pytest.raises(NumericalError, match=r"rho tangent nan in cell \d+ at t = 0\.01"):
         run(EulerCellField(field.grid, state), cfg, GAS)
+
+
+# -- the traced step kernels --------------------------------------------------------
+
+
+def _bits(dual):
+    return dual.value.view(np.int64), dual.tangent.view(np.int64)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(_bits(got), _bits(want)):
+        assert np.array_equal(g, w)
+
+
+def _cells(data, n, values):
+    return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+
+_tangent = st.floats(-1e3, 1e3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), lengths=st.lists(st.integers(3, 64), min_size=2, max_size=2),
+       dt=st.floats(1e-3, 0.2), dx=st.floats(0.01, 1.0))
+def test_each_step_kernel_equals_its_dual_formula_bit_for_bit(data, lengths, dt, dx):
+    # Two lengths in turn, each twice, so that the kernels' buffers are reallocated
+    # and reused. Euler cells come from a few states: u of either sign takes both
+    # branches of abs, and equal wave speeds tie in maximum, whose first tangent wins.
+    n, m = lengths
+    for k in (n, m, m, n):
+        grid = Grid1D(dx=dx, n_cells=k)
+        u = Dual(_cells(data, k, st.floats(-2.0, 2.0)), _cells(data, k, _tangent))
+        field = CellField(grid, u)
+        _assert_same_bits(lxf_step(field, dt, MODEL).data, solver._lxf_update(u, dt, dx, MODEL))
+
+        state = EulerState(*(Dual(_cells(data, k, st.sampled_from(pool)), _cells(data, k, _tangent))
+                             for pool in ((0.5, 1.0, 2.0), (-1.0, -0.5, 0.5, 1.0), (0.4, 1.0))))
+        field = EulerCellField(grid, state)
+        step = dt * dx / field.max_char_speed()
+        try:
+            want = solver._rusanov_update(state, step, dx)
+        except NonPhysicalStateError as exc:
+            with pytest.raises(NonPhysicalStateError, match=re.escape(str(exc))):
+                rusanov_step_euler(field, step)
+            continue
+        got = rusanov_step_euler(field, step).state
+        for name in ("rho", "u", "p"):
+            _assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def _arrays(field):
+    parts = [field.data] if isinstance(field, CellField) else [
+        getattr(field.state, c) for c in ("rho", "u", "p")]
+    return [a for d in parts for a in (d.value, d.tangent)]
+
+
+@pytest.mark.parametrize("make_field, kernel", [
+    (lambda: _burgers_ramp(), solver._LXF), (lambda: wavy_euler_field(), solver._RUSANOV)],
+    ids=["lxf", "rusanov"])
+def test_a_step_returns_arrays_that_nothing_else_holds(make_field, kernel):
+    field = make_field()
+    law = MODEL if isinstance(field, CellField) else GAS
+    dt = cfl_dt(field, field.grid.dx, 0.5, law)
+
+    def step(f):
+        return lxf_step(f, dt, MODEL) if law is MODEL else rusanov_step_euler(f, dt)
+
+    first = step(field)
+    second = step(first)
+    new = _arrays(second)
+    for i, a in enumerate(new):
+        for b in (*new[:i], *_arrays(first), *_arrays(field), *kernel.buffers):
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [CaseConfig(grid_no=9, record_times=(0.5, 1.0, 1.5)),
+     CaseConfig(problem="euler", dx=0.05, t_final=2.0, record_times=(0.5, 1.0, 1.5))],
+    ids=["burgers-grid9", "euler-dx0.05"],
+)
+def test_run_snapshots_equal_those_of_the_dual_formula_byte_for_byte(cfg, monkeypatch):
+    # A kernel that handed out a buffer would see its snapshots overwritten by later steps.
+    traced = run_case(cfg).snapshots
+
+    def dual_lxf_step(field, dt, model):
+        return CellField(field.grid, solver._lxf_update(field.data, dt, field.grid.dx, model))
+
+    def dual_rusanov_step(field, dt):
+        return EulerCellField(field.grid, solver._rusanov_update(field.state, dt, field.grid.dx))
+
+    monkeypatch.setattr(solver, "lxf_step", dual_lxf_step)
+    monkeypatch.setattr(solver, "rusanov_step_euler", dual_rusanov_step)
+    reference = run_case(cfg).snapshots
+    assert [t for t, _ in traced] == [t for t, _ in reference] == [0.5, 1.0, 1.5, 2.0]
+    for (_, got), (_, want) in zip(traced, reference):
+        for g, w in zip(_arrays(got), _arrays(want)):
+            assert g.tobytes() == w.tobytes()
+
+
+class _LinearFlux(BurgersModel):
+    def flux(self, u):
+        return 2.0 * u
+
+
+@pytest.mark.parametrize("law", [_LinearFlux(), SimpleNamespace(scalar=True, flux=lambda u: u * u)],
+                         ids=["subclass", "function"])
+def test_lxf_step_refuses_a_law_with_another_flux(law):
+    with pytest.raises(TypeError, match="Burgers' flux"):
+        lxf_step(small_field([0.0, 1.0, 0.0]), 0.5, law)
