@@ -451,4 +451,5 @@ def emit_snapshot_csv(field, law, path):
     """Write one field snapshot of `law`: x,u,v (scalar) or x,rho,u,p,v_rho,v_u,v_p."""
     comps = law.split(field)
     columns = [field.grid.centers(), *(c.values for c in comps), *(c.tangents for c in comps)]
-    _write_csv(path, ("x", *law.columns), zip(*columns), "snapshot")
+    # One tolist() a column, not a numpy scalar boxed per value.
+    _write_csv(path, ("x", *law.columns), zip(*(c.tolist() for c in columns)), "snapshot")

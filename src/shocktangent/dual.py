@@ -22,8 +22,9 @@ Derivatives*, ch. 3 and 6). The function runs on duals whose payloads are
 recorders, so the tangent code it emits is what the rules above produce, and
 the compiled kernel returns the dual evaluation's values and tangents bit for
 bit, with no ``Dual`` built per call. A recorded float refuses every use but
-``+ - * /`` and negation, so no branch on a value is ever baked into a
-kernel: a function that branches cannot be traced. A recorded array takes
+``+ - * /``, negation and ``sqrt`` (whose domain the kernel checks as it runs),
+so no branch on a value is ever baked into a kernel: a function that branches
+cannot be traced. A recorded array takes
 these, the comparisons, whose masks only ``np.where`` reads (so ``where``,
 ``maximum`` and ``abs`` record both branches and the choice), ``np.sqrt``,
 the slices ``a[i:]`` and ``a[i:-j]``, and ``np.pad(a, 1, mode="edge")``;
@@ -141,11 +142,18 @@ def sqrt(x):
     """Square root of a dual with the 1/(2 sqrt) tangent rule; domain-checked for scalars."""
     if _array(x.value):
         root = np.sqrt(x.value)
+    elif isinstance(x.value, _Recorded):  # checked as the kernel runs
+        root = x.value._append("_root({})", [x.value.name], None)
     else:
-        if x.value <= 0.0:
-            raise ValueError(f"sqrt requires a positive value, got {x.value}")
-        root = math.sqrt(x.value)
+        root = _root(x.value)
     return Dual(root, x.tangent / (2.0 * root))
+
+
+def _root(value):
+    """math.sqrt(value), or sqrt's ValueError for a value at or below zero."""
+    if value <= 0.0:
+        raise ValueError(f"sqrt requires a positive value, got {value}")
+    return math.sqrt(value)
 
 
 def where(cond, a, b):
@@ -197,7 +205,7 @@ def _select(cond, a, b, out=None):
 _CALLS = {
     "add": np.add, "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
     "negative": np.negative, "sqrt": np.sqrt, "less": np.less, "less_equal": np.less_equal,
-    "_pad": _pad, "_select": _select,
+    "_pad": _pad, "_select": _select, "_root": _root,
 }
 
 #: The ufunc of each operator of a recorded array. x > y is recorded as y < x.
@@ -300,8 +308,8 @@ class _Recorded:
     def _refuse(self, *_, **__):
         if self.length is None:
             raise TypeError(
-                "a traced float takes only + - * /: a comparison, bool(), float(), abs() "
-                "or ** would fix the branch of one value into the kernel"
+                "a traced float takes only + - * /, negation and dual.sqrt: a comparison, "
+                "bool(), float(), abs() or ** would fix the branch of one value into the kernel"
             )
         raise TypeError(
             "a traced array takes only + - * /, negation, < <= > >=, np.sqrt, np.where on a "
@@ -339,21 +347,21 @@ def _length(operands):
     return lengths.pop() if lengths else None
 
 
-def trace(fn, arrays=0):
+def trace(fn, arrays=0, args=None):
     """Compile fn, from payloads to Duals, into a kernel of straight-line code.
 
     fn's first `arrays` positional parameters are float arrays of one length
-    n, the others floats. It runs once, on recorders of these, and returns a
-    Dual or a tuple of Duals; the kernel takes the payloads and returns the
-    values and tangents of those Duals in order. Lines that no output reads
-    are dropped; the rest run in recorded order, so the kernel rounds as fn
-    does on payloads.
+    n, the others floats; a fn(*args) takes `args` of them. It runs once, on
+    recorders of these, and returns a Dual or a tuple of Duals; the kernel
+    takes the payloads and returns the values and tangents of those Duals in
+    order. Lines that no output reads are dropped; the rest run in recorded
+    order, so the kernel rounds as fn does on payloads.
 
     A float kernel is a plain function. An array kernel is a `_Kernel`, which
     holds the buffers its code writes with out=.
     """
     lines = []
-    params = [f"a{k}" for k in range(fn.__code__.co_argcount)]
+    params = [f"a{k}" for k in range(fn.__code__.co_argcount if args is None else args)]
     out = fn(*(_Recorded(lines, a, 0 if k < arrays else None) for k, a in enumerate(params)))
     duals = out if type(out) is tuple else (out,)
     payloads = [x for d in duals if isinstance(d, Dual) for x in (d.value, d.tangent)]

@@ -10,9 +10,9 @@ caller finds the probe point's cell once with `Grid1D.probe_cell` and passes it
 as i, so the components of a system share one lookup. A linear probe reads
 cells i - 1, i and i + 1 once each (`one_sided_slopes`).
 
-`eval_linear` is the dual reference. `trace_linear_probe` records it once per
-side into float code (`dual.trace`), which the shock tracker runs on every
-probe; the probe tangent is the one `eval_linear`'s dual arithmetic gives.
+`eval_linear` is the dual reference. `trace_linear_probes` records it at every
+probe of a shock-mode step into one float kernel (`dual.trace`); each probe
+tangent is the one `eval_linear`'s dual arithmetic gives.
 """
 
 import math
@@ -50,13 +50,14 @@ class Grid1D:
 
     def cell_containing(self, x):
         """Index of the cell holding x; exact face hits go to the right cell."""
-        if x < 0.0 or x >= self.x_right:
+        dx, n = self.dx, self.n_cells
+        if x < 0.0 or x >= n * dx:
             raise OutOfDomainError(f"x = {x} outside grid extent [0.0, {self.x_right})")
-        i = math.floor(x / self.dx)
-        # Rounding in the division can misplace an exact face hit by one.
-        if i + 1 < self.n_cells and x >= self.face(i + 1):
+        i = math.floor(x / dx)
+        # Rounding in the division can misplace an exact face hit by one (faces are i dx).
+        if i + 1 < n and x >= (i + 1) * dx:
             i += 1
-        elif x < self.face(i):
+        elif x < i * dx:
             i -= 1
         return i
 
@@ -197,18 +198,25 @@ class _StencilCells(list):
         return self
 
 
-def trace_linear_probe(side):
-    """`eval_linear` with the given side, traced into float code.
+def trace_linear_probes(sides):
+    """`eval_linear` at the central slope, at each probe of a shock-mode step, as one kernel.
 
-    The kernel takes (x, x', i, dx, u_{i-1}, u_i, u_{i+1}, u'_{i-1}, u'_i,
-    u'_{i+1}): the probe point and its tangent, its cell, the grid spacing and
-    the three cells `one_sided_slopes` reads. It returns eval_linear's (value,
-    tangent) of the dual point (x, x') on that cell, bit for bit.
+    sides[k] is -1 for a probe at x- = x - delta, +1 for one at x+ = x + delta.
+    The kernel takes (x-, x+, x', dx, i-, i+), x' the tangent of x and i-/+
+    the cells of x-/+, then the three values and three tangents each probe's
+    `one_sided_slopes` reads. It returns eval_linear's (value, tangent) at each
+    dual probe point (x-/+, x'), in order, bit for bit.
     """
 
-    def probe(x, x_dot, i, dx, u_minus, u_i, u_plus, t_minus, t_i, t_plus):
-        data = Dual(_StencilCells([u_minus, u_i, u_plus]), _StencilCells([t_minus, t_i, t_plus]))
-        field = SimpleNamespace(grid=SimpleNamespace(dx=dx), data=data)
-        return eval_linear(field, Dual(x, x_dot), side, i)
+    def probes(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *cells):
+        points = {-1: (Dual(x_minus, x_dot), i_minus), 1: (Dual(x_plus, x_dot), i_plus)}
+        grid = SimpleNamespace(dx=dx)
+        out = []
+        for k, side in enumerate(sides):
+            c = cells[6 * k : 6 * k + 6]
+            data = Dual(_StencilCells(c[:3]), _StencilCells(c[3:]))
+            point, i = points[side]
+            out.append(eval_linear(SimpleNamespace(grid=grid, data=data), point, "center", i))
+        return tuple(out)
 
-    return trace(probe)
+    return trace(probes, args=6 + 6 * len(sides))

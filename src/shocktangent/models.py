@@ -21,11 +21,10 @@ propagates exact state sensitivities.
 
 Each field has a law: BurgersModel (scalar) or EulerModel. The caller passes
 it to the solver and the tracker, which take from it all that depends on the
-problem. Each law's probe speed finds the cell of each probe point once with
-`Grid1D.probe_cell` and hands it to the reader; the Euler law reads rho, u and
-p from that one cell. The Burgers probe speed runs `BurgersModel.jump_speed`
-traced once at import into float code (`dual.trace`), after the degeneracy
-check on the probed values.
+problem. A law's probe rule is probes, checks, speed. `probe_speed` reads the
+probes on duals; `traced_probe_speed` reads linear probes as float code traced
+once at import (`dual.trace`). Both then check the probed values and run the
+speed, also traced: the Burgers jump speed, or Euler's from the probed states.
 """
 
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ import numpy as np
 
 from .dual import Dual, lift, sqrt, trace
 from .errors import NonPhysicalStateError, NoShockError, probe_jump
-from .mesh import CellField
+from .mesh import CellField, trace_linear_probes
 
 GAMMA = 1.4
 
@@ -55,7 +54,7 @@ class BurgersModel:
 
     def max_char_speed(self, field):
         """Largest |f'(u)| over the field (CFL bound)."""
-        return float(abs(field.values).max())
+        return float(np.maximum.reduce(np.abs(field.values)))
 
     def split(self, field):
         """The field's components as scalar CellFields."""
@@ -65,16 +64,22 @@ class BurgersModel:
         """f'(u) of cell i; `read` yields the cell as a float or a dual."""
         return self.char_speed(read(field.data, i))
 
-    def probe_speed(self, field, x_minus, x_plus, evaluate):
-        """Jump speed (f(u+) - f(u-)) / (u+ - u-) from probes at x_minus, x_plus.
-
-        evaluate(field, x, i) reconstructs the field on the cell i holding x.
-        """
-        locate = field.grid.probe_cell
-        v_plus = evaluate(field, x_plus, locate(x_plus.value))
-        v_minus = evaluate(field, x_minus, locate(x_minus.value))
+    def probe_speed(self, field, x_minus, x_plus, i_minus, i_plus, evaluate):
+        """(speed, speed') of the jump between probes evaluate(field, x, i) at x-/+, cells i-/+."""
+        v_minus = evaluate(field, x_minus, i_minus)
+        v_plus = evaluate(field, x_plus, i_plus)
         probe_jump(v_plus.value, v_minus.value, "probe jump")
-        return Dual(*_JUMP_SPEED(v_minus.value, v_minus.tangent, v_plus.value, v_plus.tangent))
+        return _JUMP_SPEED(v_minus.value, v_minus.tangent, v_plus.value, v_plus.tangent)
+
+    def traced_probe_speed(self, field, x_minus, x_plus, x_dot, i_minus, i_plus):
+        """probe_speed on linear probes at the dual points (x-/+, x'): two traced float calls."""
+        m, p = slice(i_minus - 1, i_minus + 2), slice(i_plus - 1, i_plus + 2)
+        v, t = field.data.value, field.data.tangent
+        v_minus, t_minus, v_plus, t_plus = _BURGERS_PROBES(
+            x_minus, x_plus, x_dot, field.grid.dx, i_minus, i_plus,
+            *v[m].tolist(), *t[m].tolist(), *v[p].tolist(), *t[p].tolist())
+        probe_jump(v_plus, v_minus, "probe jump")
+        return _JUMP_SPEED(v_minus, t_minus, v_plus, t_plus)
 
     def jump_speed(self, u_minus, u_plus):
         """Rankine-Hugoniot speed (f(u+) - f(u-)) / (u+ - u-) of the jump from u- to u+."""
@@ -85,8 +90,9 @@ def _dual_jump_speed(u_minus, t_minus, u_plus, t_plus):
     return BurgersModel().jump_speed(Dual(u_minus, t_minus), Dual(u_plus, t_plus))
 
 
-#: BurgersModel.jump_speed as float code, traced once at import:
-#: (u-, u-', u+, u+') -> (speed, speed').
+#: The Burgers probes v- and v+, and BurgersModel.jump_speed, as float code
+#: traced once at import: (u-, u-', u+, u+') -> (speed, speed').
+_BURGERS_PROBES = trace_linear_probes((-1, 1))
 _JUMP_SPEED = trace(_dual_jump_speed)
 
 
@@ -102,7 +108,7 @@ class EulerState:
     def __post_init__(self):
         for name in ("rho", "p"):
             v = getattr(self, name).value
-            if not np.all(v > 0.0):
+            if not (np.minimum.reduce(v) if isinstance(v, np.ndarray) else v) > 0.0:
                 cell = int(np.argmin(v)) if isinstance(v, np.ndarray) else -1
                 raise NonPhysicalStateError(f"non-positive {name} (first offending cell {cell})")
 
@@ -230,8 +236,11 @@ class EulerCellField:
 
     def max_char_speed(self):
         """Largest |u| + a over the field (CFL bound)."""
-        a = np.sqrt(self.gamma * self.state.p.value / self.state.rho.value)
-        return float((abs(self.state.u.value) + a).max())
+        a = self.gamma * self.state.p.value  # a**2, a and then |u| + a, in place
+        a /= self.state.rho.value
+        np.sqrt(a, out=a)
+        a += np.abs(self.state.u.value)
+        return float(np.maximum.reduce(a))
 
 
 @dataclass(frozen=True)
@@ -254,22 +263,43 @@ class EulerModel:
         rho, u, p = read(s.rho, i), read(s.u, i), read(s.p, i)
         return u - (s.gamma * p / rho) ** 0.5
 
-    def probe_speed(self, field, x_minus, x_plus, evaluate):
-        """Shock speed from upstream (minus side) rho, u, p and downstream pressure.
-
-        Each probe point is located once: evaluate(component, x, i) reconstructs
-        a component on the cell i holding x.
-        """
-        locate = field.grid.probe_cell
+    def probe_speed(self, field, x_minus, x_plus, i_minus, i_plus, evaluate):
+        """(speed, speed') of upstream rho, u, p and downstream p: probes as for Burgers."""
         rho, u, p = self.split(field)
-        i_m = locate(x_minus.value)
-        rho_m, u_m, p_m = (evaluate(c, x_minus, i_m) for c in (rho, u, p))
-        p_p = evaluate(p, x_plus, locate(x_plus.value))
-        for name, probed, x in (("rho", rho_m, x_minus), ("p", p_m, x_minus), ("p", p_p, x_plus)):
-            if not probed.value > 0.0:
-                raise NonPhysicalStateError(
-                    f"probed {name} = {probed.value!r} at x = {x.value!r} is not positive"
-                )
-        a_m = sqrt(field.gamma * p_m / rho_m)
-        return shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
+        probed = [evaluate(c, x_minus, i_minus) for c in (rho, u, p)]
+        probed.append(evaluate(p, x_plus, i_plus))
+        return _gas_speed(field.gamma, x_minus.value, x_plus.value,
+                          *(x for d in probed for x in (d.value, d.tangent)))
 
+    def traced_probe_speed(self, field, x_minus, x_plus, x_dot, i_minus, i_plus):
+        """probe_speed on linear probes at the dual points (x-/+, x'): two traced float calls."""
+        m, p = slice(i_minus - 1, i_minus + 2), slice(i_plus - 1, i_plus + 2)
+        s = field.state
+        return _gas_speed(s.gamma, x_minus, x_plus, *_GAS_PROBES(
+            x_minus, x_plus, x_dot, field.grid.dx, i_minus, i_plus,
+            *s.rho.value[m].tolist(), *s.rho.tangent[m].tolist(),
+            *s.u.value[m].tolist(), *s.u.tangent[m].tolist(),
+            *s.p.value[m].tolist(), *s.p.tangent[m].tolist(),
+            *s.p.value[p].tolist(), *s.p.tangent[p].tolist()))
+
+
+def _dual_shock_speed(rho, rho_t, u, u_t, p, p_t, p_plus, p_plus_t, gamma):
+    """Shock speed from the probed upstream rho, u, p and downstream p (values and tangents)."""
+    p_minus = Dual(p, p_t)
+    a_minus = sqrt(gamma * p_minus / Dual(rho, rho_t))
+    return shock_speed_from_states(Dual(u, u_t), a_minus, p_minus, Dual(p_plus, p_plus_t), gamma)
+
+
+#: The gas probes (rho, u, p at x - delta, p at x + delta) and _dual_shock_speed, traced
+#: once at import: (rho, rho', u, u', p, p', p+, p+', gamma) -> (speed, speed').
+_GAS_PROBES = trace_linear_probes((-1, -1, -1, 1))
+_GAS_SPEED = trace(_dual_shock_speed)
+
+
+def _gas_speed(gamma, x_minus, x_plus, *probed):
+    """_GAS_SPEED of the probed values and tangents, once the probed rho and p are positive."""
+    for name, value, x in (("rho", probed[0], x_minus), ("p", probed[4], x_minus),
+                           ("p", probed[6], x_plus)):
+        if not value > 0.0:
+            raise NonPhysicalStateError(f"probed {name} = {value!r} at x = {x!r} is not positive")
+    return _GAS_SPEED(*probed, gamma)

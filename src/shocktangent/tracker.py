@@ -19,13 +19,13 @@ the modes differ only in how the position tangent accumulates:
              cell: with the staggered averaging of the base scheme the two
              one-sided differences carry an O(1) odd-even bias of opposite
              sign (measured ~+14% / ~-13% on the tracked sensitivity, grid
-             independent), and their mean cancels it. Each probe runs
-             `mesh.eval_linear` traced once at import into float code
-             (`mesh.trace_linear_probe`, `dual.trace`), and so does the Burgers
-             jump speed (`BurgersModel.jump_speed`); the probe tangent is what
-             dual arithmetic on those functions gives, bit for bit, without a
-             Dual per operation. Euler's sound speed and shock speed from the
-             probed states stay on duals, since `dual.sqrt` checks its value.
+             independent), and their mean cancels it. A step is two calls of
+             float code traced once at import (`dual.trace`): the law's probes
+             (`mesh.eval_linear` at every probe, `mesh.trace_linear_probes`),
+             then, after the law's checks on the probed values, its speed
+             (the Burgers jump speed; Euler's sound speed and shock speed from
+             the probed states). The tangent is what dual arithmetic on those
+             formulas gives, bit for bit, without a Dual per operation.
   blackbox - plain forward AD of the position update itself, with no custom
              rule: x' + dt * c(U_i)', the characteristic speed differentiated
              on the piecewise-constant cell that holds x. That cell is flat,
@@ -36,10 +36,10 @@ the modes differ only in how the position tangent accumulates:
   none     - tangent frozen at zero.
 
 delta = c_coeff * dx**alpha is the half width assumed for the numerical shock
-layer; probes sit just outside it. Every function takes the law the solver
-marches with as an argument. A shock-mode step locates three points, the
-tracked one and one per probe, on either law. naive_probe_speed (the
-same jump speed on flat probes) is kept as a reference rule; no mode uses it.
+layer (a ShockTracker computes it once); probes sit just outside it. Every
+function takes the law the solver marches with as an argument. A shock-mode
+step locates three points, the tracked one and one per probe, on either law.
+naive_probe_speed (the same rule on flat probes) is a reference; no mode uses it.
 """
 
 from array import array
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .dual import Dual, with_custom_tangent
 from .errors import OutOfDomainError, TrackingLostError
-from .mesh import eval_constant, trace_linear_probe
+from .mesh import eval_constant
 
 #: The tracker modes: how the position tangent accumulates (module docstring).
 MODES = ("none", "blackbox", "shock")
@@ -102,51 +102,41 @@ def char_speed(position, field, law):
     return _char_speed(field, position.value, law, _read_dual)
 
 
-def _probe_speed(position, field, delta, law, evaluate):
-    """RH speed from probes at x +/- delta; `evaluate` picks the reconstruction.
-
-    evaluate(field, x, i) reads a scalar field at the dual point x on cell i,
-    the cell `Grid1D.probe_cell` finds for x; the law finds it once per point.
-    """
+def rh_probe_speed(position, field, delta, law):
+    """Jump speed on linear reconstructions (the shock-AD rule), as traced float code."""
+    x_minus, x_plus = position.value - delta, position.value + delta
+    locate = field.grid.probe_cell
     try:
-        return law.probe_speed(field, position - delta, position + delta, evaluate)
+        i_minus, i_plus = locate(x_minus), locate(x_plus)
     except OutOfDomainError as exc:
         raise TrackingLostError(f"probe point left the grid: {exc}") from exc
-
-
-def rh_probe_speed(position, field, delta, law):
-    """Jump speed on linear reconstructions (the shock-AD rule)."""
-    return _probe_speed(position, field, delta, law, _linear_eval)
+    return Dual(*law.traced_probe_speed(field, x_minus, x_plus, position.tangent, i_minus, i_plus))
 
 
 def naive_probe_speed(position, field, delta, law):
-    """Jump speed on piecewise-constant probes: the flat-probe RH reference.
+    """Jump speed on piecewise-constant probes: the flat-probe RH reference, read on duals.
 
     On constant flanking states it equals rh_probe_speed. No tracker mode
     uses it; black-box AD differentiates char_speed instead.
     """
-    return _probe_speed(position, field, delta, law, eval_constant)
+    x_minus, x_plus = position - delta, position + delta
+    locate = field.grid.probe_cell
+    try:
+        i_minus, i_plus = locate(x_minus.value), locate(x_plus.value)
+    except OutOfDomainError as exc:
+        raise TrackingLostError(f"probe point left the grid: {exc}") from exc
+    return Dual(*law.probe_speed(field, x_minus, x_plus, i_minus, i_plus, eval_constant))
 
 
-#: eval_linear(field, x, "center", i) as float code, traced once at import.
-_LINEAR_CENTER = trace_linear_probe("center")
-
-
-def _linear_eval(field, x, i):
-    # Central-difference slope on either probe side; see module docstring.
-    cells = slice(i - 1, i + 2)
-    d = field.data
-    return Dual(*_LINEAR_CENTER(x.value, x.tangent, i, field.grid.dx,
-                                *d.value[cells].tolist(), *d.tangent[cells].tolist()))
-
-
-def step_shock(position, field, dt, config, law):
-    """Advance a tracked dual position one step; dx and delta come from the field."""
+def step_shock(position, field, dt, config, law, delta=None):
+    """Advance a tracked dual position one step; delta is config.delta(dx) unless given."""
     new_x = advance_position(position, field, dt, law)
     if config.mode == "none":
         return with_custom_tangent(new_x, 0.0)
     if config.mode == "shock":
-        speed = rh_probe_speed(position, field, config.delta(field.grid.dx), law)
+        if delta is None:
+            delta = config.delta(field.grid.dx)
+        speed = rh_probe_speed(position, field, delta, law)
     else:
         speed = char_speed(position, field, law)
     # Value from the float update above; tangent of x + dt * speed.
@@ -164,12 +154,15 @@ class ShockTracker:
         self.state = Dual(float(x0), 0.0)
         self.config = config
         self.law = law
+        self.delta = None  # config.delta(dx), once the first step shows the grid
         self.times = array("d", [0.0])
         self.positions = array("d", [x0])
         self.tangents = array("d", [0.0])
 
     def __call__(self, t, dt, field):
-        self.state = step_shock(self.state, field, dt, self.config, self.law)
+        if self.delta is None:
+            self.delta = self.config.delta(field.grid.dx)
+        self.state = step_shock(self.state, field, dt, self.config, self.law, self.delta)
         self.times.append(t + dt)
         self.positions.append(self.state.value)
         self.tangents.append(self.state.tangent)

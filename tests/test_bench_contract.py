@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shocktangent import cases, cli, solver
+from shocktangent import cases, cli, models, solver
 from shocktangent.cases import CaseConfig, epsilon_sweep, grid_convergence, run_case
 from shocktangent.cli import EXIT_OK
 from shocktangent.dual import trace
@@ -51,10 +51,11 @@ def test_traced_names_record_spans(tmp_path, capsys):
             ["burgers", "--grid-no", "9", "--mode", "blackbox"],
         ):
             assert cli.main(argv) == EXIT_OK, argv
-        # The steps run the kernels traced from their dual formulas at import; the
-        # formulas' own calls record spans when they are traced again.
+        # The steps and the tracker run the kernels traced from their dual formulas
+        # at import; the formulas' own calls record spans when they are traced again.
         trace(solver._lxf_payloads, arrays=2)
         trace(solver._rusanov_payloads, arrays=6)
+        trace(models._dual_shock_speed)
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Dual-number arithmetic and the custom-tangent escape hatch."""
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -290,14 +292,44 @@ def test_a_traced_kernel_drops_the_lines_no_output_reads():
     "use",
     [lambda a: a < 1.0, lambda a: a == a, lambda a: a != 0.0, lambda a: 0.0 >= a,
      bool, float, abs, lambda a: a ** 2, lambda a: 2.0 ** a,
-     lambda a: sqrt(Dual(a, 1.0)), np.sqrt, lambda a: maximum(Dual(a, 1.0), 0.0).value],
-    ids=["lt", "eq", "ne", "ge", "bool", "float", "abs", "pow", "rpow", "sqrt", "np-sqrt",
-         "maximum"],
+     np.sqrt, lambda a: maximum(Dual(a, 1.0), 0.0).value],
+    ids=["lt", "eq", "ne", "ge", "bool", "float", "abs", "pow", "rpow", "np-sqrt", "maximum"],
 )
 def test_a_traced_float_refuses_every_use_that_reads_its_value(use):
-    # dual.sqrt checks its domain on the value, so it cannot be traced either
     with pytest.raises(TypeError, match=r"takes only \+ - \* /"):
         trace(lambda a: Dual(use(a), 0.0))
+
+
+def _roots(a, b, c):
+    # dual.sqrt of a dual and of a value formed from two, in a formula of both.
+    x, y = Dual(a, b), Dual(c, 1.0)
+    return sqrt(x) * y - 2.0 / sqrt(x * y + 0.5), sqrt(y)
+
+
+_ROOTS = trace(_roots)
+
+
+@settings(derandomize=True, deadline=None)
+@given(a=_finite, b=_finite, c=_finite)
+def test_a_traced_sqrt_equals_the_dual_evaluation_bit_for_bit(a, b, c):
+    # sqrt checks its value when the kernel runs, as the dual evaluation does.
+    try:
+        ref = _roots(a, b, c)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _ROOTS(a, b, c)
+        return
+    assert _bits(*_ROOTS(a, b, c)) == _bits(*(x for d in ref for x in (d.value, d.tangent)))
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, -2.5, -math.inf])
+def test_a_traced_sqrt_raises_the_dual_sqrt_error_below_zero(a):
+    kernel = trace(lambda a: sqrt(Dual(a, 1.0)))
+    with pytest.raises(ValueError) as want:
+        sqrt(Dual(a, 1.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        kernel(a)
+    assert _bits(*kernel(6.25)) == _bits(2.5, 0.2)
 
 
 def test_a_traced_function_must_return_a_dual_of_traced_or_constant_floats():

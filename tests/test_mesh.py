@@ -20,7 +20,7 @@ from shocktangent.mesh import (
     eval_linear,
     one_sided_slopes,
     require_same_grid,
-    trace_linear_probe,
+    trace_linear_probes,
 )
 
 
@@ -184,18 +184,27 @@ def test_eval_linear_value_tangents_feed_through():
 
 
 _finite = st.floats(-1e6, 1e6)
-_LINEAR_KERNELS = {side: trace_linear_probe(side) for side in ("plus", "minus", "center")}
+#: The probe sides of each kernel: one probe on either side, and each law's probes.
+_PROBE_SIDES = {"minus": (-1,), "plus": (1,), "burgers": (-1, 1), "euler": (-1, -1, -1, 1)}
+_PROBE_KERNELS = {name: trace_linear_probes(sides) for name, sides in _PROBE_SIDES.items()}
 
 
-@pytest.mark.parametrize("side", sorted(_LINEAR_KERNELS))
+@pytest.mark.parametrize("probes", sorted(_PROBE_KERNELS))
 @settings(derandomize=True, deadline=None)
 @given(dx=st.floats(1e-5, 10.0), n=st.integers(3, 12), x=_finite, x_dot=_finite,
-       data=st.data())
-def test_the_traced_linear_probe_equals_eval_linear_bit_for_bit(side, dx, n, x, x_dot, data):
-    values, tangents = (np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
-                        for _ in range(2))
-    i = data.draw(st.integers(1, n - 2))
-    ref = eval_linear(CellField(Grid1D(dx, n), Dual(values, tangents)), Dual(x, x_dot), side, i)
-    got = _LINEAR_KERNELS[side](x, x_dot, i, dx, *values[i - 1 : i + 2].tolist(),
-                                *tangents[i - 1 : i + 2].tolist())
-    assert struct.pack("<2d", *got) == struct.pack("<2d", ref.value, ref.tangent)
+       delta=_finite, data=st.data())
+def test_the_traced_linear_probe_equals_eval_linear_bit_for_bit(probes, dx, n, x, x_dot, delta,
+                                                                data):
+    # Each probe reads a payload of its own, on the cell drawn for its side.
+    cell = {side: data.draw(st.integers(1, n - 2)) for side in (-1, 1)}
+    position, cells, want = Dual(x, x_dot), [], []
+    for side in _PROBE_SIDES[probes]:
+        values, tangents = (np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+                            for _ in range(2))
+        i = cell[side]
+        cells += [*values[i - 1 : i + 2].tolist(), *tangents[i - 1 : i + 2].tolist()]
+        point = position - delta if side < 0 else position + delta
+        ref = eval_linear(CellField(Grid1D(dx, n), Dual(values, tangents)), point, "center", i)
+        want += [ref.value, ref.tangent]
+    got = _PROBE_KERNELS[probes](x - delta, x + delta, x_dot, dx, cell[-1], cell[1], *cells)
+    assert struct.pack(f"<{len(want)}d", *got) == struct.pack(f"<{len(want)}d", *want)

@@ -1,14 +1,22 @@
 """Tracked-discontinuity stepping and its three tangent-propagation modes."""
 
+import re
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shocktangent import models, tracker
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
-from shocktangent.errors import ProbeDegenerateError, TrackingLostError
+from shocktangent.errors import (
+    NonPhysicalStateError,
+    OutOfDomainError,
+    ProbeDegenerateError,
+    TrackingLostError,
+)
 from shocktangent.mesh import CellField, Grid1D, eval_linear
 from shocktangent.models import (
     BurgersModel,
@@ -148,7 +156,40 @@ def test_gas_probes_agree_across_reconstructions_on_constant_states():
     assert a.tangent == pytest.approx(b.tangent, abs=1e-14)
 
 
-@pytest.mark.parametrize("probe, reader", [(rh_probe_speed, "_linear_eval"),
+def _dual_rh_probe_speed(position, field, delta, law, reads=None):
+    """rh_probe_speed's rule with the probes read on duals by eval_linear's central slope.
+
+    The cell of each read is appended to `reads`.
+    """
+
+    def linear(f, x, i):
+        if reads is not None:
+            reads.append(i)
+        return eval_linear(f, x, "center", i)
+
+    x_minus, x_plus = position - delta, position + delta
+    try:
+        cells = [field.grid.probe_cell(x.value) for x in (x_minus, x_plus)]
+    except OutOfDomainError as exc:
+        raise TrackingLostError(f"probe point left the grid: {exc}") from exc
+    return Dual(*law.probe_speed(field, x_minus, x_plus, *cells, linear))
+
+
+def _dual_kernel(fn):
+    """fn, a function of payloads that returns a Dual, as a kernel run on duals."""
+
+    def kernel(*payloads):
+        out = fn(*payloads)
+        return out.value, out.tangent
+
+    return kernel
+
+
+#: The probe kernel of each law, by its name in `models`.
+_PROBE_KERNELS = {BurgersModel: "_BURGERS_PROBES", EulerModel: "_GAS_PROBES"}
+
+
+@pytest.mark.parametrize("probe, reader", [(rh_probe_speed, "_PROBES"),
                                            (naive_probe_speed, "eval_constant")])
 @pytest.mark.parametrize("law", [MODEL, GAS], ids=["burgers", "euler"])
 def test_probe_speed_finds_each_probe_cell_once_and_passes_it(law, probe, reader, monkeypatch):
@@ -161,15 +202,27 @@ def test_probe_speed_finds_each_probe_cell_once_and_passes_it(law, probe, reader
         lookups.append(x)
         return find(grid, x)
 
-    inner = getattr(tracker, reader)
+    if reader == "eval_constant":
+        module, inner = tracker, tracker.eval_constant
 
-    def spy(f, x, i):
-        assert type(i) is int and i == find(f.grid, x.value)
-        cells.append(i)
-        return inner(f, x, i)
+        def spy(f, x, i):
+            assert type(i) is int and i == find(f.grid, x.value)
+            cells.append(i)
+            return inner(f, x, i)
+    else:  # one traced call takes both probe cells, then the three cells of each read
+        reader = _PROBE_KERNELS[type(law)]
+        module, inner = models, getattr(models, reader)
+
+        def spy(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *stencils):
+            assert (x_minus, x_plus, x_dot) == (state.value - 0.5, state.value + 0.5, 0.3)
+            for i, point in ((i_minus, x_minus), (i_plus, x_plus)):
+                assert type(i) is int and i == find(field.grid, point)
+            reads = len(stencils) // 6
+            cells.extend([i_minus] * (reads - 1) + [i_plus])
+            return inner(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *stencils)
 
     monkeypatch.setattr(Grid1D, "probe_cell", counting)
-    monkeypatch.setattr(tracker, reader, spy)
+    monkeypatch.setattr(module, reader, spy)
     probe(state, field, 0.5, law)
     assert sorted(lookups) == [state.value - 0.5, state.value + 0.5]
     # one read per probe on Burgers; rho, u, p at the minus probe and p at the plus one on Euler
@@ -362,17 +415,83 @@ def test_traced_probes_track_as_dual_probes_bit_for_bit(cfg, monkeypatch):
     traced = run_case(cfg).tracker
     reads = []
 
-    def dual_linear_eval(field, x, i):
+    def linear(f, x, i):
         reads.append(i)
-        return eval_linear(field, x, "center", i)
+        return eval_linear(f, x, "center", i)
 
-    def dual_jump_speed(*floats):
-        speed = models._dual_jump_speed(*floats)
-        return speed.value, speed.tangent
+    def dual_probe_speed(law, field, x_minus, x_plus, x_dot, i_minus, i_plus):
+        # The probes as eval_linear reads them on duals, then each speed on duals.
+        probes = Dual(x_minus, x_dot), Dual(x_plus, x_dot)
+        return law.probe_speed(field, *probes, i_minus, i_plus, linear)
 
-    monkeypatch.setattr(tracker, "_linear_eval", dual_linear_eval)
-    monkeypatch.setattr(models, "_JUMP_SPEED", dual_jump_speed)
+    for law in (BurgersModel, EulerModel):
+        monkeypatch.setattr(law, "traced_probe_speed", dual_probe_speed)
+    monkeypatch.setattr(models, "_JUMP_SPEED", _dual_kernel(models._dual_jump_speed))
+    monkeypatch.setattr(models, "_GAS_SPEED", _dual_kernel(models._dual_shock_speed))
     reference = run_case(cfg).tracker
     assert len(reads) == (2 if cfg.problem == "burgers" else 4) * (len(reference.times) - 1)
     for name in ("times", "positions", "tangents"):
         assert getattr(traced, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["burgers-grid7", "euler-desk"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(offset=st.floats(-3.0, 3.0), tangent=st.floats(-10.0, 10.0), cfl=st.floats(1e-6, 0.9))
+def test_the_traced_shock_step_equals_the_five_read_formulation_near_the_shock(
+        tracked_fields, case, offset, tangent, cfl):
+    # Positions within three cells of the tracked shock, any position tangent and dt.
+    field, state, law, cfg = tracked_fields[case]
+    config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
+    position = Dual(state.value + offset * field.grid.dx, tangent)
+    dt = cfl * field.grid.dx / law.max_char_speed(field)
+    new_x, speed = _reference_step(position, field, dt, config, law)
+    out = step_shock(position, field, dt, config, law)
+    want = (new_x, position.tangent + dt * speed.tangent)
+    assert [x.hex() for x in (out.value, out.tangent)] == [x.hex() for x in want]
+
+
+def _steep_gas_field(i):
+    """An Euler field at rest on 100 cells of 0.1: rho = 1, and p = 1 but on cells i - 1 to i + 1.
+
+    Those read 10, 0.1 and 0.05, so past the middle of cell i its central
+    slope reads a pressure below zero.
+    """
+    p = np.ones(100)
+    p[i - 1 : i + 2] = (10.0, 0.1, 0.05)
+    ones = np.ones(100)
+    return EulerCellField(Grid1D(0.1, 100),
+                          EulerState(lift(ones), lift(0.0 * ones), Dual(p, 0.5 * ones)))
+
+
+def _error_of(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "make, law, x, error, match",
+    [
+        (lambda: CellField(Grid1D(0.1, 40), lift(np.full(40, 1.0))), MODEL, 2.0,
+         ProbeDegenerateError, "^probe jump 0.0 below floor"),
+        (lambda: _steep_gas_field(56), GAS, 5.19,
+         NonPhysicalStateError, r"^probed p = -1\.8\d* at x = 5\.69"),
+        (lambda: _steep_gas_field(46), GAS, 5.19,
+         NonPhysicalStateError, r"^probed p = -1\.8\d* at x = 4\.69"),
+        (linear_field, MODEL, 0.55, TrackingLostError, "needs an interior cell, got 0$"),
+        (linear_field, MODEL, 3.45, TrackingLostError, "needs an interior cell, got 39$"),
+        (two_state_gas_field, GAS, 0.55, TrackingLostError, "needs an interior cell, got 0$"),
+        (two_state_gas_field, GAS, 9.45, TrackingLostError, "needs an interior cell, got 99$"),
+    ],
+    ids=["burgers-flat", "euler-negative-p-plus", "euler-negative-p-minus",
+         "burgers-cell-0", "burgers-cell-n-1", "euler-cell-0", "euler-cell-n-1"],
+)
+def test_the_traced_rule_fails_as_the_dual_rule_does(make, law, x, error, match):
+    field, position = make(), Dual(x, 0.3)
+    want = _error_of(lambda: _dual_rh_probe_speed(position, field, 0.5, law))
+    assert want is not None and want[0] is error and re.search(match, want[1]), want
+    assert _error_of(lambda: rh_probe_speed(position, field, 0.5, law)) == want
+    config = TrackerConfig(5.0, 1.0, "shock")
+    assert _error_of(lambda: step_shock(position, field, 1e-3, config, law)) == want

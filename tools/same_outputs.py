@@ -88,6 +88,12 @@ COMMANDS = [
     ("sweep_euler_probe_leaves_grid",
      ["sweep", "--problem", "euler", "--t-final", "9", "--eps-max", "0.001"],
      "x_shock0 = 29.0\n", ()),
+    # The tracker's own exits in a march: a probe jump under its floor, and a
+    # tracked position that leaves the grid interior.
+    ("burgers_probe_jump_below_floor", ["burgers", "--grid-no", "9", "--c-coeff", "0.3"],
+     None, ()),
+    ("burgers_position_leaves_interior",
+     ["burgers", "--dx", "0.01", "--t-final", "3", "--c-coeff", "0.2"], None, ()),
     # The help pages, which pin every command's flags and help text.
     ("help", ["--help"], None, ()),
     *((f"help_{c}", [c, "--help"], None, ())
