@@ -25,7 +25,8 @@ import numpy as np
 
 from .calculus import BurgersRampOracle, jump_estimate, l1_error, tangential_shift
 from .dual import Dual, lift, seed
-from .errors import ConfigError, NoShockError, NumericalError, OutOfDomainError
+from .errors import (ConfigError, NonPhysicalStateError, NoShockError, NumericalError,
+                     OutOfDomainError)
 from .mesh import CellField, Grid1D, cell_average
 from .models import (
     BurgersModel,
@@ -52,6 +53,11 @@ BURGERS_GRIDS = {
 
 #: Largest grid a case may ask for (127 times Burgers grid 1).
 MAX_CELLS = 2**22
+
+#: Most perturbation sizes a sweep takes. Each is a report row (about 180 B
+#: held, 100 B of CSV) and an exact profile (about 1 ms on Burgers grid 5, one
+#: Xeon core): at 10**5 the rows, not the run, set the cost (18 MB, minutes).
+MAX_EPS = 10**5
 
 
 class BurgersLaw(BurgersModel):
@@ -189,6 +195,9 @@ class CaseConfig:
             raise ConfigError(str(exc)) from exc
         except NoShockError as exc:
             raise ConfigError(f"shock_speed = {cfg.shock_speed!r} makes no shock: {exc}") from exc
+        except NonPhysicalStateError as exc:  # a gas state of the Euler setup
+            raise ConfigError(f"mach = {cfg.mach!r}, shock_speed = {cfg.shock_speed!r} and "
+                              f"gamma = {cfg.gamma!r} give no gas state: {exc}") from exc
         try:
             delta = tracker.delta(cfg.dx)
         except OverflowError:  # dx**alpha past the largest float
@@ -224,8 +233,8 @@ class CaseConfig:
 
     def eps_list(self):
         """The sweep's n_eps perturbation sizes, geometric from eps_min to eps_max."""
-        if self.n_eps < 2:
-            raise ConfigError("n_eps must be at least 2")
+        if not 2 <= self.n_eps <= MAX_EPS:
+            raise ConfigError(f"n_eps must be at least 2 and at most {MAX_EPS}, got {self.n_eps}")
         if not 0 < self.eps_min < self.eps_max:
             raise ConfigError("need 0 < eps_min < eps_max")
         return np.geomspace(self.eps_min, self.eps_max, self.n_eps)
@@ -280,7 +289,7 @@ def run_case(config):
     grid = cfg.build_grid()
     tracker_cfg = TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode)
     oracle = law.setup(cfg)
-    tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law)
+    tracker = ShockTracker(oracle.shock_position(0.0), tracker_cfg, law, grid.dx)
     ic = law.initial_field(oracle, grid)
     if cfg.dt is None:
         # At the initial wave speed c_0 a CFL march takes t_final * c_0 / (cfl * dx)
@@ -292,7 +301,7 @@ def run_case(config):
                 f"more than {MAX_STEPS} steps to t_final = {cfg.t_final!r}; raise cfl"
             )
     snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
-    return CaseResult(cfg, grid, snapshots, tracker, tracker_cfg.delta(grid.dx), law, oracle)
+    return CaseResult(cfg, grid, snapshots, tracker, tracker.delta, law, oracle)
 
 
 def _step_averages(grid, x_step, left, right):

@@ -66,6 +66,8 @@ def _read_config_file(path):
             lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

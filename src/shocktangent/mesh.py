@@ -10,14 +10,13 @@ caller finds the probe point's cell once with `Grid1D.probe_cell` and passes it
 as i, so the components of a system share one lookup. A linear probe reads
 cells i - 1, i and i + 1 once each (`one_sided_slopes`).
 
-`eval_linear` is the dual reference. `trace_linear_probes` records it at every
-probe of a shock-mode step into one float kernel (`dual.trace`); each probe
-tangent is the one `eval_linear`'s dual arithmetic gives.
+`eval_linear` is the dual reference: a stencil read, then dual arithmetic on
+its cells (`_slopes`, `_linear_value`), which `trace_linear_probes` records at
+every probe of a shock-mode step into one float kernel (`dual.trace`).
 """
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -152,17 +151,30 @@ def eval_constant(field, x, i):
     return field.at(i)
 
 
+def _slopes(u_minus, u_i, u_plus, dx):
+    """(forward, backward) difference slopes of the middle of three cells, from duals."""
+    return (u_plus - u_i) / dx, (u_i - u_minus) / dx
+
+
 def one_sided_slopes(field, i):
     """Cell i and its (forward, backward) difference slopes, as duals.
 
     Cells i - 1, i and i + 1 are read once each, from one slice per payload.
     """
-    dx = field.grid.dx
-    d = field.data
-    v_minus, v_i, v_plus = d.value[i - 1 : i + 2].tolist()
-    t_minus, t_i, t_plus = d.tangent[i - 1 : i + 2].tolist()
-    u_minus, u_i, u_plus = Dual(v_minus, t_minus), Dual(v_i, t_i), Dual(v_plus, t_plus)
-    return u_i, (u_plus - u_i) / dx, (u_i - u_minus) / dx
+    d, cells = field.data, slice(i - 1, i + 2)
+    u_minus, u_i, u_plus = map(Dual, d.value[cells].tolist(), d.tangent[cells].tolist())
+    return u_i, *_slopes(u_minus, u_i, u_plus, field.grid.dx)
+
+
+def _linear_value(x, side, i, dx, u_i, s_plus, s_minus):
+    """u_i + (x - X_i) * slope at the dual x, the slope chosen by side as in eval_linear."""
+    if side == "plus":
+        s = s_plus
+    elif side == "minus":
+        s = s_minus
+    else:
+        s = 0.5 * (s_plus + s_minus)
+    return u_i + (x - (i + 0.5) * dx) * s
 
 
 def eval_linear(field, x, side, i):
@@ -177,25 +189,7 @@ def eval_linear(field, x, side, i):
     if side not in ("plus", "minus", "center"):
         raise ValueError(f"side must be 'plus', 'minus' or 'center', got {side!r}")
     x = lift(x)
-    u_i, s_plus, s_minus = one_sided_slopes(field, i)
-    if side == "plus":
-        s = s_plus
-    elif side == "minus":
-        s = s_minus
-    else:
-        s = 0.5 * (s_plus + s_minus)
-    center = (i + 0.5) * field.grid.dx
-    return u_i + (x - center) * s
-
-
-class _StencilCells(list):
-    """Cells i - 1, i and i + 1 of one payload, whatever slice `one_sided_slopes` takes."""
-
-    def __getitem__(self, _):
-        return self
-
-    def tolist(self):
-        return self
+    return _linear_value(x, side, i, field.grid.dx, *one_sided_slopes(field, i))
 
 
 def trace_linear_probes(sides):
@@ -205,18 +199,18 @@ def trace_linear_probes(sides):
     The kernel takes (x-, x+, x', dx, i-, i+), x' the tangent of x and i-/+
     the cells of x-/+, then the three values and three tangents each probe's
     `one_sided_slopes` reads. It returns eval_linear's (value, tangent) at each
-    dual probe point (x-/+, x'), in order, bit for bit.
+    dual probe point (x-/+, x'), in order, bit for bit: it traces the same
+    dual arithmetic (`_slopes`, `_linear_value`) on the cells it is given.
     """
 
     def probes(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *cells):
         points = {-1: (Dual(x_minus, x_dot), i_minus), 1: (Dual(x_plus, x_dot), i_plus)}
-        grid = SimpleNamespace(dx=dx)
         out = []
         for k, side in enumerate(sides):
             c = cells[6 * k : 6 * k + 6]
-            data = Dual(_StencilCells(c[:3]), _StencilCells(c[3:]))
+            u = [Dual(v, t) for v, t in zip(c[:3], c[3:])]
             point, i = points[side]
-            out.append(eval_linear(SimpleNamespace(grid=grid, data=data), point, "center", i))
+            out.append(_linear_value(point, "center", i, dx, u[1], *_slopes(*u, dx)))
         return tuple(out)
 
     return trace(probes, args=6 + 6 * len(sides))

@@ -61,7 +61,7 @@ class BurgersModel:
         return [field]
 
     def cell_char_speed(self, field, i, read):
-        """f'(u) of cell i; `read` yields the cell as a float or a dual."""
+        """f'(u) of cell i; `read` yields a float (the position update) or a dual (its tangent)."""
         return self.char_speed(read(field.data, i))
 
     def probe_speed(self, field, x_minus, x_plus, i_minus, i_plus, evaluate):
@@ -109,8 +109,8 @@ class EulerState:
         for name in ("rho", "p"):
             v = getattr(self, name).value
             if not (np.minimum.reduce(v) if isinstance(v, np.ndarray) else v) > 0.0:
-                cell = int(np.argmin(v)) if isinstance(v, np.ndarray) else -1
-                raise NonPhysicalStateError(f"non-positive {name} (first offending cell {cell})")
+                cell = f" (first offending cell {np.argmin(v)})" if np.ndim(v) else ""
+                raise NonPhysicalStateError(f"non-positive {name}{cell}")
 
     def sound_speed(self):
         return sqrt(self.gamma * self.p / self.rho)
@@ -258,7 +258,8 @@ class EulerModel:
         return [field.component(c) for c in self.components]
 
     def cell_char_speed(self, field, i, read):
-        """Slow acoustic speed u - a of cell i; `read` yields floats or duals."""
+        """Slow acoustic speed u - a of cell i; `read` yields floats (the position update) or
+        duals, whose value rounds differently (dual division, powers): only a tangent is used."""
         s = field.state
         rho, u, p = read(s.rho, i), read(s.u, i), read(s.p, i)
         return u - (s.gamma * p / rho) ** 0.5

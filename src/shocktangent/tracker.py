@@ -36,7 +36,7 @@ the modes differ only in how the position tangent accumulates:
   none     - tangent frozen at zero.
 
 delta = c_coeff * dx**alpha is the half width assumed for the numerical shock
-layer (a ShockTracker computes it once); probes sit just outside it. Every
+layer (a ShockTracker fixes it when built); probes sit just outside it. Every
 function takes the law the solver marches with as an argument. A shock-mode
 step locates three points, the tracked one and one per probe, on either law.
 naive_probe_speed (the same rule on flat probes) is a reference; no mode uses it.
@@ -77,21 +77,10 @@ def _read_dual(d, i):
     return Dual(float(d.value[i]), float(d.tangent[i]))
 
 
-def _char_speed(field, x, law, read):
-    """c(U_i) on the cell holding x; `read` yields floats or duals per cell.
-
-    The float path is the position update; the dual path is the same formula
-    run on duals, whose value rounds differently (dual division and powers),
-    so only its tangent is used.
-    """
-    return law.cell_char_speed(field, field.grid.cell_containing(x), read)
-
-
 def advance_position(position, field, dt, law):
     """Position value after one step of the characteristic ODE."""
-    x = position.value
-    new_x = x + dt * _char_speed(field, x, law, _read_value)
-    grid = field.grid
+    x, grid = position.value, field.grid
+    new_x = x + dt * law.cell_char_speed(field, grid.cell_containing(x), _read_value)
     if not 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
         raise TrackingLostError(f"tracked position {new_x} left the grid interior")
     return new_x
@@ -99,7 +88,7 @@ def advance_position(position, field, dt, law):
 
 def char_speed(position, field, law):
     """c(U_i) at the tracked position as a dual: what black-box AD differentiates."""
-    return _char_speed(field, position.value, law, _read_dual)
+    return law.cell_char_speed(field, field.grid.cell_containing(position.value), _read_dual)
 
 
 def rh_probe_speed(position, field, delta, law):
@@ -128,14 +117,12 @@ def naive_probe_speed(position, field, delta, law):
     return Dual(*law.probe_speed(field, x_minus, x_plus, i_minus, i_plus, eval_constant))
 
 
-def step_shock(position, field, dt, config, law, delta=None):
-    """Advance a tracked dual position one step; delta is config.delta(dx) unless given."""
+def step_shock(position, field, dt, config, law, delta):
+    """Advance a tracked dual position one step; delta is the probe offset config.delta(dx)."""
     new_x = advance_position(position, field, dt, law)
     if config.mode == "none":
         return with_custom_tangent(new_x, 0.0)
     if config.mode == "shock":
-        if delta is None:
-            delta = config.delta(field.grid.dx)
         speed = rh_probe_speed(position, field, delta, law)
     else:
         speed = char_speed(position, field, law)
@@ -146,22 +133,20 @@ def step_shock(position, field, dt, config, law, delta=None):
 class ShockTracker:
     """Observer wrapping step_shock; keeps (t, x, xdot) history for one shock.
 
-    `state` is the current dual position (x, xdot). The history is packed in
-    array('d'), 8 bytes a sample against a list's boxed floats.
+    `state` is the current dual position (x, xdot), `delta` the probe offset on
+    the march's dx. The history is packed in array('d'), 8 bytes a sample.
     """
 
-    def __init__(self, x0, config, law):
+    def __init__(self, x0, config, law, dx):
         self.state = Dual(float(x0), 0.0)
         self.config = config
         self.law = law
-        self.delta = None  # config.delta(dx), once the first step shows the grid
+        self.delta = config.delta(dx)
         self.times = array("d", [0.0])
         self.positions = array("d", [x0])
         self.tangents = array("d", [0.0])
 
     def __call__(self, t, dt, field):
-        if self.delta is None:
-            self.delta = self.config.delta(field.grid.dx)
         self.state = step_shock(self.state, field, dt, self.config, self.law, self.delta)
         self.times.append(t + dt)
         self.positions.append(self.state.value)

@@ -376,7 +376,8 @@ def _desk_runs():
     setup = law.setup(cfg)
     ic = law.initial_field(setup, cfg.build_grid())
     trackers = {
-        m: ShockTracker(setup.shock_position(0.0), TrackerConfig(cfg.c_coeff, cfg.alpha, m), law)
+        m: ShockTracker(setup.shock_position(0.0), TrackerConfig(cfg.c_coeff, cfg.alpha, m), law,
+                        cfg.dx)
         for m in ("shock", "blackbox")
     }
     scheme = SchemeConfig(t_final=cfg.t_final, dt=cfg.dt, cfl_number=cfg.cfl)

@@ -85,6 +85,13 @@ def test_eps_list_is_geometric():
     assert np.allclose(ratios, ratios[0])
 
 
+def test_eps_list_takes_n_eps_up_to_its_ceiling():
+    cfg = CaseConfig().resolved()
+    assert len(replace(cfg, n_eps=cases.MAX_EPS).eps_list()) == cases.MAX_EPS
+    with pytest.raises(ConfigError, match=f"at most {cases.MAX_EPS}, got {cases.MAX_EPS + 1}$"):
+        replace(cfg, n_eps=cases.MAX_EPS + 1).eps_list()
+
+
 def test_grid_covers_minimum_extent():
     cfg = CaseConfig(grid_no=9).resolved()
     grid = cfg.build_grid()
@@ -397,6 +404,10 @@ _NEAR = {
 }
 
 
+#: The keys that place the shock or build the gas states, drawn from _EDGES alone.
+_CASE_KEYS = ("mach", "shock_speed", "gamma", "x_shock0", "shift")
+
+
 def _draws(name):
     near = _NEAR[name]
     near = (*near, *(v * (1.0 - 1e-9) for v in near), *(v * (1.0 + 1e-9) for v in near))
@@ -407,10 +418,12 @@ def _draws(name):
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(problem=st.sampled_from(sorted(LAWS)), mode=st.sampled_from(MODES),
        dx=_draws("dx"), dt=_draws("dt"), t_final=_draws("t_final"),
-       c_coeff=_draws("c_coeff"), alpha=_draws("alpha"))
+       c_coeff=_draws("c_coeff"), alpha=_draws("alpha"),
+       case=st.tuples(*[st.sampled_from(_EDGES)] * len(_CASE_KEYS)))
 def test_resolved_admits_only_configs_that_can_start(problem, mode, dx, dt, t_final,
-                                                     c_coeff, alpha):
-    raw = {"dx": dx, "dt": dt, "t_final": t_final, "c_coeff": c_coeff, "alpha": alpha}
+                                                     c_coeff, alpha, case):
+    raw = {"dx": dx, "dt": dt, "t_final": t_final, "c_coeff": c_coeff, "alpha": alpha,
+           **dict(zip(_CASE_KEYS, case))}
     given = {k: v for k, v in raw.items() if v is not None}
     try:
         cfg = CaseConfig(problem=problem, mode=mode, **given).resolved()

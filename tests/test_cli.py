@@ -222,6 +222,22 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
         # A study whose first-order shock x_s + eps_max * xi leaves the grid.
         (["sweep", "--grid-no", "5", "--config", "{dir}/near_shift.cfg"], "first-order shock"),
         (["gridconv", "--config", "{dir}/near_shift.cfg"], "first-order shock"),
+        # More perturbation sizes than a sweep takes, before numpy sizes the array.
+        (["sweep", "--grid-no", "9", "--n-eps", "100000000000000"],
+         f"n_eps must be at least 2 and at most {cases.MAX_EPS}, got 100000000000000"),
+        (["sweep", "--grid-no", "9", "--n-eps", "99999999999999999999999"],
+         f"at most {cases.MAX_EPS}, got 99999999999999999999999"),
+        (["burgers", "--config", "{dir}/not_utf8.cfg"],
+         "config file {dir}/not_utf8.cfg is not UTF-8"),
+        # Gas inputs whose upstream state cannot exist; a scalar state names no cell.
+        *((["euler", "--dx", "0.05", "--t-final", "1", "--config", f"{{dir}}/{name}.cfg"], msg)
+          for name, msg in (
+              ("huge_mach", "mach = 1e+150, shock_speed = 0.1 and gamma = 1.4 give no gas "
+               "state: non-positive rho\n"),
+              ("huge_backward_shock", "mach = 5.3452, shock_speed = -1e+300 and gamma = 1.4 "
+               "give no gas state: non-positive rho\n"),
+              ("huge_gamma", "mach = 5.3452, shock_speed = 0.1 and gamma = 1e+300 give no gas "
+               "state: non-positive p\n"))),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
          "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
@@ -230,7 +246,8 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
          "euler-delta-underflow", "sweep-initial-probe-outside",
          "gridconv-initial-probe-outside", "euler-probe-offset-rounds-away",
          "burgers-probe-offset-rounds-away", "sweep-first-order-shock-outside",
-         "gridconv-first-order-shock-outside"],
+         "gridconv-first-order-shock-outside", "n-eps-past-ceiling", "n-eps-past-numpy",
+         "config-not-utf8", "gas-huge-mach", "gas-huge-backward-shock", "gas-huge-gamma"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -240,9 +257,15 @@ def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "far_shock.cfg").write_text("x_shock0 = 40\n", encoding="utf-8")
     (tmp_path / "far_shift.cfg").write_text("shift = 5\n", encoding="utf-8")
     (tmp_path / "near_shift.cfg").write_text("shift = 0.056\n", encoding="utf-8")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe shift = 0.03\n")
+    for name, line in (("huge_mach", "mach = 1e150"), ("huge_gamma", "gamma = 1e300"),
+                       ("huge_backward_shock", "shock_speed = -1e300")):
+        (tmp_path / f"{name}.cfg").write_text(line + "\n", encoding="utf-8")
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message.format(dir=tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_config_file_jobs_reaches_grid_convergence(tmp_path, monkeypatch, capsys):

@@ -77,9 +77,10 @@ def test_state_derived_quantities():
 
 
 def test_state_rejects_nonphysical_inputs():
-    with pytest.raises(NonPhysicalStateError):
+    # A scalar state has no cell to name; an array state names its first bad one.
+    with pytest.raises(NonPhysicalStateError, match="^non-positive rho$"):
         EulerState(rho=lift(-1.0), u=lift(0.0), p=lift(1.0))
-    with pytest.raises(NonPhysicalStateError):
+    with pytest.raises(NonPhysicalStateError, match="^non-positive p$"):
         EulerState(rho=lift(1.0), u=lift(0.0), p=lift(0.0))
     vals = np.array([1.0, -2.0, 1.0])
     with pytest.raises(NonPhysicalStateError, match="cell 1"):

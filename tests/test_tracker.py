@@ -90,7 +90,7 @@ def test_step_shock_mode_split():
         ("none", 0.0),
     ):
         cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode=mode)
-        out = step_shock(state, f, dt, cfg, MODEL)
+        out = step_shock(state, f, dt, cfg, MODEL, cfg.delta(f.grid.dx))
         assert out.value == pytest.approx(2.069, abs=1e-13)
         assert out.tangent == pytest.approx(expected_tangent, abs=1e-12)
 
@@ -108,7 +108,7 @@ def test_probe_exit_is_reported_as_tracking_loss():
     state = Dual(0.55, 0.0)
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
     with pytest.raises(TrackingLostError):
-        step_shock(state, f, 0.04, cfg, MODEL)
+        step_shock(state, f, 0.04, cfg, MODEL, cfg.delta(f.grid.dx))
 
 
 def test_degenerate_probe_jump_is_rejected():
@@ -256,8 +256,8 @@ def test_blackbox_differentiates_the_position_update_on_gas_states():
     for x, c_tangent in ((5.0, dc_ds), (4.95, 0.0)):
         state = Dual(x, 0.3)
         assert char_speed(state, field, GAS).tangent == pytest.approx(c_tangent, rel=1e-6)
-        bb = step_shock(state, field, dt, blackbox, GAS)
-        sh = step_shock(state, field, dt, shock, GAS)
+        bb = step_shock(state, field, dt, blackbox, GAS, blackbox.delta(field.grid.dx))
+        sh = step_shock(state, field, dt, shock, GAS, shock.delta(field.grid.dx))
         assert bb.value == sh.value == advance_position(state, field, dt, GAS)
         assert bb.tangent == pytest.approx(0.3 + dt * c_tangent, rel=1e-6)
         # the custom rule reads the exact jump-speed sensitivity of one
@@ -280,7 +280,7 @@ def test_blackbox_sensitivity_grows_like_one_over_dx():
 def test_tracker_observer_keeps_history():
     f = linear_field()
     cfg = TrackerConfig(c_coeff=5.0, alpha=1.0, mode="shock")
-    tracker = ShockTracker(2.03, cfg, MODEL)
+    tracker = ShockTracker(2.03, cfg, MODEL, f.grid.dx)
     scheme = SchemeConfig(t_final=0.12, dt=0.04)
     run(f, scheme, MODEL, observers=(tracker,))
     assert tracker.times == pytest.approx([0.0, 0.04, 0.08, 0.12])
@@ -296,14 +296,15 @@ def test_tracker_observer_keeps_history():
 class ListTracker:
     """The tracker as it was before packing: history in lists of Python floats."""
 
-    def __init__(self, x0, config, law):
+    def __init__(self, x0, config, law, dx):
         self.state = Dual(float(x0), 0.0)
         self.config = config
         self.law = law
+        self.delta = config.delta(dx)
         self.times, self.positions, self.tangents = [0.0], [float(x0)], [0.0]
 
     def __call__(self, t, dt, field):
-        self.state = step_shock(self.state, field, dt, self.config, self.law)
+        self.state = step_shock(self.state, field, dt, self.config, self.law, self.delta)
         self.times.append(t + dt)
         self.positions.append(self.state.value)
         self.tangents.append(self.state.tangent)
@@ -383,7 +384,7 @@ def test_step_shock_equals_the_five_read_formulation_bit_for_bit(tracked_fields,
         got = char_speed(state, field, law)
     # the speed itself: dt * speed is too small to show its last bits in x'
     assert (got.value, got.tangent) == (speed.value, speed.tangent)
-    out = step_shock(state, field, dt, config, law)
+    out = step_shock(state, field, dt, config, law, config.delta(field.grid.dx))
     assert (out.value, out.tangent) == (
         new_x, state.tangent + dt * speed.tangent
     )
@@ -401,7 +402,7 @@ def test_shock_step_locates_three_points(tracked_fields, case, monkeypatch):
 
     monkeypatch.setattr(Grid1D, "cell_containing", counting)
     config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
-    step_shock(state, field, 1e-4, config, law)
+    step_shock(state, field, 1e-4, config, law, config.delta(field.grid.dx))
     # the position update, then one lookup per probe point
     assert len(calls) == 3
 
@@ -445,7 +446,7 @@ def test_the_traced_shock_step_equals_the_five_read_formulation_near_the_shock(
     position = Dual(state.value + offset * field.grid.dx, tangent)
     dt = cfl * field.grid.dx / law.max_char_speed(field)
     new_x, speed = _reference_step(position, field, dt, config, law)
-    out = step_shock(position, field, dt, config, law)
+    out = step_shock(position, field, dt, config, law, config.delta(field.grid.dx))
     want = (new_x, position.tangent + dt * speed.tangent)
     assert [x.hex() for x in (out.value, out.tangent)] == [x.hex() for x in want]
 
@@ -494,4 +495,4 @@ def test_the_traced_rule_fails_as_the_dual_rule_does(make, law, x, error, match)
     assert want is not None and want[0] is error and re.search(match, want[1]), want
     assert _error_of(lambda: rh_probe_speed(position, field, 0.5, law)) == want
     config = TrackerConfig(5.0, 1.0, "shock")
-    assert _error_of(lambda: step_shock(position, field, 1e-3, config, law)) == want
+    assert _error_of(lambda: step_shock(position, field, 1e-3, config, law, 0.5)) == want

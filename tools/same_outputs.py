@@ -25,7 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: (name, argv, --config file contents or None, subdirectories to make first).
+#: (name, argv, --config file contents (str, or bytes that need not be UTF-8)
+#: or None, subdirectories to make first).
 COMMANDS = [
     ("euler_t3", ["euler", "--t-final", "3", "--out", "euler.csv"], None, ()),
     ("burgers_g7_record", ["burgers", "--grid-no", "7", "--record", "1", "--out", "u.csv"],
@@ -77,6 +78,13 @@ COMMANDS = [
     ("euler_probe_offset_rounds_away",
      ["euler", "--dx", "0.1", "--t-final", "2", "--alpha", "100"], None, ()),
     ("burgers_probe_offset_rounds_away", ["burgers", "--grid-no", "9", "--alpha", "30"], None, ()),
+    # More perturbation sizes than a sweep takes, a config file that is not
+    # UTF-8, and gas inputs whose upstream state cannot exist.
+    ("sweep_n_eps_past_ceiling",
+     ["sweep", "--grid-no", "9", "--n-eps", "99999999999999999999999"], None, ()),
+    ("burgers_config_not_utf8", ["burgers"], b"\xff\xfe shift = 0.03\n", ()),
+    ("euler_gas_state_cannot_exist", ["euler", "--dx", "0.05", "--t-final", "1"],
+     "mach = 1e150\n", ()),
     # A probe that reaches the grid's last cell while the shock runs out (on
     # each law), a study whose first-order shock x_s + eps_max * xi lies past
     # the grid's end, and a study whose shock-mode march loses its probe at the
@@ -107,7 +115,8 @@ def run_command(checkout, outdir, name, argv, config, subdirs):
     for sub in subdirs:
         (workdir / sub).mkdir()
     if config is not None:
-        (workdir / "case.cfg").write_text(config, encoding="utf-8")
+        (workdir / "case.cfg").write_bytes(config if isinstance(config, bytes)
+                                           else config.encode("utf-8"))
         argv = [argv[0], "--config", "case.cfg", *argv[1:]]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "shocktangent.cli", *argv], cwd=workdir,
