@@ -194,10 +194,9 @@ class CaseConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except NoShockError as exc:
-            raise ConfigError(f"shock_speed = {cfg.shock_speed!r} makes no shock: {exc}") from exc
+            raise ConfigError(f"{_gas_keys(cfg)} make no shock: {exc}") from exc
         except NonPhysicalStateError as exc:  # a gas state of the Euler setup
-            raise ConfigError(f"mach = {cfg.mach!r}, shock_speed = {cfg.shock_speed!r} and "
-                              f"gamma = {cfg.gamma!r} give no gas state: {exc}") from exc
+            raise ConfigError(f"{_gas_keys(cfg)} give no gas state: {exc}") from exc
         try:
             delta = tracker.delta(cfg.dx)
         except OverflowError:  # dx**alpha past the largest float
@@ -271,6 +270,11 @@ def _require_shock_in_grid(cfg, grid, shock, x, study=False):
             f"{key} = {getattr(cfg, key)!r} puts {shock} at x = {x!r}, "
             f"outside the grid [0.0, {grid.x_right!r}){advice}"
         )
+
+
+def _gas_keys(cfg):
+    """The keys that build the gas states, as an error names them."""
+    return f"mach = {cfg.mach!r}, shock_speed = {cfg.shock_speed!r} and gamma = {cfg.gamma!r}"
 
 
 def _scheme(cfg):

@@ -31,9 +31,24 @@ the slices ``a[i:]`` and ``a[i:-j]``, and ``np.pad(a, 1, mode="edge")``;
 anything else raises TypeError. An array kernel writes its temporaries with
 ``out=`` into buffers it holds for the length of its last call, and returns
 fresh arrays: never a buffer, nor a view of one or of an input.
+
+``compiled`` turns array kernels into C, the tape compiled instead of
+interpreted line by line (Griewank & Walther, ch. 6): the lines fuse into a
+few loops, whose values live in C locals, so a kernel runs as one call with
+no numpy call per line. Each C operation is the IEEE operation numpy runs, in
+the same order, built without contraction or fast-math, so a compiled kernel
+returns the same bits (which NaN a NaN result holds aside, which IEEE 754
+leaves open) and raises the float lines' exceptions. It raises no numpy
+floating-point warnings. Where no C compiler, writable cache or loadable
+library is at hand, the numpy kernels are used; they stay the reference.
 """
 
+import ctypes
+import importlib.util
 import math
+import os
+import shutil
+import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -403,12 +418,15 @@ class _Kernel:
     anew when n changes: one slot, not a cache that grows. Every call writes
     them, so two calls may not overlap: a kernel is not reentrant. What a call
     returns is its own: an array output is computed into a new array, or
-    copied if it is an input, a view or an output already returned.
+    copied if it is an input, a view or an output already returned. `tape`
+    keeps the recorded lines, outputs and parameters, which `compiled` emits
+    as C.
     """
 
-    __slots__ = ("storage", "layout", "code", "arrays", "n", "buffers")
+    __slots__ = ("storage", "layout", "code", "arrays", "n", "buffers", "tape")
 
     def __init__(self, fn, body, results, params, arrays):
+        self.tape = body, results, params
         last = {name: i for i, line in enumerate(body) for name in line.operands}
         last.update((name, len(body)) for name in results)
         for line in reversed(body):
@@ -489,3 +507,270 @@ class _Kernel:
         for buffer, source, start, stop in self.layout:
             made.append(storage[source][start:n + stop] if buffer else made[source][start:stop])
         return made
+
+
+#: The C of each recorded operation over its operands' C. A mask is 0.0 or 1.0.
+_C = {
+    **{f"{ufunc}({{}}, {{}}{{out}})": f"{{}} {op} {{}}" for op, ufunc in _UFUNC.items()},
+    **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in "+-*/"},
+    "-{}": "-{}", "negative({}{out})": "-{}", "sqrt({}{out})": "sqrt({})",
+    "_root({})": "sqrt({})", "_select({}, {}, {}{out})": "{} ? {} : {}",
+}
+
+#: No -march, no fast-math and no a * b + c contracted into one rounding: each
+#: operation rounds as numpy's and Python's do.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _n_plus(k):
+    """C of the length n + k."""
+    return "n" if k == 0 else f"n + {k}" if k > 0 else f"n - {-k}"
+
+
+def _emit(kernel, name):
+    """C of an array kernel, as `int name(n, arrays..., floats..., o, s)`, and its layout.
+
+    The float lines run first, in order; a zero divisor returns 1, and a root
+    of a value at or below zero stores it in s[0] and returns 2. The array
+    lines run in one loop per (stage, length) group, in recorded order within
+    it. A line's stage is at least the largest of its array operands' (an
+    input's is 0), plus one where it reads a value of a loop through a view
+    or a pad, as that value is whole only after its loop; of the stages its
+    readers then leave open, it takes the latest. A value lives in a C local
+    unless it is read shifted, read by another loop or returned: then its
+    loop also stores it, into its output row or an array in the scratch s. A
+    padded value of a loop is written into the interior of its pad, whose
+    ends are filled after that loop; any other pad is copied before the loops
+    of the first stage that may read what it pads.
+
+    Returns the source, each output's (start, stop) in the output block o and
+    the length of s, each as a pair (a, b) meaning a * n + b, and the least n
+    for which no padded value is empty.
+    """
+    body, results, params = kernel.tape
+    arrays = params[:kernel.arrays]
+    length = {**dict.fromkeys(params), **dict.fromkeys(arrays, 0),
+              **{line.name: line.length for line in body}}
+    if any(length.get(r) is None for r in results):
+        raise TypeError(f"{name}: a compiled kernel returns arrays only")
+    views, pads, reads = {}, {}, {}  # view -> (value, offset); pad -> value; array operands
+    for line in body:
+        if line.view:
+            x, k = views.get(line.operands[0], (line.operands[0], 0))
+            views[line.name] = x, k + line.view.start
+        elif line.code == _PAD:
+            pads[line.name] = line.operands[0]
+        elif line.length is not None:
+            reads[line.name] = [x for x in line.operands if length.get(x) is not None]
+
+    def source(x):  # the value of a loop, or the input, that x reads through views and pads
+        while x in views or x in pads:
+            x = views[x][0] if x in views else pads[x]
+        return x
+
+    def ready(x):  # the first stage whose loops may read x, not a value of a loop
+        x = source(x)
+        return stage[x] + 1 if x in reads else 0
+
+    stage, latest = {}, {}
+    for x in reads:
+        stage[x] = max([stage[y] if y in reads else ready(y) for y in reads[x]], default=0)
+    for x in reversed(reads):
+        stage[x] = latest.get(x, stage[x])
+        for y in reads[x]:
+            y, bound = (y, stage[x]) if y in reads else (source(y), stage[x] - 1)
+            latest[y] = min(latest.get(y, bound), bound)
+
+    memory = dict(zip(arrays, arrays))  # array -> the C pointer it is read through
+    bounds, shift = [], 0
+    for k, r in enumerate(results):
+        bounds.append(((k, shift), (k + 1, shift + length[r])))
+        shift += length[r]
+        if r in reads:
+            memory.setdefault(r, f"o{k}")
+    scratch, declared = [0, 1], [f"double *restrict o{k} = o + {a} * n + {b};"
+                                 for k, ((a, b), _) in enumerate(bounds)]
+    floats, loops, ends, copies, stored = [], {}, {}, {}, set()
+
+    def place(x):
+        memory[x] = f"m{x}"
+        declared.append(f"double *restrict m{x} = s + {scratch[0]} * n + {scratch[1]};")
+        scratch[0] += 1
+        scratch[1] += length[x]
+
+    def store(x):
+        if x not in stored:
+            stored.add(x)
+            if x not in memory:
+                place(x)
+            loops[stage[x], length[x]].append(f"{memory[x]}[i] = {x};")
+
+    def read(x, group=None):
+        if x not in length:
+            return f"({float(x)!r})"
+        if length[x] is None:
+            return x
+        x, k = views.get(x, (x, 0))
+        if x in reads:
+            if (stage[x], length[x]) == group:
+                return x
+            store(x)
+        return f"{memory[x]}[i + {k}]" if k else f"{memory[x]}[i]"
+
+    for line in body:
+        if line.length is None:
+            terms = [read(x) for x in line.operands]
+            if line.code == "{} / {}":
+                floats.append(f"if ({terms[1]} == 0.0) return 1;")
+            elif line.code == "_root({})":
+                floats.append(f"if ({terms[0]} <= 0.0) {{ s[0] = {terms[0]}; return 2; }}")
+            floats.append(f"const double {line.name} = {_C[line.code].format(*terms)};")
+        elif line.name in pads:
+            x = pads[line.name]
+            place(line.name)
+            m, last = memory[line.name], _n_plus(length[x])
+            fill = f"{m}[0] = {m}[1]; {m}[{last} + 1] = {m}[{last}];"
+            if x in reads:
+                loops[stage[x], length[x]].append(f"{m}[i + 1] = {x};")
+                ends.setdefault((stage[x], length[x]), []).append(fill)
+            else:
+                copies.setdefault(ready(x), []).extend(
+                    [f"for (long i = 0; i < {last}; i++) {m}[i + 1] = {read(x)};", fill])
+        elif line.name in reads:
+            group = (stage[line.name], line.length)
+            terms = [read(x, group) for x in line.operands]
+            loops.setdefault(group, []).append(
+                f"const double {line.name} = {_C[line.code].format(*terms)};")
+    for k, r in enumerate(results):
+        if memory.get(r) == f"o{k}":
+            store(r)
+        else:
+            group = (stage[r] if r in reads else ready(r), length[r])
+            loops.setdefault(group, []).append(f"o{k}[i] = {read(r, group)};")
+
+    code = [*floats, *declared]
+    for s in sorted({g for g, _ in loops} | set(copies)):
+        code += copies.get(s, [])
+        for group in sorted(g for g in loops if g[0] == s):
+            code += [f"for (long i = 0; i < {_n_plus(group[1])}; i++) {{",
+                     *(f"    {c}" for c in loops[group]), "}", *ends.get(group, [])]
+    head = ", ".join(["long n", *(f"const double *restrict {a}" for a in arrays),
+                      *(f"double {a}" for a in params[len(arrays):]),
+                      "double *restrict o", "double *restrict s"])
+    source = "".join([f"int {name}({head})\n{{\n", *(f"    {c}\n" for c in code),
+                      "    return 0;\n}\n"])
+    shortest = max([1 - length[x] for x in pads.values()], default=0)
+    return source, bounds, tuple(scratch), shortest
+
+
+def compiled(*kernels):
+    """The array kernels as C functions of one shared library, else the kernels as they are.
+
+    The library is built once per source by the C compiler `cc` on PATH and
+    cached in this package's __pycache__ under a hash of its source and flags,
+    so a later process only loads it. Without a `cc`, a writable cache or a
+    library that loads, the numpy kernels themselves are returned; they stay
+    the reference that the compiled ones are tested against. The C is emitted
+    either way, so a kernel it cannot express fails here, with or without `cc`.
+    """
+    emitted = [_emit(k, f"kernel{i}") for i, k in enumerate(kernels)]
+    library = _load("".join(["#include <math.h>\n\n", *(e[0] for e in emitted)]))
+    if library is None:
+        return kernels
+    return tuple(_Compiled(k, getattr(library, f"kernel{i}"), *e[1:])
+                 for i, (k, e) in enumerate(zip(kernels, emitted)))
+
+
+def _load(source):
+    """The library built from C source, from the cache or compiled into it; None if neither works."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    # The key that checks hash-based bytecode, over the flags and the source.
+    key = importlib.util.source_hash("\0".join([*_CFLAGS, source]).encode()).hex()
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__",
+                        f"kernels-{key}.so")
+    try:
+        if not os.path.exists(path):
+            _build(cc, source, path)
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
+def _build(cc, source, path):
+    """Compile source into the library at path, which appears whole or not at all."""
+    import subprocess  # only the first process of a source runs the compiler
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"], check=True,
+                       input=source.encode(), capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{cc} could not build the kernels") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+class _Compiled:
+    """An array kernel run as the C function emitted from its tape (`_emit`).
+
+    It returns what the numpy kernel returns, bit for bit (which NaN a NaN
+    result holds aside), for 1-D float64 arrays: each output is a row of one
+    new block, so the outputs share memory with nothing. A float line raises as Python does: ZeroDivisionError
+    for a zero divisor, and sqrt's ValueError for a root of a value at or
+    below zero. Its array operations raise no numpy floating-point warnings.
+
+    Its one scratch array, `buffers[0]`, is allocated on the first call for an
+    input length n and anew when n changes. Every call writes it, so two calls
+    may not overlap: a compiled kernel is not reentrant either.
+    """
+
+    __slots__ = ("function", "arrays", "layout", "scratch", "shortest", "n", "buffers",
+                 "address", "rows")
+
+    def __init__(self, kernel, function, layout, scratch, shortest):
+        params = kernel.tape[2]
+        pointer = ctypes.POINTER(ctypes.c_char)
+        function.argtypes = [ctypes.c_long, *[pointer] * kernel.arrays,
+                             *[ctypes.c_double] * (len(params) - kernel.arrays), pointer, pointer]
+        function.restype = ctypes.c_int
+        self.function = function
+        self.arrays = kernel.arrays
+        self.layout = layout
+        self.scratch = scratch
+        self.shortest = shortest
+        self.n = None
+        self.buffers = ()
+
+    def __call__(self, *args):
+        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in args[:self.arrays]]
+        n = len(arrays[0])
+        for a in arrays:
+            if a.ndim != 1 or len(a) != n:
+                raise ValueError(f"array arguments of lengths {n} and {len(a)}")
+        if n != self.n:
+            if n < self.shortest:
+                raise ValueError(f"arrays of length {n} would pad an empty array")
+            a, b = self.scratch
+            self.buffers = (np.empty(a * n + b),)
+            self.address = _address(self.buffers[0])
+            self.rows = [(a * n + b, c * n + d) for (a, b), (c, d) in self.layout]
+            self.n = n
+        out = np.empty(self.rows[-1][1])
+        status = self.function(n, *map(_address, arrays), *args[self.arrays:], _address(out),
+                               self.address)
+        if status == 1:
+            raise ZeroDivisionError("float division by zero")
+        if status == 2:
+            _root(float(self.buffers[0][0]))
+        return tuple([out[i:j] for i, j in self.rows])
+
+
+def _address(a):
+    """A ctypes reference to the data of a C-contiguous array, copied first if read-only."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a if a.flags.writeable else a.copy()))

@@ -146,6 +146,9 @@ def euler_left_state(mach, gamma=GAMMA):
     """Pre-shock state from its Mach number (rest state at M = 0)."""
     mach = lift(mach)
     t = 1.0 / (1.0 + 0.5 * (gamma - 1.0) * mach * mach)
+    if not t.value > 0.0:  # (gamma - 1) M^2 past the largest float
+        raise ValueError(f"mach = {mach.value!r} and gamma = {gamma!r} give the temperature "
+                         f"ratio T = 1 / (1 + (gamma - 1) M^2 / 2) = {t.value!r}")
     u = mach * sqrt(t)
     p = t ** (gamma / (gamma - 1.0)) / gamma
     rho = t ** (1.0 / (gamma - 1.0))

@@ -12,13 +12,14 @@ the flux replaced by its dual evaluation; no separate linearized scheme
 exists anywhere.
 
 Each formula is traced once at import (`dual.trace`) into straight-line
-numpy code, which `lxf_step` and `rusanov_step_euler` run: the same
-operations in the same order, so each step equals the dual formula bit for
-bit. The scalar formula is traced with Burgers' flux, so `lxf_step` refuses
-a law with another. A kernel writes its temporaries with out= into buffers it holds for the
-grid length of its last call, and a step returns fresh arrays, so snapshots
-and the pre-step field an observer reads are never overwritten. The kernels
-are not reentrant: two steps may not run at once in one process.
+array code and compiled to C (`dual.compiled`), or kept as numpy code where
+no C compiler is at hand; `lxf_step` and `rusanov_step_euler` run it: the
+same operations in the same order, so each step equals the dual formula bit
+for bit. The scalar formula is traced with Burgers' flux, so `lxf_step`
+refuses a law with another. A kernel writes its temporaries into buffers it
+holds for the grid length of its last call, and a step returns fresh arrays,
+so snapshots and the pre-step field an observer reads are never overwritten.
+The kernels are not reentrant: two steps may not run at once in one process.
 
 Boundaries use one ghost cell per side filled by a zero-gradient copy, which
 makes the boundary numerical flux collapse to the physical flux of the edge
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, edge_pad, maximum, trace
+from .dual import Dual, compiled, edge_pad, maximum, trace
 from .errors import CFLViolationError, ConfigError, NumericalError
 from .mesh import CellField
 from .models import BurgersModel, EulerCellField, EulerState
@@ -120,11 +121,10 @@ def _rusanov_payloads(rho, rho_t, u, u_t, p, p_t, gamma, dt, dx):
     return new.rho, new.u, new.p
 
 
-#: The two updates as buffered array code, traced once at import:
+#: The two updates as array code, traced and compiled once at import:
 #: (u, u', dt, dx) -> (u, u') and (rho, rho', u, u', p, p', gamma, dt, dx)
 #: -> (rho, rho', u, u', p, p') of the next step.
-_LXF = trace(_lxf_payloads, arrays=2)
-_RUSANOV = trace(_rusanov_payloads, arrays=6)
+_LXF, _RUSANOV = compiled(trace(_lxf_payloads, arrays=2), trace(_rusanov_payloads, arrays=6))
 
 
 def lxf_step(field, dt, model):
@@ -230,8 +230,8 @@ def run(ic, config, law, observers=()):
 
     A non-finite step size stops the march at once; each returned field is
     checked for non-finite values and tangents, once per stop. numpy's
-    floating-point warnings are off during the march, so those checks are the
-    only report.
+    floating-point warnings are off during the march, and the compiled step
+    kernels raise none, so those checks are the only report.
     """
     dx = ic.grid.dx
 

@@ -237,7 +237,12 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
               ("huge_backward_shock", "mach = 5.3452, shock_speed = -1e+300 and gamma = 1.4 "
                "give no gas state: non-positive rho\n"),
               ("huge_gamma", "mach = 5.3452, shock_speed = 0.1 and gamma = 1e+300 give no gas "
-               "state: non-positive p\n"))),
+               "state: non-positive p\n"),
+              # (gamma - 1) M^2 past the largest float, and a gamma that removes the shock.
+              ("overflowing_mach", "mach = 1e+300 and gamma = 1.4 give the temperature ratio "
+               "T = 1 / (1 + (gamma - 1) M^2 / 2) = 0.0\n"),
+              ("shockless_gamma", "mach = 5.3452, shock_speed = 0.1 and gamma = 1e+150 make no "
+               "shock: shock-relative Mach"))),
     ],
     ids=["negative-c-coeff", "fewer-than-3-cells", "nan-alpha", "subsonic-mach",
          "removed-dt-mode-key", "zero-jobs", "negative-jobs", "grid-no-with-dx",
@@ -247,7 +252,8 @@ def test_importing_the_cli_loads_no_process_pool_or_polynomial_module():
          "gridconv-initial-probe-outside", "euler-probe-offset-rounds-away",
          "burgers-probe-offset-rounds-away", "sweep-first-order-shock-outside",
          "gridconv-first-order-shock-outside", "n-eps-past-ceiling", "n-eps-past-numpy",
-         "config-not-utf8", "gas-huge-mach", "gas-huge-backward-shock", "gas-huge-gamma"],
+         "config-not-utf8", "gas-huge-mach", "gas-huge-backward-shock", "gas-huge-gamma",
+         "gas-overflowing-mach", "gas-shockless-gamma"],
 )
 def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "subsonic.cfg").write_text("mach = 0.9\n", encoding="utf-8")
@@ -259,7 +265,8 @@ def test_bad_inputs_exit_with_config_code(argv, message, tmp_path, capsys):
     (tmp_path / "near_shift.cfg").write_text("shift = 0.056\n", encoding="utf-8")
     (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe shift = 0.03\n")
     for name, line in (("huge_mach", "mach = 1e150"), ("huge_gamma", "gamma = 1e300"),
-                       ("huge_backward_shock", "shock_speed = -1e300")):
+                       ("huge_backward_shock", "shock_speed = -1e300"),
+                       ("overflowing_mach", "mach = 1e300"), ("shockless_gamma", "gamma = 1e150")):
         (tmp_path / f"{name}.cfg").write_text(line + "\n", encoding="utf-8")
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_CONFIG

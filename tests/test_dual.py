@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from shocktangent.dual import (
     Dual,
     _pad,
+    compiled,
     edge_pad,
     lift,
     maximum,
@@ -359,6 +360,7 @@ def _every_array_operation(u, t, v, s, c):
 
 
 _EVERY_ARRAY_OPERATION = trace(_every_array_operation, arrays=3)
+(_COMPILED_EVERY_ARRAY_OPERATION,) = compiled(_EVERY_ARRAY_OPERATION)
 _ties = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
 _tangents = st.floats(-1e3, 1e3)
 
@@ -379,10 +381,12 @@ def test_an_array_kernel_equals_the_dual_evaluation_bit_for_bit(data, lengths, s
         t = np.array(data.draw(st.lists(_tangents, min_size=k, max_size=k)))
         with np.errstate(all="ignore"):
             want = _every_array_operation(u, t, v, s, c)
-            got = _EVERY_ARRAY_OPERATION(u, t, v, s, c)
-        assert len(got) == 4
-        for g, w in zip(got, (want[0].value, want[0].tangent, want[1].value, want[1].tangent)):
-            assert np.array_equal(_int_bits(g), _int_bits(w))
+            for kernel in (_EVERY_ARRAY_OPERATION, _COMPILED_EVERY_ARRAY_OPERATION):
+                got = kernel(u, t, v, s, c)
+                assert len(got) == 4
+                for g, w in zip(got, (want[0].value, want[0].tangent, want[1].value,
+                                      want[1].tangent)):
+                    assert np.array_equal(_int_bits(g), _int_bits(w))
 
 
 @pytest.mark.parametrize(
@@ -413,21 +417,50 @@ def _outputs_of_every_kind(u, t):
     return w, Dual(w.value, u), Dual(u[1:], v.value)
 
 
+def _both(kernel):
+    # An array kernel as traced, and as C (`dual.compiled`; the kernel itself without `cc`).
+    return kernel, *compiled(kernel)
+
+
 def test_an_array_kernel_returns_arrays_of_its_own():
-    kernel = trace(_outputs_of_every_kind, arrays=2)
-    u, t = np.arange(5.0), np.linspace(1.0, 2.0, 5)
-    first = kernel(u, t)
-    second = kernel(u, t)
-    want = [x for d in _outputs_of_every_kind(u, t) for x in (d.value, d.tangent)]
-    for a, b in zip(second, want):
-        assert np.array_equal(a, b)
-    assert kernel.buffers
-    for i, a in enumerate(second):
-        for b in (*second[:i], *first, u, t, *kernel.buffers):
-            assert not np.shares_memory(a, b)
+    for kernel in _both(trace(_outputs_of_every_kind, arrays=2)):
+        u, t = np.arange(5.0), np.linspace(1.0, 2.0, 5)
+        first = kernel(u, t)
+        second = kernel(u, t)
+        want = [x for d in _outputs_of_every_kind(u, t) for x in (d.value, d.tangent)]
+        for a, b in zip(second, want):
+            assert np.array_equal(a, b)
+        assert kernel.buffers
+        for i, a in enumerate(second):
+            for b in (*second[:i], *first, u, t, *kernel.buffers):
+                assert not np.shares_memory(a, b)
 
 
 def test_an_array_kernel_refuses_arrays_of_two_lengths():
-    kernel = trace(lambda u, t: Dual(u, t) * 2.0, arrays=2)
-    with pytest.raises(ValueError, match="lengths 3 and 4"):
-        kernel(np.ones(3), np.ones(4))
+    for kernel in _both(trace(lambda u, t: Dual(u, t) * 2.0, arrays=2)):
+        with pytest.raises(ValueError, match="lengths 3 and 4"):
+            kernel(np.ones(3), np.ones(4))
+
+
+def _float_lines(u, t, a, b):
+    # A float root and two float divisions, each checked as the kernel runs.
+    return Dual(u, t) * (sqrt(Dual(a, 1.0)) / b)
+
+
+_FLOAT_LINES = trace(_float_lines, arrays=2)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0), (-0.0, 2.0), (4.0, 0.0), (4.0, -0.0),
+                                  (-1.0, 0.0), (math.nan, 1.0), (4.0, math.inf), (4.0, 2.0)])
+def test_a_compiled_kernel_fails_on_float_lines_as_the_numpy_kernel_does(a, b):
+    (fast,) = compiled(_FLOAT_LINES)
+    u, t = np.linspace(-1.0, 1.0, 5), np.linspace(2.0, 3.0, 5)
+    try:
+        want = _FLOAT_LINES(u, t, a, b)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            fast(u, t, a, b)
+    else:
+        got = fast(u, t, a, b)
+        for g, w in zip(got, want):
+            assert np.array_equal(_int_bits(g), _int_bits(w))

@@ -1,6 +1,12 @@
 """Time stepping: update formulas, step control, conservation, tangents."""
 
+import math
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shocktangent import solver
+from shocktangent import dual, solver
 from shocktangent.cases import CaseConfig, run_case
-from shocktangent.dual import Dual, lift, maximum
+from shocktangent.dual import Dual, lift, maximum, trace
 from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalStateError, NumericalError
 from shocktangent.mesh import CellField, Grid1D
 from shocktangent.models import BurgersModel, EulerCellField, EulerModel, EulerState, euler_flux
@@ -389,6 +395,101 @@ def test_run_snapshots_equal_those_of_the_dual_formula_byte_for_byte(cfg, monkey
     for (_, got), (_, want) in zip(traced, reference):
         for g, w in zip(_arrays(got), _arrays(want)):
             assert g.tobytes() == w.tobytes()
+
+
+# -- the compiled step kernels -------------------------------------------------------
+
+#: The numpy kernels, the reference of the compiled ones (and the kernels without `cc`).
+_NUMPY_LXF = trace(solver._lxf_payloads, arrays=2)
+_NUMPY_RUSANOV = trace(solver._rusanov_payloads, arrays=6)
+
+#: Both zeros, subnormals, both infinities, nan, and values of both signs.
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e-300, math.inf, -math.inf, math.nan,
+            1.0, -1.0, 0.5, -2.0, 3.0, 1e300)
+
+
+def _same(got, want):
+    # Bit for bit, except which NaN a result holds: IEEE 754 leaves open which NaN
+    # operand an operation passes on, and numpy's loops and C pass on different ones.
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 8),
+       floats=st.tuples(*[st.sampled_from((1.4, 1.0, 0.0, 5.0 / 3.0, 1e300))]
+                        + [st.sampled_from((0.0, -0.0, 1e-300, 0.01, 1.0, 1e300, math.inf))] * 2))
+def test_the_compiled_step_kernels_equal_the_numpy_kernels_and_the_dual_formulas(data, n, floats):
+    # u of both signs selects both branches of abs and of maximum; a zero dx fails on
+    # the float lines, which must fail alike.
+    cells = [np.array(data.draw(st.lists(st.sampled_from(_SPECIAL), min_size=n, max_size=n)))
+             for _ in range(6)]
+    gamma, dt, dx = floats
+    for fast, reference, formula, args in (
+            (solver._LXF, _NUMPY_LXF, solver._lxf_payloads, (*cells[:2], dt, dx)),
+            (solver._RUSANOV, _NUMPY_RUSANOV, solver._rusanov_payloads, (*cells, gamma, dt, dx))):
+        with np.errstate(all="ignore"):
+            try:
+                duals = formula(*args)
+            except ZeroDivisionError as exc:
+                for kernel in (reference, fast):
+                    with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(exc))}$"):
+                        kernel(*args)
+                continue
+            want = [x for d in (duals if type(duals) is tuple else (duals,))
+                    for x in (d.value, d.tangent)]
+            for kernel in (reference, fast):
+                got = kernel(*args)
+                assert len(got) == len(want)
+                assert all(_same(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_with_a_c_compiler_the_step_kernels_are_compiled():
+    # A kernel the C emitter got wrong would fail to build and fall back unseen.
+    assert isinstance(solver._LXF, dual._Compiled)
+    assert isinstance(solver._RUSANOV, dual._Compiled)
+
+
+_SNAPSHOT_DIGEST = """
+import hashlib
+from shocktangent import solver
+from shocktangent.cases import CaseConfig, run_case
+digest = hashlib.sha256()
+for cfg in (CaseConfig(grid_no=9, t_final=1.0, record_times=(0.5,)),
+            CaseConfig(problem="euler", dx=0.05, t_final=1.0, record_times=(0.5,))):
+    for _, field in run_case(cfg).snapshots:
+        parts = [field.data] if hasattr(field, "data") else [
+            getattr(field.state, c) for c in ("rho", "u", "p")]
+        for d in parts:
+            digest.update(d.value.tobytes() + d.tangent.tobytes())
+print(type(solver._LXF).__name__, type(solver._RUSANOV).__name__, digest.hexdigest())
+"""
+
+
+def _python(code, path):
+    src = Path(solver.__file__).resolve().parents[1]
+    env = dict(os.environ, PATH=str(path), PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout.split()
+
+
+def test_without_a_c_compiler_the_numpy_kernels_give_the_same_snapshots(tmp_path):
+    here = _python(_SNAPSHOT_DIGEST, os.environ.get("PATH", ""))
+    assert _python(_SNAPSHOT_DIGEST, tmp_path) == ["_Kernel", "_Kernel", here[-1]]
+
+
+@pytest.mark.skipif(not isinstance(solver._LXF, dual._Compiled), reason="kernels not compiled")
+def test_a_later_process_loads_the_cached_library_without_compiling(tmp_path):
+    # This process built or loaded the library at import; a `cc` that only leaves a
+    # mark stands in for the compiler, so a second build would leave the mark.
+    cc = tmp_path / "cc"
+    cc.write_text(f"#!/bin/sh\necho ran >> {tmp_path / 'ran'}\nexit 1\n", encoding="utf-8")
+    cc.chmod(0o755)
+    assert _python(_SNAPSHOT_DIGEST, tmp_path)[:2] == ["_Compiled", "_Compiled"]
+    assert not (tmp_path / "ran").exists()
 
 
 class _LinearFlux(BurgersModel):

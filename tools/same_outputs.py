@@ -85,6 +85,12 @@ COMMANDS = [
     ("burgers_config_not_utf8", ["burgers"], b"\xff\xfe shift = 0.03\n", ()),
     ("euler_gas_state_cannot_exist", ["euler", "--dx", "0.05", "--t-final", "1"],
      "mach = 1e150\n", ()),
+    # (gamma - 1) M^2 past the largest float, and a gamma so large that it removes
+    # the shock.
+    ("euler_mach_overflows_temperature", ["euler", "--dx", "0.05", "--t-final", "1"],
+     "mach = 1e300\n", ()),
+    ("euler_gamma_removes_shock", ["euler", "--dx", "0.05", "--t-final", "1"],
+     "gamma = 1e150\n", ()),
     # A probe that reaches the grid's last cell while the shock runs out (on
     # each law), a study whose first-order shock x_s + eps_max * xi lies past
     # the grid's end, and a study whose shock-mode march loses its probe at the
