@@ -38,9 +38,10 @@ few loops, whose values live in C locals, so a kernel runs as one call with
 no numpy call per line. Each C operation is the IEEE operation numpy runs, in
 the same order, built without contraction or fast-math, so a compiled kernel
 returns the same bits (which NaN a NaN result holds aside, which IEEE 754
-leaves open) and raises the float lines' exceptions. It raises no numpy
-floating-point warnings. Where no C compiler, writable cache or loadable
-library is at hand, the numpy kernels are used; they stay the reference.
+leaves open), whether its loops run on AVX2 vectors, narrower ones or none,
+and raises the float lines' exceptions. It raises no numpy floating-point
+warnings. Where no C compiler, writable cache or loadable library is at
+hand, the numpy kernels are used; they stay the reference.
 """
 
 import ctypes
@@ -518,13 +519,39 @@ _C = {
 }
 
 #: No -march, no fast-math and no a * b + c contracted into one rounding: each
-#: operation rounds as numpy's and Python's do.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: operation rounds once, as numpy's and Python's do. -O3 vectorizes the loops
+#: without reordering an operation, and -fno-math-errno lets sqrt run as the
+#: instruction: no kernel reads errno, and the float lines check a root's value
+#: before taking it.
+_CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: Each kernel is built twice where the compiler can, for AVX2 and for the
+#: baseline, and the loader picks by the CPU it runs on, so the library stays
+#: portable; the pick is an ifunc, which glibc resolves. The avx2 target does
+#: not enable FMA, and contraction stays off besides.
+_PRELUDE = """#include <math.h>
+
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
+"""
 
 
-def _n_plus(k):
-    """C of the length n + k."""
-    return "n" if k == 0 else f"n + {k}" if k > 0 else f"n - {-k}"
+def _n_plus(k, n="n"):
+    """C of n + k: a length, or with n = "i" an index."""
+    return n if k == 0 else f"{n} + {k}" if k > 0 else f"{n} - {-k}"
+
+
+def _loop(count, body):
+    """C of a loop over i < count whose iterations are independent (`_emit`'s rule)."""
+    return ["#pragma GCC ivdep", f"for (long i = 0; i < {count}; i++) {{",
+            *(f"    {c}" for c in body), "}"]
 
 
 def _emit(kernel, name):
@@ -542,6 +569,14 @@ def _emit(kernel, name):
     padded value of a loop is written into the interior of its pad, whose
     ends are filled after that loop; any other pad is copied before the loops
     of the first stage that may read what it pads.
+
+    So a loop reads a row it stores only at the index it stores it at: what
+    it reads shifted or through a pad was stored by an earlier loop. Its
+    iterations are then independent, and each loop is marked so
+    (`#pragma GCC ivdep`), which lets the compiler vectorize it although
+    its rows are carved out of the same two blocks o and s; a loop that
+    would break the rule raises TypeError here. Each function is declared
+    `CLONES`, which `_PRELUDE` defines.
 
     Returns the source, each output's (start, stop) in the output block o and
     the length of s, each as a pair (a, b) meaning a * n + b, and the least n
@@ -591,6 +626,7 @@ def _emit(kernel, name):
     scratch, declared = [0, 1], [f"double *restrict o{k} = o + {a} * n + {b};"
                                  for k, ((a, b), _) in enumerate(bounds)]
     floats, loops, ends, copies, stored = [], {}, {}, {}, set()
+    rows, loaded = {}, []  # loop -> {row: the offset from i it stores at}; (loop, row, offset)
 
     def place(x):
         memory[x] = f"m{x}"
@@ -603,7 +639,11 @@ def _emit(kernel, name):
             stored.add(x)
             if x not in memory:
                 place(x)
-            loops[stage[x], length[x]].append(f"{memory[x]}[i] = {x};")
+            put((stage[x], length[x]), memory[x], x)
+
+    def put(group, row, value, k=0):
+        rows.setdefault(group, {})[row] = k
+        loops.setdefault(group, []).append(f"{row}[{_n_plus(k, 'i')}] = {value};")
 
     def read(x, group=None):
         if x not in length:
@@ -615,7 +655,8 @@ def _emit(kernel, name):
             if (stage[x], length[x]) == group:
                 return x
             store(x)
-        return f"{memory[x]}[i + {k}]" if k else f"{memory[x]}[i]"
+        loaded.append((group, memory[x], k))
+        return f"{memory[x]}[{_n_plus(k, 'i')}]"
 
     for line in body:
         if line.length is None:
@@ -631,11 +672,12 @@ def _emit(kernel, name):
             m, last = memory[line.name], _n_plus(length[x])
             fill = f"{m}[0] = {m}[1]; {m}[{last} + 1] = {m}[{last}];"
             if x in reads:
-                loops[stage[x], length[x]].append(f"{m}[i + 1] = {x};")
+                put((stage[x], length[x]), m, x, 1)
                 ends.setdefault((stage[x], length[x]), []).append(fill)
             else:
+                rows[line.name] = {m: 1}
                 copies.setdefault(ready(x), []).extend(
-                    [f"for (long i = 0; i < {last}; i++) {m}[i + 1] = {read(x)};", fill])
+                    [*_loop(last, [f"{m}[i + 1] = {read(x, line.name)};"]), fill])
         elif line.name in reads:
             group = (stage[line.name], line.length)
             terms = [read(x, group) for x in line.operands]
@@ -646,18 +688,21 @@ def _emit(kernel, name):
             store(r)
         else:
             group = (stage[r] if r in reads else ready(r), length[r])
-            loops.setdefault(group, []).append(f"o{k}[i] = {read(r, group)};")
+            put(group, f"o{k}", read(r, group))
+    for group, row, k in loaded:
+        if rows.get(group, {}).get(row, k) != k:
+            raise TypeError(f"{name}: a loop would read {row} at i {k:+d}, a row it stores "
+                            f"at i {rows[group][row]:+d}")
 
     code = [*floats, *declared]
     for s in sorted({g for g, _ in loops} | set(copies)):
         code += copies.get(s, [])
         for group in sorted(g for g in loops if g[0] == s):
-            code += [f"for (long i = 0; i < {_n_plus(group[1])}; i++) {{",
-                     *(f"    {c}" for c in loops[group]), "}", *ends.get(group, [])]
+            code += [*_loop(_n_plus(group[1]), loops[group]), *ends.get(group, [])]
     head = ", ".join(["long n", *(f"const double *restrict {a}" for a in arrays),
                       *(f"double {a}" for a in params[len(arrays):]),
                       "double *restrict o", "double *restrict s"])
-    source = "".join([f"int {name}({head})\n{{\n", *(f"    {c}\n" for c in code),
+    source = "".join([f"CLONES int {name}({head})\n{{\n", *(f"    {c}\n" for c in code),
                       "    return 0;\n}\n"])
     shortest = max([1 - length[x] for x in pads.values()], default=0)
     return source, bounds, tuple(scratch), shortest
@@ -666,15 +711,19 @@ def _emit(kernel, name):
 def compiled(*kernels):
     """The array kernels as C functions of one shared library, else the kernels as they are.
 
-    The library is built once per source by the C compiler `cc` on PATH and
-    cached in this package's __pycache__ under a hash of its source and flags,
-    so a later process only loads it. Without a `cc`, a writable cache or a
-    library that loads, the numpy kernels themselves are returned; they stay
-    the reference that the compiled ones are tested against. The C is emitted
-    either way, so a kernel it cannot express fails here, with or without `cc`.
+    The library is built once per source by the C compiler `cc` on PATH, with
+    `_CFLAGS`, and cached in this package's __pycache__ under a hash of its
+    source and flags, so a later process only loads it. Its loops vectorize,
+    and each function has an AVX2 clone and a baseline one where the compiler
+    and the C library allow (`_PRELUDE`): the loader picks the clone for the
+    CPU, and the cache stays valid on any x86-64. No flag changes a rounding.
+    Without a `cc`, a writable cache or a library that loads, the numpy
+    kernels themselves are returned; they stay the reference that the
+    compiled ones are tested against. The C is emitted either way, so a
+    kernel it cannot express fails here, with or without `cc`.
     """
     emitted = [_emit(k, f"kernel{i}") for i, k in enumerate(kernels)]
-    library = _load("".join(["#include <math.h>\n\n", *(e[0] for e in emitted)]))
+    library = _load("".join([_PRELUDE, *(e[0] for e in emitted)]))
     if library is None:
         return kernels
     return tuple(_Compiled(k, getattr(library, f"kernel{i}"), *e[1:])
@@ -721,9 +770,10 @@ class _Compiled:
 
     It returns what the numpy kernel returns, bit for bit (which NaN a NaN
     result holds aside), for 1-D float64 arrays: each output is a row of one
-    new block, so the outputs share memory with nothing. A float line raises as Python does: ZeroDivisionError
-    for a zero divisor, and sqrt's ValueError for a root of a value at or
-    below zero. Its array operations raise no numpy floating-point warnings.
+    new block, so the outputs share memory with nothing. A float line raises
+    as Python does: ZeroDivisionError for a zero divisor, and sqrt's
+    ValueError for a root of a value at or below zero. Its array operations
+    raise no numpy floating-point warnings.
 
     Its one scratch array, `buffers[0]`, is allocated on the first call for an
     input length n and anew when n changes. Every call writes it, so two calls

@@ -370,7 +370,7 @@ def _int_bits(a):
 
 
 @settings(derandomize=True, deadline=None)
-@given(data=st.data(), lengths=st.lists(st.integers(3, 12), min_size=2, max_size=2),
+@given(data=st.data(), lengths=st.lists(st.integers(3, 40), min_size=2, max_size=2),
        s=st.sampled_from([-1.5, 0.5, 2.0]), c=_divisor)
 def test_an_array_kernel_equals_the_dual_evaluation_bit_for_bit(data, lengths, s, c):
     # Values drawn from a few floats tie in maximum and where; the kernel's buffers are

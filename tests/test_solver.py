@@ -1,7 +1,9 @@
 """Time stepping: update formulas, step control, conservation, tangents."""
 
+import ctypes
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from shocktangent import dual, solver
@@ -417,19 +419,26 @@ def _same(got, want):
             and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(data=st.data(), n=st.integers(1, 8),
-       floats=st.tuples(*[st.sampled_from((1.4, 1.0, 0.0, 5.0 / 3.0, 1e300))]
-                        + [st.sampled_from((0.0, -0.0, 1e-300, 0.01, 1.0, 1e300, math.inf))] * 2))
-def test_the_compiled_step_kernels_equal_the_numpy_kernels_and_the_dual_formulas(data, n, floats):
+def _step_draws(test):
+    # n from 1 to 40 runs the vector body, any peeled head and the scalar tail of
+    # each loop on the special values; one seed gives every build the same draws.
+    strategies = given(
+        data=st.data(), n=st.integers(1, 40),
+        floats=st.tuples(*[st.sampled_from((1.4, 1.0, 0.0, 5.0 / 3.0, 1e300))]
+                         + [st.sampled_from((0.0, -0.0, 1e-300, 0.01, 1.0, 1e300, math.inf))] * 2))
+    return seed(0)(settings(derandomize=True, deadline=None, max_examples=300)(strategies(test)))
+
+
+def _assert_step_kernels_match(kernels, data, n, floats):
     # u of both signs selects both branches of abs and of maximum; a zero dx fails on
-    # the float lines, which must fail alike.
-    cells = [np.array(data.draw(st.lists(st.sampled_from(_SPECIAL), min_size=n, max_size=n)))
-             for _ in range(6)]
+    # the float lines, which must fail alike. Bytes pick the special values: one draw,
+    # not 6 n of them.
+    picks = np.frombuffer(data.draw(st.binary(min_size=6 * n, max_size=6 * n)), np.uint8)
+    cells = list(np.array(_SPECIAL)[picks % len(_SPECIAL)].reshape(6, n))
     gamma, dt, dx = floats
     for fast, reference, formula, args in (
-            (solver._LXF, _NUMPY_LXF, solver._lxf_payloads, (*cells[:2], dt, dx)),
-            (solver._RUSANOV, _NUMPY_RUSANOV, solver._rusanov_payloads, (*cells, gamma, dt, dx))):
+            (kernels[0], _NUMPY_LXF, solver._lxf_payloads, (*cells[:2], dt, dx)),
+            (kernels[1], _NUMPY_RUSANOV, solver._rusanov_payloads, (*cells, gamma, dt, dx))):
         with np.errstate(all="ignore"):
             try:
                 duals = formula(*args)
@@ -444,6 +453,68 @@ def test_the_compiled_step_kernels_equal_the_numpy_kernels_and_the_dual_formulas
                 got = kernel(*args)
                 assert len(got) == len(want)
                 assert all(_same(g, w) for g, w in zip(got, want))
+
+
+@_step_draws
+def test_the_compiled_step_kernels_equal_the_numpy_kernels_and_the_dual_formulas(data, n, floats):
+    _assert_step_kernels_match((solver._LXF, solver._RUSANOV), data, n, floats)
+
+
+#: The line of the emitted library that builds each kernel twice, for AVX2 and the baseline.
+_CLONES = '#define CLONES __attribute__((target_clones("avx2", "default")))\n'
+
+
+@pytest.fixture(scope="module")
+def default_clone(tmp_path_factory):
+    # The step kernels built without their AVX2 clone, which an AVX2 host runs alone.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    path = str(tmp_path_factory.mktemp("default-clone") / "kernels.so")
+
+    def load(source):
+        assert source.count(_CLONES) == 1
+        dual._build(cc, source.replace(_CLONES, ""), path)
+        return ctypes.CDLL(path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dual, "_load", load)
+        kernels = dual.compiled(_NUMPY_LXF, _NUMPY_RUSANOV)
+    assert all(isinstance(k, dual._Compiled) for k in kernels)
+    return kernels
+
+
+@_step_draws
+def test_the_default_clone_gives_the_same_bits_as_the_numpy_kernels(default_clone, data, n, floats):
+    _assert_step_kernels_match(default_clone, data, n, floats)
+
+
+def _gcc_for_x86_64():
+    # GCC defines __GNUC__ and clang does too, with __clang__.
+    cc = shutil.which("cc")
+    if cc is None or platform.machine() != "x86_64":
+        return False
+    macros = subprocess.run([cc, "-dM", "-E", "-x", "c", "-"], input="", capture_output=True,
+                            text=True, timeout=60).stdout
+    return "__GNUC__" in macros and "__clang__" not in macros
+
+
+@pytest.mark.skipif(not _gcc_for_x86_64(), reason="needs GCC targeting x86-64")
+def test_every_loop_of_the_step_kernels_is_vectorized_in_the_avx2_clone(tmp_path):
+    # A 32-byte vector exists in the AVX2 clone alone. A loop that only copies an
+    # array into a pad may instead become one memcpy, which is as good.
+    source = "".join([dual._PRELUDE, *(dual._emit(k, f"kernel{i}")[0]
+                                      for i, k in enumerate((_NUMPY_LXF, _NUMPY_RUSANOV)))])
+    report = subprocess.run(
+        [shutil.which("cc"), *dual._CFLAGS, "-fopt-info-vec-loop-optimized",
+         "-o", str(tmp_path / "kernels.so"), "-x", "c", "-", "-lm"],
+        input=source, capture_output=True, text=True, check=True, timeout=120).stderr
+    loops = [k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith("for (")]
+    assert loops
+    for k in loops:
+        said = re.findall(rf"^<stdin>:{k}:\d+: optimized: (.*)$", report, re.M)
+        assert ("loop vectorized using 32 byte vectors" in said
+                or any(s.endswith("split to 0 loops and 1 library calls.") for s in said)), k
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
