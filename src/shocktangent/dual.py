@@ -28,9 +28,10 @@ cannot be traced. A recorded array takes
 these, the comparisons, whose masks only ``np.where`` reads (so ``where``,
 ``maximum`` and ``abs`` record both branches and the choice), ``np.sqrt``,
 the slices ``a[i:]`` and ``a[i:-j]``, and ``np.pad(a, 1, mode="edge")``;
-anything else raises TypeError. An array kernel writes its temporaries with
-``out=`` into buffers it holds for the length of its last call, and returns
-fresh arrays: never a buffer, nor a view of one or of an input.
+anything else raises TypeError. An array kernel runs the tape as written, one
+numpy call per line, drops each temporary after its last reader, and returns
+arrays of its own: never an input, nor a view of one. It holds no state
+between calls, and refuses arrays that are not 1-D of one length.
 
 ``compiled`` turns array kernels into C, the tape compiled instead of
 interpreted line by line (Griewank & Walther, ch. 6): the lines fuse into a
@@ -44,6 +45,7 @@ warnings. Where no C compiler, writable cache or loadable library is at
 hand, the numpy kernels are used; they stay the reference.
 """
 
+import contextlib
 import ctypes
 import importlib.util
 import math
@@ -198,42 +200,22 @@ def _array(x):
     return isinstance(x, np.ndarray) or isinstance(x, _Recorded) and x.length is not None
 
 
-def _pad(a, out=None):
-    # np.pad(a, 1, mode="edge") of a 1-D array, written into out.
-    if out is None:
-        return np.pad(a, 1, mode="edge")
-    out[1:-1] = a
-    out[0] = a[0]
-    out[-1] = a[-1]
-    return out
-
-
-def _select(cond, a, b, out=None):
-    # np.where(cond, a, b), written into out.
-    if out is None:
-        return np.where(cond, a, b)
-    np.copyto(out, b)
-    np.copyto(out, a, where=cond)
-    return out
-
-
-#: What traced code calls, by the name it calls it.
-_CALLS = {
-    "add": np.add, "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide,
-    "negative": np.negative, "sqrt": np.sqrt, "less": np.less, "less_equal": np.less_equal,
-    "_pad": _pad, "_select": _select, "_root": _root,
-}
-
 #: The ufunc of each operator of a recorded array. x > y is recorded as y < x.
 _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
           "<": "less", "<=": "less_equal"}
 _COMPARISONS = ("<", "<=")
 
-_PAD = "_pad({}{out})"
+#: What traced code calls, by the name it calls it.
+_CALLS = {name: getattr(np, name) for name in (*_UFUNC.values(), "negative", "sqrt", "where",
+                                               "concatenate")}
+_CALLS["_root"] = _root
+
+#: np.pad(a, 1, mode="edge") of a 1-D array, at a quarter of np.pad's cost.
+_PAD = "concatenate(({0}[[0]], {0}, {0}[[-1]]))"
 
 #: One recorded operation: the value `name` is `code` formatted with its operands;
 #: `view` is the slice a view takes.
-_Line = namedtuple("_Line", "name code operands length mask view")
+_Line = namedtuple("_Line", "name code operands length view")
 
 
 def _operator(op):
@@ -266,9 +248,9 @@ class _Recorded:
         self.mask = mask
 
     def _append(self, code, operands, length, mask=False, view=None):
-        """Record `code`, a format string over the operands' names and, for a call, {out}."""
+        """Record `code`, a format string over the operands' names."""
         name = f"t{len(self.lines)}"
-        self.lines.append(_Line(name, code, operands, length, mask, view))
+        self.lines.append(_Line(name, code, operands, length, view))
         return _Recorded(self.lines, name, length, mask)
 
     def _binary(self, op, *operands):
@@ -280,7 +262,7 @@ class _Recorded:
             if op in _COMPARISONS:
                 self._refuse()
             return self._append(f"{{}} {op} {{}}", names, None)
-        return self._append(f"{_UFUNC[op]}({{}}, {{}}{{out}})", names, length, op in _COMPARISONS)
+        return self._append(f"{_UFUNC[op]}({{}}, {{}})", names, length, op in _COMPARISONS)
 
     __add__, __radd__ = _operator("+")
     __sub__, __rsub__ = _operator("-")
@@ -292,7 +274,7 @@ class _Recorded:
     def __neg__(self):
         if self.length is None:
             return self._append("-{}", [self.name], None)
-        return self._append("negative({}{out})", [_operand(self)], self.length)
+        return self._append("negative({})", [_operand(self)], self.length)
 
     def __getitem__(self, key):
         # a[i:] or a[i:-j], i >= 0 and j > 0: a view, whatever the length n.
@@ -308,14 +290,14 @@ class _Recorded:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.sqrt and method == "__call__" and not kwargs and _array(self):
-            return self._append("sqrt({}{out})", [_operand(self)], self.length)
+            return self._append("sqrt({})", [_operand(self)], self.length)
         self._refuse()
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.where and len(args) == 3 and not kwargs and _is_mask(args[0]):
             names = [args[0].name, *(_operand(x) for x in args[1:])]
             if None not in names:
-                return self._append("_select({}, {}, {}{out})", names, _length(args))
+                return self._append("where({}, {}, {})", names, _length(args))
         elif (func is np.pad and len(args) == 2 and type(args[1]) is int and args[1] == 1
               and list(kwargs.items()) == [("mode", "edge")] and _array(args[0])):
             return self._append(_PAD, [_operand(args[0])], args[0].length + 2)
@@ -373,8 +355,7 @@ def trace(fn, arrays=0, args=None):
     order. Lines that no output reads are dropped; the rest run in recorded
     order, so the kernel rounds as fn does on payloads.
 
-    A float kernel is a plain function. An array kernel is a `_Kernel`, which
-    holds the buffers its code writes with out=.
+    A float kernel is a plain function; an array kernel is a `_Kernel`.
     """
     lines = []
     params = [f"a{k}" for k in range(fn.__code__.co_argcount if args is None else args)]
@@ -391,131 +372,74 @@ def trace(fn, arrays=0, args=None):
             body.append(line)
             live.update(line.operands)
     body.reverse()
-    if arrays:
-        return _Kernel(fn, body, results, params, arrays)
-    return _define(fn, params, [f"{x.name} = {x.code.format(*x.operands)}" for x in body], results)
+    code = _define(fn, params, body, results, arrays)
+    return _Kernel(fn, code, body, results, params, arrays) if arrays else code
 
 
-def _define(fn, params, code, returns):
-    """Compile a function of `params` that runs the code lines and returns `returns`."""
-    body = "".join(f"    {c}\n" for c in [*code, f"return ({', '.join(returns)},)"])
+def _define(fn, params, body, results, arrays=0):
+    """Compile a function of `params` that runs the lines `body` and returns `results`.
+
+    Each array temporary is deleted after its last reader. An array result is
+    copied if it is one of the first `arrays` parameters, a view or a repeat,
+    so that what a call returns is its own.
+    """
+    last = {x: i for i, line in enumerate(body) for x in line.operands}
+    dead, code = {}, []
+    for line in body:
+        if line.length is not None and line.name not in results:
+            dead.setdefault(last[line.name], []).append(line.name)
+    for i, line in enumerate(body):
+        code.append(f"{line.name} = {line.code.format(*line.operands)}")
+        if i in dead:
+            code.append(f"del {', '.join(dead[i])}")
+    fresh = {line.name for line in body if line.length is not None and not line.view}
+    copied = {line.name for line in body if line.view}.union(params[:arrays])
+    returns = [f"{x}.copy()" if x in copied or x in fresh and x in results[:k] else x
+               for k, x in enumerate(results)]
+    lines = "".join(f"    {c}\n" for c in [*code, f"return ({', '.join(returns)},)"])
     namespace = dict(_CALLS)
-    exec(compile(f"def kernel({', '.join(params)}):\n{body}",
+    exec(compile(f"def kernel({', '.join(params)}):\n{lines}",
                  f"<trace of {fn.__qualname__}>", "exec"), namespace)
     return namespace["kernel"]
 
 
+def _one_length(arrays):
+    """The length n of numpy arrays all of shape (n,); else a ValueError naming their shapes."""
+    for a in arrays:
+        if a.ndim != 1:
+            raise ValueError(f"array arguments must be 1-D, not of shape {a.shape}")
+        if a.shape != arrays[0].shape:
+            raise ValueError(f"array arguments of lengths {len(arrays[0])} and {len(a)}")
+    return len(arrays[0])
+
+
 class _Kernel:
-    """A traced array kernel and its one set of buffers, sized for the last input length.
+    """A traced array kernel, run as numpy code: one call per line of its tape (`_define`).
 
-    Each call but an output's writes into a buffer, a slice of one of the
-    kernel's storage arrays, which is taken back once the last line reading
-    its value has run (a line that reads a view of the value reads it too),
-    so it is never the out= of a line that reads it. A buffered value that is
-    padded is written into the interior of the pad's buffer, and the pad then
-    writes the two ends alone. Views of buffers are made with the buffers.
-
-    The buffers are allocated on the first call for an input length n, and
-    anew when n changes: one slot, not a cache that grows. Every call writes
-    them, so two calls may not overlap: a kernel is not reentrant. What a call
-    returns is its own: an array output is computed into a new array, or
-    copied if it is an input, a view or an output already returned. `tape`
-    keeps the recorded lines, outputs and parameters, which `compiled` emits
-    as C.
+    It holds no state between calls, so calls may overlap. `name` is the
+    traced function's qualified name; `tape` keeps the recorded lines,
+    outputs and parameters, which `compiled` emits as C.
     """
 
-    __slots__ = ("storage", "layout", "code", "arrays", "n", "buffers", "tape")
+    __slots__ = ("name", "code", "arrays", "tape")
 
-    def __init__(self, fn, body, results, params, arrays):
-        self.tape = body, results, params
-        last = {name: i for i, line in enumerate(body) for name in line.operands}
-        last.update((name, len(body)) for name in results)
-        for line in reversed(body):
-            if line.view:
-                last[line.operands[0]] = max(last[line.operands[0]], last[line.name])
-        calls = {line.name for line in body if line.length is not None and not line.view}
-        fresh = calls.intersection(results)
-        buffered = calls - fresh
-        padded = {line.operands[0]: line.name for line in reversed(body)
-                  if line.code == _PAD and {line.name, line.operands[0]} <= buffered}
-        pads = set(padded.values())
-        # [length, mask] of each storage array, and (buffer?, source, start, stop) of
-        # each array made with them: storage[source][start:n + stop] for a buffer,
-        # made[source][start:stop] for a view of one. held: value -> name made for it.
-        self.storage, self.layout = [], []
-        free, release, made, index, held, code = ([], []), {}, {}, {}, {}, []
-
-        def make(entry, name):
-            if entry not in made:
-                made[entry] = name
-                index[name] = len(self.layout)
-                self.layout.append(entry)
-            return made[entry]
-
-        for i, line in enumerate(body):
-            name, operands = line.name, [held.get(x, x) for x in line.operands]
-            if line.view and line.operands[0] in held:
-                source = index[held[line.operands[0]]]
-                held[name] = make((False, source, line.view.start, line.view.stop), name)
-            elif name in pads:
-                b = held[name]
-                code.append(f"{b}[0], {b}[-1] = {b}[1], {b}[-2]")
-            elif name not in buffered:
-                code.append(f"{name} = {line.code.format(*operands, out='')}")
-            else:
-                pad = padded.get(name)
-                start = 1 if pad else 0
-                length = line.length + 2 * start
-                k = free[line.mask].pop() if free[line.mask] else len(self.storage)
-                if k == len(self.storage):
-                    self.storage.append([length, line.mask])
-                self.storage[k][0] = max(self.storage[k][0], length)
-                held[name] = make((True, k, start, start + line.length), f"b{len(made)}")
-                if pad:
-                    held[pad] = make((True, k, 0, length), f"b{len(made)}")
-                code.append(line.code.format(*operands, out=", " + held[name]))
-                until = max(last[name], last[pad] if pad else 0)
-                release.setdefault(until, []).append((line.mask, k))
-            for mask, k in release.pop(i, ()):
-                free[mask].append(k)
-        array = {line.name for line in body if line.length is not None}.union(params[:arrays])
-        returns = []
-        for name in results:
-            copy = name in array and name not in fresh
-            fresh.discard(name)
-            returns.append(f"{held.get(name, name)}.copy()" if copy else name)
-        if made:
-            code.insert(0, f"{', '.join(made.values())}, = buffers")
-        self.code = _define(fn, ["buffers", *params], code, returns)
+    def __init__(self, fn, code, body, results, params, arrays):
+        self.name = fn.__qualname__
+        self.code = code
         self.arrays = arrays
-        self.n = None
-        self.buffers = ()
+        self.tape = body, results, params
 
     def __call__(self, *args):
-        n = len(args[0])
-        for a in args[1:self.arrays]:
-            if len(a) != n:
-                raise ValueError(f"array arguments of lengths {n} and {len(a)}")
-        if n != self.n:
-            self.buffers = self.allocate(n)
-            self.n = n
-        return self.code(self.buffers, *args)
-
-    def allocate(self, n):
-        """The buffers and their views for input length n, in the kernel's order."""
-        storage = [np.empty(n + length, bool if mask else float) for length, mask in self.storage]
-        made = []
-        for buffer, source, start, stop in self.layout:
-            made.append(storage[source][start:n + stop] if buffer else made[source][start:stop])
-        return made
+        _one_length(args[:self.arrays])
+        return self.code(*args)
 
 
 #: The C of each recorded operation over its operands' C. A mask is 0.0 or 1.0.
 _C = {
-    **{f"{ufunc}({{}}, {{}}{{out}})": f"{{}} {op} {{}}" for op, ufunc in _UFUNC.items()},
+    **{f"{ufunc}({{}}, {{}})": f"{{}} {op} {{}}" for op, ufunc in _UFUNC.items()},
     **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in "+-*/"},
-    "-{}": "-{}", "negative({}{out})": "-{}", "sqrt({}{out})": "sqrt({})",
-    "_root({})": "sqrt({})", "_select({}, {}, {}{out})": "{} ? {} : {}",
+    "-{}": "-{}", "negative({})": "-{}", "sqrt({})": "sqrt({})",
+    "_root({})": "sqrt({})", "where({}, {}, {})": "{} ? {} : {}",
 }
 
 #: No -march, no fast-math and no a * b + c contracted into one rounding: each
@@ -716,35 +640,45 @@ def compiled(*kernels):
 
     The library is built once per source by the C compiler `cc` on PATH, with
     `_CFLAGS`, and cached in this package's __pycache__ under a hash of its
-    source and flags, so a later process only loads it. Its loops vectorize,
-    and each function has an AVX2 clone and a baseline one where the compiler
-    and the C library allow (`_PRELUDE`): the loader picks the clone for the
-    CPU, and the cache stays valid on any x86-64. No flag changes a rounding.
-    Without a `cc`, a writable cache or a library that loads, the numpy
-    kernels themselves are returned; they stay the reference that the
-    compiled ones are tested against. The C is emitted either way, so a
-    kernel it cannot express fails here, with or without `cc`.
+    source and flags, so a later process only loads it (`_load`). Its loops
+    vectorize, and each function has an AVX2 clone and a baseline one where
+    the compiler and the C library allow (`_PRELUDE`): the loader picks the
+    clone for the CPU, and the cache stays valid on any x86-64. No flag
+    changes a rounding. Without a `cc`, a writable cache or a library that
+    loads, the numpy kernels themselves are returned; they stay the
+    reference that the compiled ones are tested against. The C is emitted
+    either way, so a kernel it cannot express fails here, with or without `cc`.
     """
     emitted = [_emit(k, f"kernel{i}") for i, k in enumerate(kernels)]
-    library = _load("".join([_PRELUDE, *(e[0] for e in emitted)]))
+    library = _load("".join([_PRELUDE, *(e[0] for e in emitted)]),
+                    "\0".join(k.name for k in kernels))
     if library is None:
         return kernels
     return tuple(_Compiled(k, getattr(library, f"kernel{i}"), *e[1:])
                  for i, (k, e) in enumerate(zip(kernels, emitted)))
 
 
-def _load(source):
-    """The library built from C source, from the cache or compiled into it; None if neither works."""
+def _load(source, names):
+    """The library built from C source, from the cache or compiled into it; None if neither works.
+
+    It is named by its kernel set, a hash of `names`, and by its key: a build
+    removes the set's other libraries, so the cache holds one per set.
+    """
     cc = shutil.which("cc")
     if cc is None:
         return None
-    # The key that checks hash-based bytecode, over the flags and the source.
-    key = importlib.util.source_hash("\0".join([*_CFLAGS, source]).encode()).hex()
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__",
-                        f"kernels-{key}.so")
+    # The hash that checks hash-based bytecode: of the names, and of the flags and source.
+    kind, key = (importlib.util.source_hash(text.encode()).hex()
+                 for text in (names, "\0".join([*_CFLAGS, source])))
+    folder = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    path = os.path.join(folder, f"kernels-{kind}-{key}.so")
     try:
         if not os.path.exists(path):
             _build(cc, source, path)
+            for name in os.listdir(folder):
+                if name.startswith(f"kernels-{kind}-") and name != os.path.basename(path):
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(folder, name))
         return ctypes.CDLL(path)
     except OSError:
         return None
@@ -780,7 +714,7 @@ class _Compiled:
 
     Its one scratch array, `buffers[0]`, is allocated on the first call for an
     input length n and anew when n changes. Every call writes it, so two calls
-    may not overlap: a compiled kernel is not reentrant either.
+    may not overlap: unlike the numpy kernel, a compiled kernel is not reentrant.
     """
 
     __slots__ = ("function", "arrays", "layout", "scratch", "shortest", "n", "buffers",
@@ -801,11 +735,8 @@ class _Compiled:
         self.buffers = ()
 
     def __call__(self, *args):
-        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in args[:self.arrays]]
-        n = len(arrays[0])
-        for a in arrays:
-            if a.ndim != 1 or len(a) != n:
-                raise ValueError(f"array arguments of lengths {n} and {len(a)}")
+        arrays = [np.asarray(a, np.float64, order="C") for a in args[:self.arrays]]
+        n = _one_length(arrays)
         if n != self.n:
             if n < self.shortest:
                 raise ValueError(f"arrays of length {n} would pad an empty array")

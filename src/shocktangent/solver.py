@@ -16,10 +16,10 @@ array code and compiled to C (`dual.compiled`), or kept as numpy code where
 no C compiler is at hand; `lxf_step` and `rusanov_step_euler` run it: the
 same operations in the same order, so each step equals the dual formula bit
 for bit. The scalar formula is traced with Burgers' flux, so `lxf_step`
-refuses a law with another. A kernel writes its temporaries into buffers it
-holds for the grid length of its last call, and a step returns fresh arrays,
-so snapshots and the pre-step field an observer reads are never overwritten.
-The kernels are not reentrant: two steps may not run at once in one process.
+refuses a law with another. A step returns fresh arrays, so snapshots and
+the pre-step field an observer reads are never overwritten. A compiled
+kernel holds scratch for the grid length of its last call and is not
+reentrant: two steps may not run at once in one process.
 
 Boundaries use one ghost cell per side filled by a zero-gradient copy, which
 makes the boundary numerical flux collapse to the physical flux of the edge

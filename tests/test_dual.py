@@ -2,6 +2,7 @@
 
 import math
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shocktangent import dual
 from shocktangent.dual import (
     Dual,
-    _pad,
     compiled,
     edge_pad,
     lift,
@@ -145,15 +146,12 @@ _payloads = arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=
 
 @given(value=_payloads, data=st.data())
 def test_edge_pad_equals_numpy_edge_mode(value, data):
-    # Traced code pads into a buffer (dual._pad), holding what it held before.
     tangent = data.draw(arrays(np.float64, value.shape))
     p = edge_pad(Dual(value, tangent))
     for got, src in ((p.value, value), (p.tangent, tangent)):
         want = np.pad(src, 1, mode="edge")
-        buffered = _pad(src, np.full(len(src) + 2, 7.0))
-        for g in (got, buffered):
-            assert g.dtype == want.dtype
-            assert np.array_equal(_int_bits(g), _int_bits(want))
+        assert got.dtype == want.dtype
+        assert np.array_equal(_int_bits(got), _int_bits(want))
 
 
 def test_tangents_agree_with_finite_differences_on_a_composition():
@@ -373,8 +371,8 @@ def _int_bits(a):
 @given(data=st.data(), lengths=st.lists(st.integers(3, 40), min_size=2, max_size=2),
        s=st.sampled_from([-1.5, 0.5, 2.0]), c=_divisor)
 def test_an_array_kernel_equals_the_dual_evaluation_bit_for_bit(data, lengths, s, c):
-    # Values drawn from a few floats tie in maximum and where; the kernel's buffers are
-    # reallocated when the length changes and reused when it does not.
+    # Values drawn from a few floats tie in maximum and where; the compiled kernel's
+    # scratch is reallocated when the length changes and reused when it does not.
     n, m = lengths
     for k in (n, m, m, n):
         u, v = (np.array(data.draw(st.lists(_ties, min_size=k, max_size=k))) for _ in "uv")
@@ -430,9 +428,12 @@ def test_an_array_kernel_returns_arrays_of_its_own():
         want = [x for d in _outputs_of_every_kind(u, t) for x in (d.value, d.tangent)]
         for a, b in zip(second, want):
             assert np.array_equal(a, b)
-        assert kernel.buffers
+        buffers = ()
+        if isinstance(kernel, dual._Compiled):  # a numpy kernel holds no scratch
+            buffers = kernel.buffers
+            assert buffers
         for i, a in enumerate(second):
-            for b in (*second[:i], *first, u, t, *kernel.buffers):
+            for b in (*second[:i], *first, u, t, *buffers):
                 assert not np.shares_memory(a, b)
 
 
@@ -440,6 +441,40 @@ def test_an_array_kernel_refuses_arrays_of_two_lengths():
     for kernel in _both(trace(lambda u, t: Dual(u, t) * 2.0, arrays=2)):
         with pytest.raises(ValueError, match="lengths 3 and 4"):
             kernel(np.ones(3), np.ones(4))
+
+
+def _scaled(k):
+    # Kernels of one qualified name whose sources differ in the constant k.
+    def kernel(u, t):
+        return Dual(u, t) * k
+
+    return trace(kernel, arrays=2)
+
+
+_TWICE = _scaled(2.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 3), ()])
+@pytest.mark.parametrize("form", ["numpy", "compiled"])
+def test_an_array_kernel_refuses_an_array_that_is_not_1d(form, shape):
+    # Without `cc` the compiled form is the numpy kernel.
+    kernel = compiled(_TWICE)[0] if form == "compiled" else _TWICE
+    for args in ((np.ones(3), np.ones(shape)), (np.ones(shape), np.ones(3))):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, not of shape {shape}")):
+            kernel(*args)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_the_kernel_cache_keeps_one_library_per_kernel_set(tmp_path, monkeypatch):
+    # The cache lies next to the module, here moved into tmp_path.
+    monkeypatch.setattr(dual, "__file__", str(tmp_path / "dual.py"))
+    cache = tmp_path / "__pycache__"
+    assert isinstance(compiled(trace(_outputs_of_every_kind, arrays=2))[0], dual._Compiled)
+    other = set(cache.iterdir())
+    for k in (2.0, 3.0):
+        assert isinstance(compiled(_scaled(k))[0], dual._Compiled)
+    left = set(cache.iterdir())
+    assert len(other) == 1 and other < left and len(left - other) == 1
 
 
 def _float_lines(u, t, a, b):

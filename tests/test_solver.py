@@ -324,9 +324,10 @@ _tangent = st.floats(-1e3, 1e3)
 @given(data=st.data(), lengths=st.lists(st.integers(3, 64), min_size=2, max_size=2),
        dt=st.floats(1e-3, 0.2), dx=st.floats(0.01, 1.0))
 def test_each_step_kernel_equals_its_dual_formula_bit_for_bit(data, lengths, dt, dx):
-    # Two lengths in turn, each twice, so that the kernels' buffers are reallocated
-    # and reused. Euler cells come from a few states: u of either sign takes both
-    # branches of abs, and equal wave speeds tie in maximum, whose first tangent wins.
+    # Two lengths in turn, each twice, so that the compiled kernels' scratch is
+    # reallocated and reused. Euler cells come from a few states: u of either sign
+    # takes both branches of abs, and equal wave speeds tie in maximum, whose first
+    # tangent wins.
     n, m = lengths
     for k in (n, m, m, n):
         grid = Grid1D(dx=dx, n_cells=k)
@@ -355,10 +356,15 @@ def _arrays(field):
     return [a for d in parts for a in (d.value, d.tangent)]
 
 
-@pytest.mark.parametrize("make_field, kernel", [
-    (lambda: _burgers_ramp(), solver._LXF), (lambda: wavy_euler_field(), solver._RUSANOV)],
-    ids=["lxf", "rusanov"])
-def test_a_step_returns_arrays_that_nothing_else_holds(make_field, kernel):
+@pytest.mark.parametrize("make_field, name, kernel", [
+    (lambda: _burgers_ramp(), "_LXF", solver._LXF),
+    (lambda: wavy_euler_field(), "_RUSANOV", solver._RUSANOV),
+    (lambda: _burgers_ramp(), "_LXF", trace(solver._lxf_payloads, arrays=2)),
+    (lambda: wavy_euler_field(), "_RUSANOV", trace(solver._rusanov_payloads, arrays=6))],
+    ids=["lxf", "rusanov", "numpy-lxf", "numpy-rusanov"])
+def test_a_step_returns_arrays_that_nothing_else_holds(make_field, name, kernel, monkeypatch):
+    # A numpy kernel holds no scratch; a compiled one holds its `buffers`.
+    monkeypatch.setattr(solver, name, kernel)
     field = make_field()
     law = MODEL if isinstance(field, CellField) else GAS
     dt = cfl_dt(field, field.grid.dx, 0.5, law)
@@ -370,7 +376,7 @@ def test_a_step_returns_arrays_that_nothing_else_holds(make_field, kernel):
     second = step(first)
     new = _arrays(second)
     for i, a in enumerate(new):
-        for b in (*new[:i], *_arrays(first), *_arrays(field), *kernel.buffers):
+        for b in (*new[:i], *_arrays(first), *_arrays(field), *getattr(kernel, "buffers", ())):
             assert not np.shares_memory(a, b)
 
 
@@ -472,7 +478,7 @@ def default_clone(tmp_path_factory):
         pytest.skip("no C compiler on PATH")
     path = str(tmp_path_factory.mktemp("default-clone") / "kernels.so")
 
-    def load(source):
+    def load(source, names):
         assert source.count(_CLONES) == 1
         dual._build(cc, source.replace(_CLONES, ""), path)
         return ctypes.CDLL(path)
