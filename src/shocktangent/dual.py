@@ -27,11 +27,15 @@ so no branch on a value is ever baked into a kernel: a function that branches
 cannot be traced. A recorded array takes
 these, the comparisons, whose masks only ``np.where`` reads (so ``where``,
 ``maximum`` and ``abs`` record both branches and the choice), ``np.sqrt``,
-the slices ``a[i:]`` and ``a[i:-j]``, and ``np.pad(a, 1, mode="edge")``;
-anything else raises TypeError. An array kernel runs the tape as written, one
-numpy call per line, drops each temporary after its last reader, and returns
-arrays of its own: never an input, nor a view of one. It holds no state
-between calls, and refuses arrays that are not 1-D of one length.
+``np.abs``, the slices ``a[i:]`` and ``a[i:-j]``, ``np.pad(a, 1, mode="edge")``,
+and the reductions ``np.maximum.reduce(a)`` and ``np.minimum.reduce(a)``. A
+reduction is a float that the kernel may only return, after the Duals:
+nothing else reads it, so a kernel still branches on no value. Anything else
+raises TypeError. An array kernel runs the tape as written, one numpy call
+per line, drops each temporary after its last reader, and returns arrays of
+its own: never an input, nor a view of one. It holds no state between calls,
+raises no numpy floating-point warnings, and refuses arrays that are not 1-D
+of one length, or too short to pad or reduce.
 
 ``compiled`` turns array kernels into C, the tape compiled instead of
 interpreted line by line (Griewank & Walther, ch. 6): the lines fuse into a
@@ -40,16 +44,23 @@ no numpy call per line. Each C operation is the IEEE operation numpy runs, in
 the same order, built without contraction or fast-math, so a compiled kernel
 returns the same bits (which NaN a NaN result holds aside, which IEEE 754
 leaves open), whether its loops run on AVX2 vectors, narrower ones or none,
-and raises the float lines' exceptions. It raises no numpy floating-point
-warnings. Where no C compiler, writable cache or loadable library is at
-hand, the numpy kernels are used; they stay the reference.
+and raises the float lines' exceptions. A reduction keeps an accumulator in
+the loop that computes its operand: the largest or smallest of the cells'
+bits read as integers that order as the doubles do, and a count of NaNs, as
+GCC vectorizes neither a float max nor a float min without fast-math. It
+returns the same number as numpy, or a NaN where numpy does; the sign of a
+zero it returns is left open. It raises no numpy floating-point warnings.
+Where no C compiler, writable cache or loadable library is at hand, the
+numpy kernels are used; they stay the reference.
 """
 
 import contextlib
 import ctypes
 import importlib.util
 import math
+import operator
 import os
+import re
 import shutil
 import tempfile
 from collections import namedtuple
@@ -161,7 +172,7 @@ def sqrt(x):
     if _array(x.value):
         root = np.sqrt(x.value)
     elif isinstance(x.value, _Recorded):  # checked as the kernel runs
-        root = x.value._append("_root({})", [x.value.name], None)
+        root = x.value._append("_root({})", [_operand(x.value)], None)
     else:
         root = _root(x.value)
     return Dual(root, x.tangent / (2.0 * root))
@@ -206,9 +217,19 @@ _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
 _COMPARISONS = ("<", "<=")
 
 #: What traced code calls, by the name it calls it.
-_CALLS = {name: getattr(np, name) for name in (*_UFUNC.values(), "negative", "sqrt", "where",
-                                               "concatenate")}
+_CALLS = {name: getattr(np, name) for name in (*_UFUNC.values(), "negative", "sqrt", "absolute",
+                                               "where", "concatenate", "maximum", "minimum")}
 _CALLS["_root"] = _root
+
+#: The unary ufuncs a recorded array takes, and its reductions: np.maximum.reduce
+#: and np.minimum.reduce, by the code of their line and the C comparison by which
+#: an accumulator keeps a cell (`_emit`).
+_UNARY = (np.sqrt, np.absolute)
+_REDUCE = {"float(maximum.reduce({}))": ">", "float(minimum.reduce({}))": "<"}
+
+#: Why a mask or a reduction is no operand of another line.
+_READ_BY = {"mask": "a traced comparison's mask is read by np.where alone",
+            "reduction": "a traced reduction is a float that the kernel may only return"}
 
 #: np.pad(a, 1, mode="edge") of a 1-D array, at a quarter of np.pad's cost.
 _PAD = "concatenate(({0}[[0]], {0}, {0}[[-1]]))"
@@ -234,24 +255,25 @@ class _Recorded:
     """A float or a float array of a function being traced: each operation appends one line.
 
     `length` is None for a float; for an array it is the array's length less
-    the length n of the kernel's array inputs. A comparison of arrays gives a
-    mask, which only np.where reads. Unary minus is recorded as such: 0.0 - x
-    would turn a zero's sign.
+    the length n of the kernel's array inputs. `kind` is "mask" for a
+    comparison of arrays, which only np.where reads, and "reduction" for a
+    reduction of an array, which only the kernel returns (`_READ_BY`). Unary
+    minus is recorded as such: 0.0 - x would turn a zero's sign.
     """
 
-    __slots__ = ("lines", "name", "length", "mask")
+    __slots__ = ("lines", "name", "length", "kind")
 
-    def __init__(self, lines, name, length=None, mask=False):
+    def __init__(self, lines, name, length=None, kind=None):
         self.lines = lines
         self.name = name
         self.length = length
-        self.mask = mask
+        self.kind = kind
 
-    def _append(self, code, operands, length, mask=False, view=None):
+    def _append(self, code, operands, length, kind=None, view=None):
         """Record `code`, a format string over the operands' names."""
         name = f"t{len(self.lines)}"
         self.lines.append(_Line(name, code, operands, length, view))
-        return _Recorded(self.lines, name, length, mask)
+        return _Recorded(self.lines, name, length, kind)
 
     def _binary(self, op, *operands):
         names = [_operand(x) for x in operands]
@@ -262,7 +284,8 @@ class _Recorded:
             if op in _COMPARISONS:
                 self._refuse()
             return self._append(f"{{}} {op} {{}}", names, None)
-        return self._append(f"{_UFUNC[op]}({{}}, {{}})", names, length, op in _COMPARISONS)
+        return self._append(f"{_UFUNC[op]}({{}}, {{}})", names, length,
+                            "mask" if op in _COMPARISONS else None)
 
     __add__, __radd__ = _operator("+")
     __sub__, __rsub__ = _operator("-")
@@ -273,7 +296,7 @@ class _Recorded:
 
     def __neg__(self):
         if self.length is None:
-            return self._append("-{}", [self.name], None)
+            return self._append("-{}", [_operand(self)], None)
         return self._append("negative({})", [_operand(self)], self.length)
 
     def __getitem__(self, key):
@@ -289,8 +312,12 @@ class _Recorded:
                             view=slice(start, stop))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.sqrt and method == "__call__" and not kwargs and _array(self):
-            return self._append("sqrt({})", [_operand(self)], self.length)
+        if not kwargs and _array(self):
+            if method == "__call__" and ufunc in _UNARY:
+                return self._append(f"{ufunc.__name__}({{}})", [_operand(self)], self.length)
+            code = f"float({ufunc.__name__}.reduce({{}}))"
+            if method == "reduce" and code in _REDUCE:
+                return self._append(code, [_operand(self)], None, "reduction")
         self._refuse()
 
     def __array_function__(self, func, types, args, kwargs):
@@ -304,14 +331,17 @@ class _Recorded:
         self._refuse()
 
     def _refuse(self, *_, **__):
+        if self.kind == "reduction":
+            raise TypeError(_READ_BY[self.kind])
         if self.length is None:
             raise TypeError(
                 "a traced float takes only + - * /, negation and dual.sqrt: a comparison, "
                 "bool(), float(), abs() or ** would fix the branch of one value into the kernel"
             )
         raise TypeError(
-            "a traced array takes only + - * /, negation, < <= > >=, np.sqrt, np.where on a "
-            "comparison's mask, slices a[i:] and a[i:-j], and np.pad(a, 1, mode='edge')"
+            "a traced array takes only + - * /, negation, < <= > >=, np.sqrt, np.abs, np.where "
+            "on a comparison's mask, slices a[i:] and a[i:-j], np.pad(a, 1, mode='edge'), "
+            "np.maximum.reduce(a) and np.minimum.reduce(a)"
         )
 
     __eq__ = __ne__ = __bool__ = __float__ = __len__ = _refuse
@@ -319,17 +349,17 @@ class _Recorded:
 
 
 def _is_mask(x):
-    return isinstance(x, _Recorded) and x.mask
+    return isinstance(x, _Recorded) and x.kind == "mask"
 
 
 def _operand(x):
     """x as code: a recorded name or a finite int or float literal, else None.
 
-    A mask is an operand of np.where's condition alone.
+    A mask is an operand of np.where's condition alone, and a reduction of none.
     """
     if isinstance(x, _Recorded):
-        if x.mask:
-            raise TypeError("a traced comparison's mask is read by np.where alone")
+        if x.kind:
+            raise TypeError(_READ_BY[x.kind])
         return x.name
     if type(x) is int or type(x) is float and math.isfinite(x):
         return repr(x)
@@ -350,9 +380,10 @@ def trace(fn, arrays=0, args=None):
 
     fn's first `arrays` positional parameters are float arrays of one length
     n, the others floats; a fn(*args) takes `args` of them. It runs once, on
-    recorders of these, and returns a Dual or a tuple of Duals; the kernel
-    takes the payloads and returns the values and tangents of those Duals in
-    order. Lines that no output reads are dropped; the rest run in recorded
+    recorders of these, and returns a Dual or a tuple of Duals, which may end
+    in reductions of arrays; the kernel takes the payloads and returns the
+    values and tangents of those Duals in order, then the reductions as
+    floats. Lines that no output reads are dropped; the rest run in recorded
     order, so the kernel rounds as fn does on payloads.
 
     A float kernel is a plain function; an array kernel is a `_Kernel`.
@@ -361,11 +392,14 @@ def trace(fn, arrays=0, args=None):
     params = [f"a{k}" for k in range(fn.__code__.co_argcount if args is None else args)]
     out = fn(*(_Recorded(lines, a, 0 if k < arrays else None) for k, a in enumerate(params)))
     duals = out if type(out) is tuple else (out,)
-    payloads = [x for d in duals if isinstance(d, Dual) for x in (d.value, d.tangent)]
+    k = next((i for i, d in enumerate(duals) if not isinstance(d, Dual)), len(duals))
+    payloads = [x for d in duals[:k] for x in (d.value, d.tangent)]
     results = [None if _is_mask(x) else _operand(x) for x in payloads]
-    if not duals or len(payloads) < 2 * len(duals) or None in results:
+    if not k or None in results or any(getattr(r, "kind", None) != "reduction"
+                                       for r in duals[k:]):
         raise TypeError(f"{fn.__qualname__} must return a Dual, or a tuple of Duals, "
-                        "of traced or constant payloads")
+                        "of traced or constant payloads, then any reductions")
+    results += [r.name for r in duals[k:]]
     live, body = set(results), []
     for line in reversed(lines):
         if line.name in live:
@@ -373,7 +407,7 @@ def trace(fn, arrays=0, args=None):
             live.update(line.operands)
     body.reverse()
     code = _define(fn, params, body, results, arrays)
-    return _Kernel(fn, code, body, results, params, arrays) if arrays else code
+    return _Kernel(fn, code, (body, results, params), arrays) if arrays else code
 
 
 def _define(fn, params, body, results, arrays=0):
@@ -403,42 +437,56 @@ def _define(fn, params, body, results, arrays=0):
     return namespace["kernel"]
 
 
-def _one_length(arrays):
-    """The length n of numpy arrays all of shape (n,); else a ValueError naming their shapes."""
-    for a in arrays:
-        if a.ndim != 1:
-            raise ValueError(f"array arguments must be 1-D, not of shape {a.shape}")
-        if a.shape != arrays[0].shape:
-            raise ValueError(f"array arguments of lengths {len(arrays[0])} and {len(a)}")
-    return len(arrays[0])
-
-
 class _Kernel:
     """A traced array kernel, run as numpy code: one call per line of its tape (`_define`).
 
-    It holds no state between calls, so calls may overlap. `name` is the
-    traced function's qualified name; `tape` keeps the recorded lines,
-    outputs and parameters, which `compiled` emits as C.
+    It holds no state between calls, so calls may overlap, and it runs with
+    numpy's floating-point warnings off, as a compiled kernel raises none.
+    `name` is the traced function's qualified name; `tape` keeps the recorded
+    lines, outputs and parameters, which `compiled` emits as C. `shortest` is
+    the least n, and whether a shorter one would pad an empty array (else
+    reduce one); both backends check it (`length`).
     """
 
-    __slots__ = ("name", "code", "arrays", "tape")
+    __slots__ = ("name", "code", "arrays", "tape", "shortest")
 
-    def __init__(self, fn, code, body, results, params, arrays):
+    def __init__(self, fn, code, tape, arrays):
         self.name = fn.__qualname__
         self.code = code
         self.arrays = arrays
-        self.tape = body, results, params
+        self.tape = tape
+        body, _, params = tape
+        length = {**dict.fromkeys(params[:arrays], 0), **{x.name: x.length for x in body}}
+        self.shortest = max([(1 - length[x.operands[0]], x.code == _PAD) for x in body
+                             if x.code == _PAD or x.code in _REDUCE], default=(0, True))
+
+    def length(self, arrays):
+        """The length n of numpy arrays all of shape (n,), if no pad or reduction is empty.
+
+        Else a ValueError names their shapes, or what would be empty.
+        """
+        for a in arrays:
+            if a.ndim != 1:
+                raise ValueError(f"array arguments must be 1-D, not of shape {a.shape}")
+            if a.shape != arrays[0].shape:
+                raise ValueError(f"array arguments of lengths {len(arrays[0])} and {len(a)}")
+        n = len(arrays[0])
+        if n < self.shortest[0]:
+            what = "pad" if self.shortest[1] else "reduce"
+            raise ValueError(f"arrays of length {n} would {what} an empty array")
+        return n
 
     def __call__(self, *args):
-        _one_length(args[:self.arrays])
-        return self.code(*args)
+        self.length(args[:self.arrays])
+        with np.errstate(all="ignore"):
+            return self.code(*args)
 
 
 #: The C of each recorded operation over its operands' C. A mask is 0.0 or 1.0.
 _C = {
     **{f"{ufunc}({{}}, {{}})": f"{{}} {op} {{}}" for op, ufunc in _UFUNC.items()},
     **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in "+-*/"},
-    "-{}": "-{}", "negative({})": "-{}", "sqrt({})": "sqrt({})",
+    "-{}": "-{}", "negative({})": "-{}", "sqrt({})": "sqrt({})", "absolute({})": "fabs({})",
     "_root({})": "sqrt({})", "where({}, {}, {})": "{} ? {} : {}",
 }
 
@@ -457,6 +505,8 @@ _CFLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 #: and only AVX2 has the masked loads to vectorize that; the AVX2 clone halves
 #: the Euler kernel's time and nearly doubles the library's build time.
 _PRELUDE = """#include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -466,6 +516,23 @@ _PRELUDE = """#include <math.h>
 #ifndef CLONES
 #define CLONES
 #endif
+
+/* A double's bits as an integer that orders as the doubles do, -0.0 just below
+   0.0 and NaNs aside; the map is its own inverse. */
+static inline int64_t order_key(double x)
+{
+    int64_t k;
+    memcpy(&k, &x, sizeof k);
+    return k ^ ((k >> 63) & INT64_MAX);
+}
+
+static inline double key_value(int64_t k)
+{
+    double x;
+    k ^= (k >> 63) & INT64_MAX;
+    memcpy(&x, &k, sizeof x);
+    return x;
+}
 
 """
 
@@ -505,16 +572,22 @@ def _emit(kernel, name):
     would break the rule raises TypeError here. Each function is declared
     `CLONES`, which `_PRELUDE` defines.
 
-    Returns the source, each output's (start, stop) in the output block o and
-    the length of s, each as a pair (a, b) meaning a * n + b, and the least n
-    for which no padded value is empty.
+    A reduction keeps, in the loop of its operand's stage and length, the
+    largest or the smallest `order_key` of the cells and a count of NaNs,
+    which GCC vectorizes as integer operations; after the loops it stores the
+    key's double, or NaN if a cell was one, past the output rows in o.
+
+    Returns the source, and each output's (start, stop) in the output block o
+    and the length of s, each as a pair (a, b) meaning a * n + b.
     """
     body, results, params = kernel.tape
     arrays = params[:kernel.arrays]
     length = {**dict.fromkeys(params), **dict.fromkeys(arrays, 0),
               **{line.name: line.length for line in body}}
-    if any(length.get(r) is None for r in results):
-        raise TypeError(f"{name}: a compiled kernel returns arrays only")
+    reduced = {line.name for line in body if line.code in _REDUCE}
+    outputs = [r for r in results if r not in reduced]
+    if any(length.get(r) is None for r in outputs):
+        raise TypeError(f"{name}: a compiled kernel returns arrays and reductions only")
     views, pads, reads = {}, {}, {}  # view -> (value, offset); pad -> value; array operands
     for line in body:
         if line.view:
@@ -545,13 +618,15 @@ def _emit(kernel, name):
 
     memory = dict(zip(arrays, arrays))  # array -> the C pointer it is read through
     bounds, shift = [], 0
-    for k, r in enumerate(results):
+    for k, r in enumerate(outputs):
         bounds.append(((k, shift), (k + 1, shift + length[r])))
         shift += length[r]
         if r in reads:
             memory.setdefault(r, f"o{k}")
+    bounds += [((len(outputs), shift + j), (len(outputs), shift + j + 1))
+               for j in range(len(results) - len(outputs))]
     scratch, declared = [0, 1], [f"double *restrict o{k} = o + {a} * n + {b};"
-                                 for k, ((a, b), _) in enumerate(bounds)]
+                                 for k, ((a, b), _) in enumerate(bounds[:len(outputs)])]
     floats, loops, ends, copies, stored = [], {}, {}, {}, set()
     rows, loaded = {}, []  # loop -> {row: the offset from i it stores at}; (loop, row, offset)
 
@@ -586,7 +661,16 @@ def _emit(kernel, name):
         return f"{memory[x]}[{_n_plus(k, 'i')}]"
 
     for line in body:
-        if line.length is None:
+        if line.name in reduced:
+            x, op, acc = line.operands[0], _REDUCE[line.code], f"k{line.name}"
+            group = (stage[x] if x in reads else ready(x), length[x])
+            value = read(x, group)
+            declared += [f"int64_t {acc} = {'INT64_MIN' if op == '>' else 'INT64_MAX'};",
+                         f"long n{line.name} = 0;"]
+            loops.setdefault(group, []).append(
+                f"{{ const int64_t key = order_key({value}); {acc} = key {op} {acc} ? key : {acc}; "
+                f"n{line.name} += {value} != {value}; }}")
+        elif line.length is None:
             terms = [read(x) for x in line.operands]
             if line.code == "{} / {}":
                 floats.append(f"if ({terms[1]} == 0.0) return 1;")
@@ -610,7 +694,7 @@ def _emit(kernel, name):
             terms = [read(x, group) for x in line.operands]
             loops.setdefault(group, []).append(
                 f"const double {line.name} = {_C[line.code].format(*terms)};")
-    for k, r in enumerate(results):
+    for k, r in enumerate(outputs):
         if memory.get(r) == f"o{k}":
             store(r)
         else:
@@ -626,13 +710,14 @@ def _emit(kernel, name):
         code += copies.get(s, [])
         for group in sorted(g for g in loops if g[0] == s):
             code += [*_loop(_n_plus(group[1]), loops[group]), *ends.get(group, [])]
+    for ((a, b), _), r in zip(bounds[len(outputs):], results[len(outputs):]):
+        code.append(f"o[{_n_plus(b, f'{a} * n')}] = n{r} ? NAN : key_value(k{r});")
     head = ", ".join(["long n", *(f"const double *restrict {a}" for a in arrays),
                       *(f"double {a}" for a in params[len(arrays):]),
                       "double *restrict o", "double *restrict s"])
     source = "".join([f"CLONES int {name}({head})\n{{\n", *(f"    {c}\n" for c in code),
                       "    return 0;\n}\n"])
-    shortest = max([1 - length[x] for x in pads.values()], default=0)
-    return source, bounds, tuple(scratch), shortest
+    return source, bounds, tuple(scratch)
 
 
 def compiled(*kernels):
@@ -662,7 +747,8 @@ def _load(source, names):
     """The library built from C source, from the cache or compiled into it; None if neither works.
 
     It is named by its kernel set, a hash of `names`, and by its key: a build
-    removes the set's other libraries, so the cache holds one per set.
+    removes the set's other libraries, so the cache holds one per set, and the
+    `kernels-<key>.so` libraries of the older naming, which had no set.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -675,8 +761,9 @@ def _load(source, names):
     try:
         if not os.path.exists(path):
             _build(cc, source, path)
+            stale = re.compile(rf"kernels-({kind}-)?[0-9a-f]{{16}}\.so")
             for name in os.listdir(folder):
-                if name.startswith(f"kernels-{kind}-") and name != os.path.basename(path):
+                if stale.fullmatch(name) and name != os.path.basename(path):
                     with contextlib.suppress(OSError):
                         os.remove(os.path.join(folder, name))
         return ctypes.CDLL(path)
@@ -706,53 +793,69 @@ class _Compiled:
     """An array kernel run as the C function emitted from its tape (`_emit`).
 
     It returns what the numpy kernel returns, bit for bit (which NaN a NaN
-    result holds aside), for 1-D float64 arrays: each output is a row of one
-    new block, so the outputs share memory with nothing. A float line raises
-    as Python does: ZeroDivisionError for a zero divisor, and sqrt's
-    ValueError for a root of a value at or below zero. Its array operations
-    raise no numpy floating-point warnings.
+    result holds aside, and the sign of a zero that a reduction returns), for
+    1-D float64 arrays: each array output is a row of one new block, so the
+    outputs share memory with nothing, and each reduction a float. A float
+    line raises as Python does: ZeroDivisionError for a zero divisor, and
+    sqrt's ValueError for a root of a value at or below zero. Its array
+    operations raise no numpy floating-point warnings.
 
     Its one scratch array, `buffers[0]`, is allocated on the first call for an
     input length n and anew when n changes. Every call writes it, so two calls
     may not overlap: unlike the numpy kernel, a compiled kernel is not reentrant.
+
+    A call keeps the first rows it returned, as many as the kernel takes
+    arrays, where each is n long, and their addresses: a call on exactly those
+    rows, as each step of a march makes on the last, passes the addresses
+    without converting or checking its arrays again.
     """
 
-    __slots__ = ("function", "arrays", "layout", "scratch", "shortest", "n", "buffers",
-                 "address", "rows")
+    __slots__ = ("function", "kernel", "layout", "scratch", "outputs", "reuse", "n", "buffers",
+                 "address", "rows", "last", "inputs")
 
-    def __init__(self, kernel, function, layout, scratch, shortest):
-        params = kernel.tape[2]
-        pointer = ctypes.POINTER(ctypes.c_char)
-        function.argtypes = [ctypes.c_long, *[pointer] * kernel.arrays,
-                             *[ctypes.c_double] * (len(params) - kernel.arrays), pointer, pointer]
+    def __init__(self, kernel, function, layout, scratch):
+        params, arrays = kernel.tape[2], kernel.arrays
+        function.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * arrays,
+                             *[ctypes.c_double] * (len(params) - arrays), *[ctypes.c_void_p] * 2]
         function.restype = ctypes.c_int
         self.function = function
-        self.arrays = kernel.arrays
+        self.kernel = kernel
         self.layout = layout
         self.scratch = scratch
-        self.shortest = shortest
+        # The array outputs come first, each a row of n + b; the reductions follow.
+        self.outputs = sum(c - a for (a, _), (c, _) in layout)
+        self.reuse = self.outputs >= arrays and all(d == b for (_, b), (_, d) in layout[:arrays])
         self.n = None
         self.buffers = ()
+        self.last = ()
 
     def __call__(self, *args):
-        arrays = [np.asarray(a, np.float64, order="C") for a in args[:self.arrays]]
-        n = _one_length(arrays)
-        if n != self.n:
-            if n < self.shortest:
-                raise ValueError(f"arrays of length {n} would pad an empty array")
-            a, b = self.scratch
-            self.buffers = (np.empty(a * n + b),)
-            self.address = _address(self.buffers[0])
-            self.rows = [(a * n + b, c * n + d) for (a, b), (c, d) in self.layout]
-            self.n = n
+        k = self.kernel.arrays
+        if self.last and all(map(operator.is_, args[:k], self.last)):
+            n, addresses = self.n, self.inputs
+        else:
+            self.last = ()
+            arrays = [np.asarray(a, np.float64, order="C") for a in args[:k]]
+            n = self.kernel.length(arrays)
+            if n != self.n:
+                a, b = self.scratch
+                self.buffers = (np.empty(a * n + b),)
+                self.address = _address(self.buffers[0])
+                self.rows = [(a * n + b, c * n + d) for (a, b), (c, d) in self.layout]
+                self.n = n
+            addresses = list(map(_address, arrays))
         out = np.empty(self.rows[-1][1])
-        status = self.function(n, *map(_address, arrays), *args[self.arrays:], _address(out),
-                               self.address)
+        base = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        status = self.function(n, *addresses, *args[k:], base, self.address)
         if status == 1:
             raise ZeroDivisionError("float division by zero")
         if status == 2:
             _root(float(self.buffers[0][0]))
-        return tuple([out[i:j] for i, j in self.rows])
+        rows = [out[i:j] for i, j in self.rows[:self.outputs]]
+        if self.reuse:
+            self.last = rows[:k]
+            self.inputs = [base + 8 * i for i, _ in self.rows[:k]]
+        return (*rows, *out[self.rows[self.outputs - 1][1]:].tolist())
 
 
 def _address(a):

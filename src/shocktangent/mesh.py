@@ -69,11 +69,15 @@ class Grid1D:
 
 
 class CellField:
-    """Scalar field of per-cell duals on a Grid1D."""
+    """Scalar field of per-cell duals on a Grid1D.
 
-    __slots__ = ("grid", "data")
+    `speed` is the largest |f'(u)| of the scalar law that stepped it, where the
+    step computed it (`solver.lxf_step`), else None.
+    """
 
-    def __init__(self, grid, data):
+    __slots__ = ("grid", "data", "speed")
+
+    def __init__(self, grid, data, speed=None):
         if not isinstance(data, Dual):
             data = lift(np.asarray(data, dtype=float))
         if len(data.value) != grid.n_cells:
@@ -82,6 +86,7 @@ class CellField:
             )
         self.grid = grid
         self.data = data
+        self.speed = speed
 
     @property
     def values(self):

@@ -27,7 +27,7 @@ once at import (`dual.trace`). Both then check the probed values and run the
 speed, also traced: the Burgers jump speed, or Euler's from the probed states.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -53,8 +53,12 @@ class BurgersModel:
         return u
 
     def max_char_speed(self, field):
-        """Largest |f'(u)| over the field (CFL bound)."""
-        return float(np.maximum.reduce(np.abs(field.values)))
+        """Largest |f'(u)| over the field (CFL bound): the one its step computed, if any."""
+        return float(self.wave_speed(field.values)) if field.speed is None else field.speed
+
+    def wave_speed(self, u):
+        """Largest |f'(u)| of the cell values u, an array or one being traced."""
+        return np.maximum.reduce(np.abs(u))
 
     def split(self, field):
         """The field's components as scalar CellFields."""
@@ -98,14 +102,23 @@ _JUMP_SPEED = trace(_dual_jump_speed)
 
 @dataclass(frozen=True)
 class EulerState:
-    """Primitive gas state; components are duals (scalar or per-cell arrays)."""
+    """Primitive gas state; components are duals (scalar or per-cell arrays).
+
+    Its rho and p must be positive. `minima`, the least rho and p where the
+    caller has them (a step kernel returns them), spare the check its
+    reductions: it reduces the cells itself, and words its message, only
+    where one of them is not positive.
+    """
 
     rho: Dual
     u: Dual
     p: Dual
     gamma: float = GAMMA
+    minima: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, minima=None):
+        if minima is not None and minima[0] > 0.0 and minima[1] > 0.0:
+            return
         for name in ("rho", "p"):
             v = getattr(self, name).value
             if not (np.minimum.reduce(v) if isinstance(v, np.ndarray) else v) > 0.0:
@@ -114,6 +127,11 @@ class EulerState:
 
     def sound_speed(self):
         return sqrt(self.gamma * self.p / self.rho)
+
+    def wave_speed(self):
+        """Largest |u| + a over the cells (CFL bound), of array payloads or ones being traced."""
+        return np.maximum.reduce(np.sqrt(self.gamma * self.p.value / self.rho.value)
+                                 + np.abs(self.u.value))
 
     def specific_energy(self):
         return self.p / (self.rho * (self.gamma - 1.0))
@@ -219,15 +237,20 @@ class MovingShockSetup:
 
 
 class EulerCellField:
-    """Per-cell primitive gas states on a grid (array-backed EulerState)."""
+    """Per-cell primitive gas states on a grid (array-backed EulerState).
 
-    __slots__ = ("grid", "state")
+    `speed` is the largest |u| + a, where the step that built the field
+    computed it (`solver.rusanov_step_euler`), else None.
+    """
 
-    def __init__(self, grid, state):
+    __slots__ = ("grid", "state", "speed")
+
+    def __init__(self, grid, state, speed=None):
         if len(state.rho.value) != grid.n_cells:
             raise ValueError("state arrays do not match grid")
         self.grid = grid
         self.state = state
+        self.speed = speed
 
     def component(self, name):
         """One primitive variable viewed as a scalar CellField."""
@@ -238,12 +261,8 @@ class EulerCellField:
         return self.state.gamma
 
     def max_char_speed(self):
-        """Largest |u| + a over the field (CFL bound)."""
-        a = self.gamma * self.state.p.value  # a**2, a and then |u| + a, in place
-        a /= self.state.rho.value
-        np.sqrt(a, out=a)
-        a += np.abs(self.state.u.value)
-        return float(np.maximum.reduce(a))
+        """Largest |u| + a over the field (CFL bound): the one its step computed, if any."""
+        return float(self.state.wave_speed()) if self.speed is None else self.speed
 
 
 @dataclass(frozen=True)

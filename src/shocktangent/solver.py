@@ -21,6 +21,13 @@ the pre-step field an observer reads are never overwritten. A compiled
 kernel holds scratch for the grid length of its last call and is not
 reentrant: two steps may not run at once in one process.
 
+The same call also returns the new field's CFL wave speed, by the formula
+that `max_char_speed` runs (`BurgersModel.wave_speed`,
+`EulerState.wave_speed`), and for a gas the least rho and p. The field keeps
+the speed, which `cfl_dt` and the fixed-step CFL check then read instead of
+reducing the cells again; the minima stand in for the reductions of the
+gas-state check, which reduces the cells itself only to word its error.
+
 Boundaries use one ghost cell per side filled by a zero-gradient copy, which
 makes the boundary numerical flux collapse to the physical flux of the edge
 cell (the jump term vanishes).
@@ -107,23 +114,26 @@ class _TracedState(EulerState):
     checks the kernel's outputs instead.
     """
 
-    def __post_init__(self):
+    def __post_init__(self, minima=None):
         pass
 
 
 def _lxf_payloads(u, u_t, dt, dx):
-    return _lxf_update(Dual(u, u_t), dt, dx, BurgersModel())
+    law = BurgersModel()
+    new = _lxf_update(Dual(u, u_t), dt, dx, law)
+    return new, law.wave_speed(new.value)
 
 
 def _rusanov_payloads(rho, rho_t, u, u_t, p, p_t, gamma, dt, dx):
     state = _TracedState(Dual(rho, rho_t), Dual(u, u_t), Dual(p, p_t), gamma)
     new = _rusanov_update(state, dt, dx)
-    return new.rho, new.u, new.p
+    return (new.rho, new.u, new.p, new.wave_speed(),
+            np.minimum.reduce(new.rho.value), np.minimum.reduce(new.p.value))
 
 
 #: The two updates as array code, traced and compiled once at import:
-#: (u, u', dt, dx) -> (u, u') and (rho, rho', u, u', p, p', gamma, dt, dx)
-#: -> (rho, rho', u, u', p, p') of the next step.
+#: (u, u', dt, dx) -> (u, u', speed) and (rho, rho', u, u', p, p', gamma, dt, dx)
+#: -> (rho, rho', u, u', p, p', speed, least rho, least p) of the next step.
 _LXF, _RUSANOV = compiled(trace(_lxf_payloads, arrays=2), trace(_rusanov_payloads, arrays=6))
 
 
@@ -132,7 +142,8 @@ def lxf_step(field, dt, model):
     if getattr(getattr(model, "flux", None), "__func__", None) is not BurgersModel.flux:
         raise TypeError(f"the traced Lax-Friedrichs step has Burgers' flux; {model!r} has another")
     d = field.data
-    return CellField(field.grid, Dual(*_LXF(d.value, d.tangent, dt, field.grid.dx)))
+    u, u_t, speed = _LXF(d.value, d.tangent, dt, field.grid.dx)
+    return CellField(field.grid, Dual(u, u_t), speed)
 
 
 def lxf_boundary_fluxes(field, model):
@@ -150,13 +161,15 @@ def lxf_boundary_fluxes(field, model):
 def rusanov_step_euler(field, dt):
     """One Rusanov/forward-Euler step of the Euler system (primitives in/out).
 
-    The new state is checked for positive density and pressure.
+    The new state is checked for positive density and pressure, by the
+    least rho and p that the kernel returns.
     """
     s = field.state
-    rho, rho_t, u, u_t, p, p_t = _RUSANOV(s.rho.value, s.rho.tangent, s.u.value, s.u.tangent,
-                                          s.p.value, s.p.tangent, s.gamma, dt, field.grid.dx)
-    state = EulerState(Dual(rho, rho_t), Dual(u, u_t), Dual(p, p_t), s.gamma)
-    return EulerCellField(field.grid, state)
+    rho, rho_t, u, u_t, p, p_t, speed, *minima = _RUSANOV(
+        s.rho.value, s.rho.tangent, s.u.value, s.u.tangent, s.p.value, s.p.tangent, s.gamma, dt,
+        field.grid.dx)
+    state = EulerState(Dual(rho, rho_t), Dual(u, u_t), Dual(p, p_t), s.gamma, minima)
+    return EulerCellField(field.grid, state, speed)
 
 
 def euler_boundary_fluxes(field):

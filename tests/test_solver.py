@@ -252,6 +252,13 @@ def test_rusanov_step_rejects_a_step_past_the_cfl_bound():
         run(field, SchemeConfig(t_final=dt, dt=dt), GAS)
 
 
+def test_a_quiescent_step_gives_the_longest_step():
+    # Both zeros step to zeros: the carried speed is 0.0 or -0.0, either way no limit.
+    for values in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+        new = lxf_step(small_field(values), 0.5, MODEL)
+        assert new.speed == 0.0 and cfl_dt(new, 1.0, 0.5, MODEL) == DT_MAX
+
+
 def test_rusanov_step_rejects_a_negative_pressure():
     # Rusanov keeps pressure positive up to CFL 1, so step backward in time:
     # the anti-diffusive update undershoots the low side of a pressure jump.
@@ -363,7 +370,10 @@ def _arrays(field):
     (lambda: wavy_euler_field(), "_RUSANOV", trace(solver._rusanov_payloads, arrays=6))],
     ids=["lxf", "rusanov", "numpy-lxf", "numpy-rusanov"])
 def test_a_step_returns_arrays_that_nothing_else_holds(make_field, name, kernel, monkeypatch):
-    # A numpy kernel holds no scratch; a compiled one holds its `buffers`.
+    # A numpy kernel holds no scratch; a compiled one holds its `buffers`, and passes the
+    # rows it returned last without converting them again (a call on exactly those rows,
+    # as `second` and `fourth` are). Right after such a call come a call on other arrays
+    # (`third`) and one on the rows of an older block (`fifth`).
     monkeypatch.setattr(solver, name, kernel)
     field = make_field()
     law = MODEL if isinstance(field, CellField) else GAS
@@ -374,10 +384,62 @@ def test_a_step_returns_arrays_that_nothing_else_holds(make_field, name, kernel,
 
     first = step(field)
     second = step(first)
-    new = _arrays(second)
-    for i, a in enumerate(new):
-        for b in (*new[:i], *_arrays(first), *_arrays(field), *getattr(kernel, "buffers", ())):
-            assert not np.shares_memory(a, b)
+    third = step(field)
+    fourth = step(third)
+    fifth = step(first)
+    for got, want in ((third, first), (fourth, second), (fifth, second)):
+        assert all(np.array_equal(g, w) for g, w in zip(_arrays(got), _arrays(want)))
+    fields = (first, second, third, fourth, fifth)
+    for k, f in enumerate(fields[1:], 1):
+        new = _arrays(f)
+        for i, a in enumerate(new):
+            for b in (*new[:i], *(x for g in fields[:k] for x in _arrays(g)), *_arrays(field),
+                      *getattr(kernel, "buffers", ())):
+                assert not np.shares_memory(a, b)
+
+
+def _recording(kernel, calls):
+    def call(*args):
+        calls.append(kernel(*args))
+        return calls[-1]
+
+    return call
+
+
+def _speed(field):
+    # The CFL wave speeds, written out as max_char_speed first wrote them.
+    if isinstance(field, CellField):
+        return float(np.max(np.abs(field.values)))
+    s = field.state
+    return float(np.max(np.sqrt(s.gamma * s.p.value / s.rho.value) + np.abs(s.u.value)))
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("make_field, name, cfg", [
+    (lambda: _burgers_ramp(), "_LXF", SchemeConfig(t_final=0.3, cfl_number=0.5)),
+    (lambda: _burgers_ramp(), "_LXF", SchemeConfig(t_final=0.3, dt=0.004)),
+    (wavy_euler_field, "_RUSANOV", SchemeConfig(t_final=0.2, cfl_number=0.8)),
+    (wavy_euler_field, "_RUSANOV", SchemeConfig(t_final=0.2, dt=0.01)),
+    (_desk_state_at_one, "_RUSANOV", SchemeConfig(t_final=0.5, cfl_number=0.82))],
+    ids=["burgers-cfl", "burgers-fixed", "euler-cfl", "euler-fixed", "desk-cfl"])
+def test_each_step_carries_the_wave_speed_and_minima_of_its_new_field(make_field, name, cfg,
+                                                                       backend, monkeypatch):
+    # The numpy kernels are the ones a process without `cc` runs.
+    kernel = getattr(solver, name) if backend == "compiled" else {
+        "_LXF": _NUMPY_LXF, "_RUSANOV": _NUMPY_RUSANOV}[name]
+    field = make_field()
+    calls, fields = [], []
+    monkeypatch.setattr(solver, name, _recording(kernel, calls))
+    law = MODEL if isinstance(field, CellField) else GAS
+    last = run(field, cfg, law, observers=(lambda t, dt, f: fields.append(f),))[-1][1]
+    fields = [*fields[1:], last]
+    assert len(calls) == len(fields) > 5
+    for out, f in zip(calls, fields):
+        assert type(f.speed) is float and f.speed == _speed(f) == out[2 if law is MODEL else 6]
+        assert law.max_char_speed(f) is f.speed
+        if law is GAS:
+            s = f.state
+            assert out[-2:] == (np.min(s.rho.value), np.min(s.p.value))
 
 
 @pytest.mark.parametrize(
@@ -425,6 +487,13 @@ def _same(got, want):
             and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
 
 
+def _same_number(got, want):
+    # A reduction returns a float: the same number, or a NaN for a NaN. IEEE 754 leaves
+    # open which NaN comes out, and the largest of 0.0 and -0.0 may be either; each
+    # reader of a reduction (== 0.0, > 0.0, isfinite) decides alike for both.
+    return type(got) is float and (got == want or math.isnan(got) and math.isnan(want))
+
+
 def _step_draws(test):
     # n from 1 to 40 runs the vector body, any peeled head and the scalar tail of
     # each loop on the special values; one seed gives every build the same draws.
@@ -453,17 +522,71 @@ def _assert_step_kernels_match(kernels, data, n, floats):
                     with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(exc))}$"):
                         kernel(*args)
                 continue
-            want = [x for d in (duals if type(duals) is tuple else (duals,))
-                    for x in (d.value, d.tangent)]
+            arrays = [x for d in duals if isinstance(d, Dual) for x in (d.value, d.tangent)]
+            reductions = [d for d in duals if not isinstance(d, Dual)]
+            assert len(reductions) == (1 if formula is solver._lxf_payloads else 3)
             for kernel in (reference, fast):
                 got = kernel(*args)
-                assert len(got) == len(want)
-                assert all(_same(g, w) for g, w in zip(got, want))
+                assert len(got) == len(arrays) + len(reductions)
+                assert all(_same(g, w) for g, w in zip(got, arrays))
+                assert all(_same_number(g, w) for g, w in zip(got[len(arrays):], reductions))
 
 
 @_step_draws
 def test_the_compiled_step_kernels_equal_the_numpy_kernels_and_the_dual_formulas(data, n, floats):
     _assert_step_kernels_match((solver._LXF, solver._RUSANOV), data, n, floats)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_the_step_kernels_refuse_arrays_too_short_to_pad(backend):
+    # One message on both backends (without `cc` the "compiled" kernels are numpy's).
+    lxf, rusanov = ((solver._LXF, solver._RUSANOV) if backend == "compiled"
+                    else (_NUMPY_LXF, _NUMPY_RUSANOV))
+    for kernel, args in ((lxf, (*[np.ones(0)] * 2, 0.1, 0.5)),
+                         (rusanov, (*[np.ones(0)] * 6, 1.4, 0.1, 0.5))):
+        with pytest.raises(ValueError, match="^arrays of length 0 would pad an empty array$"):
+            kernel(*args)
+
+
+def _cfl_dt_as_first_written(field):
+    c_n = _speed(field)
+    return DT_MAX if c_n == 0.0 else min(0.5 * field.grid.dx / c_n, DT_MAX)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(3, 20), dt=st.sampled_from([0.01, 0.5, -0.5, 1e300]))
+def test_a_step_on_edge_values_carries_what_the_formulas_give(data, n, dt):
+    # NaN, infinities, zeros of both signs and subnormals, in steps of either sign, on
+    # both backends. A non-positive rho or p is refused with the dual formula's message;
+    # else the carried speed is the formula's, and cfl_dt decides as it did on that.
+    def cells(pool):
+        picks = np.frombuffer(data.draw(st.binary(min_size=n, max_size=n)), np.uint8)
+        return np.array(pool)[picks % len(pool)]
+
+    positive = [x for x in _SPECIAL if x > 0.0]
+    grid = Grid1D(dx=0.1, n_cells=n)
+    burgers = CellField(grid, Dual(cells(_SPECIAL), cells(_SPECIAL)))
+    gas = EulerCellField(grid, EulerState(*(Dual(cells(pool), cells(_SPECIAL))
+                                            for pool in (positive, _SPECIAL, positive))))
+    for lxf, rusanov in ((solver._LXF, solver._RUSANOV), (_NUMPY_LXF, _NUMPY_RUSANOV)):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(solver, "_LXF", lxf)
+            patch.setattr(solver, "_RUSANOV", rusanov)
+            for law, new in ((MODEL, lxf_step(burgers, dt, MODEL)), (GAS, None)):
+                if new is None:
+                    try:
+                        want = solver._rusanov_update(gas.state, dt, grid.dx)
+                    except NonPhysicalStateError as exc:
+                        with pytest.raises(NonPhysicalStateError,
+                                           match=f"^{re.escape(str(exc))}$"):
+                            rusanov_step_euler(gas, dt)
+                        continue
+                    new = rusanov_step_euler(gas, dt)
+                    assert all(_same(getattr(new.state, c).value, getattr(want, c).value)
+                               for c in ("rho", "u", "p"))
+                assert _same_number(new.speed, _speed(new))
+                got, first = cfl_dt(new, grid.dx, 0.5, law), _cfl_dt_as_first_written(new)
+                assert got == first or math.isnan(got) and math.isnan(first)
 
 
 #: The line of the emitted library that builds each kernel twice, for AVX2 and the baseline.
