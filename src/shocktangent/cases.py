@@ -248,7 +248,6 @@ class CaseResult:
     grid: Grid1D
     snapshots: list
     tracker: ShockTracker
-    delta: float
     law: BurgersLaw | EulerLaw
     oracle: BurgersRampOracle | MovingShockSetup
 
@@ -305,7 +304,7 @@ def run_case(config):
                 f"more than {MAX_STEPS} steps to t_final = {cfg.t_final!r}; raise cfl"
             )
     snapshots = run(ic, _scheme(cfg), law, observers=(tracker,))
-    return CaseResult(cfg, grid, snapshots, tracker, tracker.delta, law, oracle)
+    return CaseResult(cfg, grid, snapshots, tracker, law, oracle)
 
 
 def _step_averages(grid, x_step, left, right):
@@ -346,7 +345,7 @@ def _errors(result, eps_values):
     the unperturbed profile on the same scale. A quotient that is not finite
     (eps so small that it overflows) raises NumericalError naming eps.
     """
-    law, grid, t, delta = result.law, result.grid, result.final_time, result.delta
+    law, grid, t, delta = result.law, result.grid, result.final_time, result.tracker.delta
     position = result.tracker.state
 
     comps = law.split(result.final_field)
@@ -399,7 +398,7 @@ def epsilon_sweep(config):
     result = run_case(cfg)
     errors, jumps = _errors(result, eps_values)
     rows = [(float(eps), *row) for eps, row in zip(eps_values, errors)]
-    position, delta = result.tracker.state, result.delta
+    position, delta = result.tracker.state, result.tracker.delta
     xi = position.tangent
     meta = {"delta": delta, "eps_dagger": delta / xi if xi else math.inf, "xi": xi,
             "shock_position": position.value, "jump": jumps,

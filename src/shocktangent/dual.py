@@ -24,18 +24,21 @@ the compiled kernel returns the dual evaluation's values and tangents bit for
 bit, with no ``Dual`` built per call. A recorded float refuses every use but
 ``+ - * /``, negation and ``sqrt`` (whose domain the kernel checks as it runs),
 so no branch on a value is ever baked into a kernel: a function that branches
-cannot be traced. A recorded array takes
-these, the comparisons, whose masks only ``np.where`` reads (so ``where``,
-``maximum`` and ``abs`` record both branches and the choice), ``np.sqrt``,
-``np.abs``, the slices ``a[i:]`` and ``a[i:-j]``, ``np.pad(a, 1, mode="edge")``,
-and the reductions ``np.maximum.reduce(a)`` and ``np.minimum.reduce(a)``. A
-reduction is a float that the kernel may only return, after the Duals:
-nothing else reads it, so a kernel still branches on no value. Anything else
-raises TypeError. An array kernel runs the tape as written, one numpy call
-per line, drops each temporary after its last reader, and returns arrays of
-its own: never an input, nor a view of one. It holds no state between calls,
-raises no numpy floating-point warnings, and refuses arrays that are not 1-D
-of one length, or too short to pad or reduce.
+cannot be traced. A recorded array takes these, the comparisons, whose masks
+only ``np.where`` reads (so ``where``, ``maximum`` and ``abs`` record both
+branches and the choice), ``np.sqrt``, ``np.abs``, the slices ``a[i:]`` and
+``a[i:-j]``, ``np.pad(a, 1, mode="edge")``, and the reductions
+``np.maximum.reduce(a)`` and ``np.minimum.reduce(a)``. A reduction is a float
+that the kernel may only return, after the Duals: nothing else reads it, so a
+kernel still branches on no value. Anything else raises TypeError. Each
+operator has one spelling, ``a + b``, ``a < b`` or ``-a``, for floats and
+arrays alike: numpy runs ``a + b`` as ``np.add(a, b)``. An array kernel runs
+the tape as written, one numpy call per line, drops each temporary after its
+last reader, and returns arrays of its own: never an input, nor a view of one.
+It holds no state between calls, raises no numpy floating-point warnings, and
+takes its arrays by one rule on either backend (`_Kernel.arguments`): each is
+made float64, and they must be 1-D, of one length, and long enough to pad or
+reduce.
 
 ``compiled`` turns array kernels into C, the tape compiled instead of
 interpreted line by line (Griewank & Walther, ch. 6): the lines fuse into a
@@ -211,14 +214,12 @@ def _array(x):
     return isinstance(x, np.ndarray) or isinstance(x, _Recorded) and x.length is not None
 
 
-#: The ufunc of each operator of a recorded array. x > y is recorded as y < x.
-_UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
-          "<": "less", "<=": "less_equal"}
+#: The comparisons of recorded arrays: x > y is recorded as y < x.
 _COMPARISONS = ("<", "<=")
 
 #: What traced code calls, by the name it calls it.
-_CALLS = {name: getattr(np, name) for name in (*_UFUNC.values(), "negative", "sqrt", "absolute",
-                                               "where", "concatenate", "maximum", "minimum")}
+_CALLS = {name: getattr(np, name) for name in ("sqrt", "absolute", "where", "concatenate",
+                                               "maximum", "minimum")}
 _CALLS["_root"] = _root
 
 #: The unary ufuncs a recorded array takes, and its reductions: np.maximum.reduce
@@ -241,14 +242,8 @@ _Line = namedtuple("_Line", "name code operands length view")
 
 def _operator(op):
     """The forward and the reflected method of one binary operator of a recorder."""
-
-    def forward(self, other):
-        return self._binary(op, self, other)
-
-    def reflected(self, other):
-        return self._binary(op, other, self)
-
-    return forward, reflected
+    return (lambda self, other: self._binary(op, self, other),
+            lambda self, other: self._binary(op, other, self))
 
 
 class _Recorded:
@@ -280,11 +275,9 @@ class _Recorded:
         if None in names:
             return NotImplemented
         length = _length(operands)
-        if length is None:
-            if op in _COMPARISONS:
-                self._refuse()
-            return self._append(f"{{}} {op} {{}}", names, None)
-        return self._append(f"{_UFUNC[op]}({{}}, {{}})", names, length,
+        if op in _COMPARISONS and length is None:
+            self._refuse()
+        return self._append(f"{{}} {op} {{}}", names, length,
                             "mask" if op in _COMPARISONS else None)
 
     __add__, __radd__ = _operator("+")
@@ -295,9 +288,7 @@ class _Recorded:
     __le__, __ge__ = _operator("<=")
 
     def __neg__(self):
-        if self.length is None:
-            return self._append("-{}", [_operand(self)], None)
-        return self._append("negative({})", [_operand(self)], self.length)
+        return self._append("-{}", [_operand(self)], self.length)
 
     def __getitem__(self, key):
         # a[i:] or a[i:-j], i >= 0 and j > 0: a view, whatever the length n.
@@ -440,12 +431,14 @@ def _define(fn, params, body, results, arrays=0):
 class _Kernel:
     """A traced array kernel, run as numpy code: one call per line of its tape (`_define`).
 
-    It holds no state between calls, so calls may overlap, and it runs with
+    Both backends take its arrays by one rule (`arguments`): a list, an int or
+    float32 array or a strided view gives the float64 results of its copy. It
+    holds no state between calls, so calls may overlap, and it runs with
     numpy's floating-point warnings off, as a compiled kernel raises none.
     `name` is the traced function's qualified name; `tape` keeps the recorded
     lines, outputs and parameters, which `compiled` emits as C. `shortest` is
     the least n, and whether a shorter one would pad an empty array (else
-    reduce one); both backends check it (`length`).
+    reduce one).
     """
 
     __slots__ = ("name", "code", "arrays", "tape", "shortest")
@@ -460,11 +453,12 @@ class _Kernel:
         self.shortest = max([(1 - length[x.operands[0]], x.code == _PAD) for x in body
                              if x.code == _PAD or x.code in _REDUCE], default=(0, True))
 
-    def length(self, arrays):
-        """The length n of numpy arrays all of shape (n,), if no pad or reduction is empty.
+    def arguments(self, args):
+        """Each array argument as np.asarray(a, np.float64, order="C"), and their one length n.
 
-        Else a ValueError names their shapes, or what would be empty.
+        A ValueError names shapes that are not all (n,), or a pad or reduction that is empty.
         """
+        arrays = [np.asarray(a, np.float64, order="C") for a in args[:self.arrays]]
         for a in arrays:
             if a.ndim != 1:
                 raise ValueError(f"array arguments must be 1-D, not of shape {a.shape}")
@@ -474,20 +468,19 @@ class _Kernel:
         if n < self.shortest[0]:
             what = "pad" if self.shortest[1] else "reduce"
             raise ValueError(f"arrays of length {n} would {what} an empty array")
-        return n
+        return arrays, n
 
     def __call__(self, *args):
-        self.length(args[:self.arrays])
+        arrays, _ = self.arguments(args)
         with np.errstate(all="ignore"):
-            return self.code(*args)
+            return self.code(*arrays, *args[self.arrays:])
 
 
 #: The C of each recorded operation over its operands' C. A mask is 0.0 or 1.0.
 _C = {
-    **{f"{ufunc}({{}}, {{}})": f"{{}} {op} {{}}" for op, ufunc in _UFUNC.items()},
-    **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in "+-*/"},
-    "-{}": "-{}", "negative({})": "-{}", "sqrt({})": "sqrt({})", "absolute({})": "fabs({})",
-    "_root({})": "sqrt({})", "where({}, {}, {})": "{} ? {} : {}",
+    **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in ("+", "-", "*", "/", *_COMPARISONS)},
+    "-{}": "-{}", "sqrt({})": "sqrt({})", "absolute({})": "fabs({})", "_root({})": "sqrt({})",
+    "where({}, {}, {})": "{} ? {} : {}",
 }
 
 #: No -march, no fast-math and no a * b + c contracted into one rounding: each
@@ -792,13 +785,14 @@ def _build(cc, source, path):
 class _Compiled:
     """An array kernel run as the C function emitted from its tape (`_emit`).
 
-    It returns what the numpy kernel returns, bit for bit (which NaN a NaN
-    result holds aside, and the sign of a zero that a reduction returns), for
-    1-D float64 arrays: each array output is a row of one new block, so the
-    outputs share memory with nothing, and each reduction a float. A float
-    line raises as Python does: ZeroDivisionError for a zero divisor, and
-    sqrt's ValueError for a root of a value at or below zero. Its array
-    operations raise no numpy floating-point warnings.
+    It takes its arrays by the numpy kernel's rule (`_Kernel.arguments`) and
+    returns what that kernel returns, bit for bit (which NaN a NaN result
+    holds aside, and the sign of a zero that a reduction returns): each array
+    output is a row of one new block, so the outputs share memory with
+    nothing, and each reduction a float. A float line raises as Python does:
+    ZeroDivisionError for a zero divisor, and sqrt's ValueError for a root of
+    a value at or below zero. Its array operations raise no numpy
+    floating-point warnings.
 
     Its one scratch array, `buffers[0]`, is allocated on the first call for an
     input length n and anew when n changes. Every call writes it, so two calls
@@ -807,7 +801,7 @@ class _Compiled:
     A call keeps the first rows it returned, as many as the kernel takes
     arrays, where each is n long, and their addresses: a call on exactly those
     rows, as each step of a march makes on the last, passes the addresses
-    without converting or checking its arrays again.
+    without converting or checking its arrays again; every other call does.
     """
 
     __slots__ = ("function", "kernel", "layout", "scratch", "outputs", "reuse", "n", "buffers",
@@ -825,9 +819,7 @@ class _Compiled:
         # The array outputs come first, each a row of n + b; the reductions follow.
         self.outputs = sum(c - a for (a, _), (c, _) in layout)
         self.reuse = self.outputs >= arrays and all(d == b for (_, b), (_, d) in layout[:arrays])
-        self.n = None
-        self.buffers = ()
-        self.last = ()
+        self.n, self.buffers, self.last = None, (), ()
 
     def __call__(self, *args):
         k = self.kernel.arrays
@@ -835,8 +827,7 @@ class _Compiled:
             n, addresses = self.n, self.inputs
         else:
             self.last = ()
-            arrays = [np.asarray(a, np.float64, order="C") for a in args[:k]]
-            n = self.kernel.length(arrays)
+            arrays, n = self.kernel.arguments(args)
             if n != self.n:
                 a, b = self.scratch
                 self.buffers = (np.empty(a * n + b),)

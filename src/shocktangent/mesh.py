@@ -10,9 +10,10 @@ caller finds the probe point's cell once with `Grid1D.probe_cell` and passes it
 as i, so the components of a system share one lookup. A linear probe reads
 cells i - 1, i and i + 1 once each (`one_sided_slopes`).
 
-`eval_linear` is the dual reference: a stencil read, then dual arithmetic on
-its cells (`_slopes`, `_linear_value`), which `trace_linear_probes` records at
-every probe of a shock-mode step into one float kernel (`dual.trace`).
+`eval_linear` reads a one-sided slope ("plus" or "minus"): a stencil read,
+then dual arithmetic on its cells (`_slopes`, `_linear_value`). The central
+slope, their mean, is stated once, in `trace_linear_probes`, which records it
+at every probe of a shock-mode step into one float kernel (`dual.trace`).
 """
 
 import math
@@ -171,41 +172,33 @@ def one_sided_slopes(field, i):
     return u_i, *_slopes(u_minus, u_i, u_plus, field.grid.dx)
 
 
-def _linear_value(x, side, i, dx, u_i, s_plus, s_minus):
-    """u_i + (x - X_i) * slope at the dual x, the slope chosen by side as in eval_linear."""
-    if side == "plus":
-        s = s_plus
-    elif side == "minus":
-        s = s_minus
-    else:
-        s = 0.5 * (s_plus + s_minus)
-    return u_i + (x - (i + 0.5) * dx) * s
+def _linear_value(x, i, dx, u_i, slope):
+    """u_i + (x - X_i) * slope at the dual x, on cell i."""
+    return u_i + (x - (i + 0.5) * dx) * slope
 
 
 def eval_linear(field, x, side, i):
     """Linear reconstruction u_i + (x - X_i) * slope of cell i, at x.
 
-    i is a cell that `Grid1D.probe_cell` admits. side selects its slope:
-    forward difference ("plus"), backward difference ("minus"), or their
-    average ("center", the central difference). With a dual position the
-    slope term carries the position tangent into the result:
-    tangent = u_i' + x' * s + (x - X_i) * s'.
+    i is a cell that `Grid1D.probe_cell` admits; side selects the forward
+    ("plus") or the backward ("minus") difference slope s. A dual position's
+    tangent enters through the slope term: tangent = u_i' + x' * s + (x - X_i) * s'.
     """
-    if side not in ("plus", "minus", "center"):
-        raise ValueError(f"side must be 'plus', 'minus' or 'center', got {side!r}")
-    x = lift(x)
-    return _linear_value(x, side, i, field.grid.dx, *one_sided_slopes(field, i))
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    u_i, s_plus, s_minus = one_sided_slopes(field, i)
+    return _linear_value(lift(x), i, field.grid.dx, u_i, s_plus if side == "plus" else s_minus)
 
 
 def trace_linear_probes(sides):
-    """`eval_linear` at the central slope, at each probe of a shock-mode step, as one kernel.
+    """The linear probe at the central slope, at each probe of a shock-mode step, as one kernel.
 
     sides[k] is -1 for a probe at x- = x - delta, +1 for one at x+ = x + delta.
     The kernel takes (x-, x+, x', dx, i-, i+), x' the tangent of x and i-/+
     the cells of x-/+, then the three values and three tangents each probe's
-    `one_sided_slopes` reads. It returns eval_linear's (value, tangent) at each
-    dual probe point (x-/+, x'), in order, bit for bit: it traces the same
-    dual arithmetic (`_slopes`, `_linear_value`) on the cells it is given.
+    `one_sided_slopes` reads. At each dual probe point (x-/+, x'), in order,
+    it returns the (value, tangent) of `_linear_value` at the central slope
+    0.5 * (s+ + s-), the mean of `_slopes`: the dual arithmetic it traces.
     """
 
     def probes(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *cells):
@@ -215,7 +208,8 @@ def trace_linear_probes(sides):
             c = cells[6 * k : 6 * k + 6]
             u = [Dual(v, t) for v, t in zip(c[:3], c[3:])]
             point, i = points[side]
-            out.append(_linear_value(point, "center", i, dx, u[1], *_slopes(*u, dx)))
+            s_plus, s_minus = _slopes(*u, dx)
+            out.append(_linear_value(point, i, dx, u[1], 0.5 * (s_plus + s_minus)))
         return tuple(out)
 
     return trace(probes, args=6 + 6 * len(sides))

@@ -256,10 +256,6 @@ class EulerCellField:
         """One primitive variable viewed as a scalar CellField."""
         return CellField(self.grid, getattr(self.state, name))
 
-    @property
-    def gamma(self):
-        return self.state.gamma
-
     def max_char_speed(self):
         """Largest |u| + a over the field (CFL bound): the one its step computed, if any."""
         return float(self.state.wave_speed()) if self.speed is None else self.speed
@@ -291,7 +287,7 @@ class EulerModel:
         rho, u, p = self.split(field)
         probed = [evaluate(c, x_minus, i_minus) for c in (rho, u, p)]
         probed.append(evaluate(p, x_plus, i_plus))
-        return _gas_speed(field.gamma, x_minus.value, x_plus.value,
+        return _gas_speed(field.state.gamma, x_minus.value, x_plus.value,
                           *(x for d in probed for x in (d.value, d.tangent)))
 
     def traced_probe_speed(self, field, x_minus, x_plus, x_dot, i_minus, i_plus):

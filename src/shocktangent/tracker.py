@@ -21,7 +21,7 @@ the modes differ only in how the position tangent accumulates:
              sign (measured ~+14% / ~-13% on the tracked sensitivity, grid
              independent), and their mean cancels it. A step is two calls of
              float code traced once at import (`dual.trace`): the law's probes
-             (`mesh.eval_linear` at every probe, `mesh.trace_linear_probes`),
+             (`mesh.trace_linear_probes`, where the central slope is stated),
              then, after the law's checks on the probed values, its speed
              (the Burgers jump speed; Euler's sound speed and shock speed from
              the probed states). The tangent is what dual arithmetic on those

@@ -107,7 +107,7 @@ def test_run_case_burgers_tracks_the_shock():
     res = run_case(CaseConfig(grid_no=9, record_times=(1.0,)))
     assert [t for t, _ in res.snapshots] == [1.0, 2.0]
     assert res.final_time == 2.0
-    assert res.delta == pytest.approx(5.0 * res.grid.dx)
+    assert res.tracker.delta == pytest.approx(5.0 * res.grid.dx)
     # tracked path stays within a couple of cells of the reference root
     assert res.tracker.positions[-1] == pytest.approx(0.05 + ROOT3, abs=2 * res.grid.dx)
     mid = res.tracker.positions[res.tracker.times.index(1.0)]

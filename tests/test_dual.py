@@ -557,6 +557,35 @@ def test_an_array_kernel_refuses_an_array_that_is_not_1d(form, shape):
             kernel(*args)
 
 
+def _strided(a):
+    # a as a view that steps over every other double of a longer array.
+    wide = np.zeros(2 * len(a))
+    wide[::2] = a
+    return wide[::2]
+
+
+_EVERY_KIND = trace(_outputs_of_every_kind, arrays=2)
+
+
+@pytest.mark.parametrize("kind", [list, lambda a: a.astype(np.int64),
+                                  lambda a: a.astype(np.float32), _strided],
+                         ids=["list", "int64", "float32", "strided"])
+@pytest.mark.parametrize("form", ["numpy", "compiled"])
+def test_both_backends_take_array_arguments_by_one_rule(form, kind):
+    # Each array argument is np.asarray(a, np.float64, order="C") on either backend, so
+    # every output is a float64 array, also one that returns an input. Without `cc` the
+    # compiled form is the numpy kernel.
+    kernel = compiled(_EVERY_KIND)[0] if form == "compiled" else _EVERY_KIND
+    args = [kind(np.array([3.0, -1.5, 4.25, 1.0, -5.5, 9.0])),
+            kind(np.array([2.5, 7.0, -1.25, 8.0, 2.0, -8.75]))]
+    want = [x for d in _outputs_of_every_kind(*(np.array(a, np.float64) for a in args))
+            for x in (d.value, d.tangent)]
+    got = kernel(*args)
+    assert [g.dtype for g in got] == [np.dtype(np.float64)] * len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(_int_bits(g), _int_bits(w))
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_the_kernel_cache_keeps_one_library_per_kernel_set(tmp_path, monkeypatch):
     # The cache lies next to the module, here moved into tmp_path.

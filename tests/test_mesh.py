@@ -152,6 +152,12 @@ def test_one_sided_slopes(grid):
     assert minus.value == pytest.approx((vals[4] - vals[3]) / 0.1)
 
 
+def _central_probe(field, x, i):
+    # The linear probe at the central slope, on duals: the rule trace_linear_probes traces.
+    u_i, s_plus, s_minus = one_sided_slopes(field, i)
+    return mesh._linear_value(lift(x), i, field.grid.dx, u_i, 0.5 * (s_plus + s_minus))
+
+
 def test_eval_linear_hand_case():
     # three cells of width 1 centered at 0.5, 1.5, 2.5 with values 0, 1, 4
     g = Grid1D(dx=1.0, n_cells=3)
@@ -160,16 +166,18 @@ def test_eval_linear_hand_case():
     # slopes at cell 1: minus = 1, plus = 3, center = 2
     assert eval_linear(f, x, "minus", 1).value == pytest.approx(1.0 + 0.2 * 1.0)
     assert eval_linear(f, x, "plus", 1).value == pytest.approx(1.0 + 0.2 * 3.0)
-    assert eval_linear(f, x, "center", 1).value == pytest.approx(1.0 + 0.2 * 2.0)
-    with pytest.raises(ValueError):
-        eval_linear(f, x, "upwind", 1)
+    assert _central_probe(f, x, 1).value == pytest.approx(1.0 + 0.2 * 2.0)
+    # The central slope is the traced probes' alone (trace_linear_probes).
+    for side in ("upwind", "center"):
+        with pytest.raises(ValueError, match="side must be 'plus' or 'minus'"):
+            eval_linear(f, x, side, 1)
 
 
 def test_eval_linear_position_tangent_feeds_through_slope():
     g = Grid1D(dx=1.0, n_cells=3)
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     xdot = 0.25
-    v = eval_linear(f, Dual(1.7, xdot), "center", 1)
+    v = _central_probe(f, Dual(1.7, xdot), 1)
     # d/de [u_i + (x - X_i) s] = xdot * s with frozen values and slopes
     assert v.tangent == pytest.approx(xdot * 2.0)
 
@@ -178,7 +186,7 @@ def test_eval_linear_value_tangents_feed_through():
     g = Grid1D(dx=1.0, n_cells=3)
     data = Dual(np.array([0.0, 1.0, 4.0]), np.array([1.0, 2.0, 3.0]))
     f = CellField(g, data)
-    v = eval_linear(f, 1.7, "center", 1)
+    v = _central_probe(f, 1.7, 1)
     # tangent = udot_i + (x - X_i) * sdot, center slope tangent = (3 - 1) / 2
     assert v.tangent == pytest.approx(2.0 + 0.2 * 1.0)
 
@@ -204,7 +212,7 @@ def test_the_traced_linear_probe_equals_eval_linear_bit_for_bit(probes, dx, n, x
         i = cell[side]
         cells += [*values[i - 1 : i + 2].tolist(), *tangents[i - 1 : i + 2].tolist()]
         point = position - delta if side < 0 else position + delta
-        ref = eval_linear(CellField(Grid1D(dx, n), Dual(values, tangents)), point, "center", i)
+        ref = _central_probe(CellField(Grid1D(dx, n), Dual(values, tangents)), point, i)
         want += [ref.value, ref.tangent]
     got = _PROBE_KERNELS[probes](x - delta, x + delta, x_dot, dx, cell[-1], cell[1], *cells)
     assert struct.pack(f"<{len(want)}d", *got) == struct.pack(f"<{len(want)}d", *want)

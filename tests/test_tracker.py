@@ -17,7 +17,7 @@ from shocktangent.errors import (
     ProbeDegenerateError,
     TrackingLostError,
 )
-from shocktangent.mesh import CellField, Grid1D, eval_linear
+from shocktangent.mesh import CellField, Grid1D, _linear_value, one_sided_slopes
 from shocktangent.models import (
     BurgersModel,
     EulerCellField,
@@ -156,8 +156,14 @@ def test_gas_probes_agree_across_reconstructions_on_constant_states():
     assert a.tangent == pytest.approx(b.tangent, abs=1e-14)
 
 
+def _central_probe(field, x, i):
+    """The linear probe at the central slope, on duals: the rule trace_linear_probes traces."""
+    u_i, s_plus, s_minus = one_sided_slopes(field, i)
+    return _linear_value(x, i, field.grid.dx, u_i, 0.5 * (s_plus + s_minus))
+
+
 def _dual_rh_probe_speed(position, field, delta, law, reads=None):
-    """rh_probe_speed's rule with the probes read on duals by eval_linear's central slope.
+    """rh_probe_speed's rule with the probes read on duals at the central slope.
 
     The cell of each read is appended to `reads`.
     """
@@ -165,7 +171,7 @@ def _dual_rh_probe_speed(position, field, delta, law, reads=None):
     def linear(f, x, i):
         if reads is not None:
             reads.append(i)
-        return eval_linear(f, x, "center", i)
+        return _central_probe(f, x, i)
 
     x_minus, x_plus = position - delta, position + delta
     try:
@@ -342,7 +348,7 @@ def _reference_step(state, field, dt, config, law):
         if law.scalar:
             return cells[0]
         rho, u, p = cells
-        return u - (field.gamma * p / rho) ** 0.5
+        return u - (field.state.gamma * p / rho) ** 0.5
 
     i = field.grid.cell_containing(x.value)
     new_x = x.value + dt * c([f.at(i).value for f in parts])
@@ -356,8 +362,8 @@ def _reference_step(state, field, dt, config, law):
         else:
             rho_m, u_m, p_m = (_five_read_linear(f, x - delta) for f in parts)
             p_p = _five_read_linear(parts[2], x + delta)
-            a_m = sqrt(field.gamma * p_m / rho_m)
-            speed = shock_speed_from_states(u_m, a_m, p_m, p_p, field.gamma)
+            a_m = sqrt(field.state.gamma * p_m / rho_m)
+            speed = shock_speed_from_states(u_m, a_m, p_m, p_p, field.state.gamma)
     return new_x, speed
 
 
@@ -418,10 +424,10 @@ def test_traced_probes_track_as_dual_probes_bit_for_bit(cfg, monkeypatch):
 
     def linear(f, x, i):
         reads.append(i)
-        return eval_linear(f, x, "center", i)
+        return _central_probe(f, x, i)
 
     def dual_probe_speed(law, field, x_minus, x_plus, x_dot, i_minus, i_plus):
-        # The probes as eval_linear reads them on duals, then each speed on duals.
+        # The probes read on duals, then each speed on duals.
         probes = Dual(x_minus, x_dot), Dual(x_plus, x_dot)
         return law.probe_speed(field, *probes, i_minus, i_plus, linear)
 

@@ -1,16 +1,22 @@
-"""Run a fixed list of CLI commands and keep everything they print and write.
+"""Run a fixed list of CLI commands on both kernel backends; keep all they print and write.
 
     python3 tools/same_outputs.py OUTDIR
 
 Run from the root of a source checkout; the package is imported from
-`./src`. Each command runs in a fresh process with its own directory
-OUTDIR/NAME as the working directory, which receives the command line
+`./src`. Each command runs twice, each time in a fresh process: once with
+this process's PATH, where the package finds the C compiler `cc` if there
+is one and runs its compiled kernels, and once with PATH emptied, where it
+finds none and runs its numpy kernels. The runs' working directories are
+OUTDIR/cc/NAME and OUTDIR/no-cc/NAME; each receives the command line
 (`argv.txt`), `stdout.txt`, `stderr.txt`, the exit code (`exit.txt`), any
 `--config` file, and every CSV the command writes. The checkout's path is
 replaced by `<checkout>` in stdout and stderr, so that two checkouts can be
 compared. Each child runs with COLUMNS=80, so that argparse wraps its help
-pages the same way on every terminal. A change keeps the outputs of two
-checkouts the same when
+pages the same way on every terminal.
+
+The tool prints each command's exit code, and each command whose two runs
+left different files; it exits 1 if any did, else 0. A change keeps the
+outputs of two checkouts the same when
 
     diff -r OLD_OUTDIR NEW_OUTDIR
 
@@ -115,9 +121,13 @@ COMMANDS = [
 ]
 
 
-def run_command(checkout, outdir, name, argv, config, subdirs):
+#: Each run's directory under OUTDIR, and the PATH it runs with (None: this process's).
+RUNS = (("cc", None), ("no-cc", ""))
+
+
+def run_command(checkout, outdir, name, argv, config, subdirs, path):
     workdir = outdir / name
-    workdir.mkdir()
+    workdir.mkdir(parents=True)
     for sub in subdirs:
         (workdir / sub).mkdir()
     if config is not None:
@@ -125,6 +135,8 @@ def run_command(checkout, outdir, name, argv, config, subdirs):
                                            else config.encode("utf-8"))
         argv = [argv[0], "--config", "case.cfg", *argv[1:]]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
+    if path is not None:
+        env["PATH"] = path
     proc = subprocess.run([sys.executable, "-m", "shocktangent.cli", *argv], cwd=workdir,
                           env=env, capture_output=True, text=True)
     (workdir / "argv.txt").write_text(" ".join(argv) + "\n", encoding="utf-8")
@@ -133,6 +145,11 @@ def run_command(checkout, outdir, name, argv, config, subdirs):
         (workdir / f"{stream}.txt").write_text(text, encoding="utf-8")
     (workdir / "exit.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
     return proc.returncode
+
+
+def contents(tree):
+    """Every file and directory under tree, by its path relative to tree: a file's bytes."""
+    return {p.relative_to(tree): p.read_bytes() if p.is_file() else None for p in tree.rglob("*")}
 
 
 def main():
@@ -149,10 +166,16 @@ def main():
         print(f"{outdir} is not empty", file=sys.stderr)
         return 2
     outdir.mkdir(parents=True, exist_ok=True)
+    differ = False
     for name, cmd, config, subdirs in COMMANDS:
-        code = run_command(checkout, outdir, name, cmd, config, subdirs)
+        code, _ = (run_command(checkout, outdir / run, name, cmd, config, subdirs, path)
+                   for run, path in RUNS)
         print(f"{name}: exit {code}")
-    return 0
+        cc, no_cc = (contents(outdir / run / name) for run, _ in RUNS)
+        if cc != no_cc:
+            print(f"{name}: the cc and no-cc runs differ")
+            differ = True
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
