@@ -65,6 +65,7 @@ import operator
 import os
 import re
 import shutil
+import struct
 import tempfile
 from collections import namedtuple
 
@@ -188,6 +189,49 @@ def _root(value):
     return math.sqrt(value)
 
 
+def _half_power(value):
+    """value ** 0.5 as Python's float power gives it (C's pow), or ValueError below zero,
+    where Python's is complex."""
+    if value < 0.0:
+        raise ValueError(f"{value!r} ** 0.5 is complex")
+    return value**0.5
+
+
+def cell(x, dx, n):
+    """The index i of the cell [i dx, (i + 1) dx), of n, that holds x: `Grid1D.cell_containing`.
+
+    n is the number of cells, or an array of n cells. IndexError where x is
+    not in [0, n dx), a NaN included. A traced x records the lookup, over a
+    traced array n of the kernel; the kernel checks x's range before it takes
+    a floor.
+    """
+    if isinstance(x, _Recorded):
+        if not (isinstance(n, _Recorded) and _array(n)):
+            x._refuse()
+        return x._append(_CELL, [_operand(x), _operand(dx), _operand(n)], None, "index")
+    return _cell(x, dx, n if isinstance(n, int) else len(n))
+
+
+def _cell(x, dx, n):
+    """`cell` of a float x and an int n."""
+    if not 0.0 <= x < n * dx:
+        raise IndexError(f"x = {x!r} is outside [0.0, {n * dx!r})")
+    i = math.floor(x / dx)
+    # Rounding in the division can misplace an exact face hit by one (faces are i dx).
+    if i + 1 < n and x >= (i + 1) * dx:
+        i += 1
+    elif x < i * dx:
+        i -= 1
+    return i
+
+
+def _at(a, i):
+    """float(a[i]), or IndexError for an i outside a (a negative one included)."""
+    if not 0 <= i < len(a):
+        raise IndexError(f"index {i} is outside an array of {len(a)}")
+    return float(a[i])
+
+
 def where(cond, a, b):
     """Elementwise/scalar select; tangent follows the branch taken."""
     a = lift(a)
@@ -220,7 +264,12 @@ _COMPARISONS = ("<", "<=")
 #: What traced code calls, by the name it calls it.
 _CALLS = {name: getattr(np, name) for name in ("sqrt", "absolute", "where", "concatenate",
                                                "maximum", "minimum")}
-_CALLS["_root"] = _root
+_CALLS.update(_root=_root, _half_power=_half_power, _cell=_cell, _at=_at)
+
+#: The recorded cell lookup, over its x, dx and an array of the kernel's n cells,
+#: and the read of an input array at a traced index.
+_CELL = "_cell({}, {}, len({}))"
+_AT = "_at({}, {})"
 
 #: The unary ufuncs a recorded array takes, and its reductions: np.maximum.reduce
 #: and np.minimum.reduce, by the code of their line and the C comparison by which
@@ -228,7 +277,8 @@ _CALLS["_root"] = _root
 _UNARY = (np.sqrt, np.absolute)
 _REDUCE = {"float(maximum.reduce({}))": ">", "float(minimum.reduce({}))": "<"}
 
-#: Why a mask or a reduction is no operand of another line.
+#: Why a mask or a reduction is no operand of another line. An "index", a cell
+#: lookup or + - * of indices and ints, is an operand, but no output.
 _READ_BY = {"mask": "a traced comparison's mask is read by np.where alone",
             "reduction": "a traced reduction is a float that the kernel may only return"}
 
@@ -236,8 +286,8 @@ _READ_BY = {"mask": "a traced comparison's mask is read by np.where alone",
 _PAD = "concatenate(({0}[[0]], {0}, {0}[[-1]]))"
 
 #: One recorded operation: the value `name` is `code` formatted with its operands;
-#: `view` is the slice a view takes.
-_Line = namedtuple("_Line", "name code operands length view")
+#: `view` is the slice a view takes, and `kind` the result's (`_Recorded`).
+_Line = namedtuple("_Line", "name code operands length view kind")
 
 
 def _operator(op):
@@ -251,9 +301,11 @@ class _Recorded:
 
     `length` is None for a float; for an array it is the array's length less
     the length n of the kernel's array inputs. `kind` is "mask" for a
-    comparison of arrays, which only np.where reads, and "reduction" for a
-    reduction of an array, which only the kernel returns (`_READ_BY`). Unary
-    minus is recorded as such: 0.0 - x would turn a zero's sign.
+    comparison of arrays, which only np.where reads, "reduction" for a
+    reduction of an array, which only the kernel returns (`_READ_BY`), and
+    "index" for an integer: a cell lookup (`cell`), or + - * of indices and
+    ints. An input array read at an index, a[i], is a float. Unary minus is
+    recorded as such: 0.0 - x would turn a zero's sign.
     """
 
     __slots__ = ("lines", "name", "length", "kind")
@@ -267,7 +319,7 @@ class _Recorded:
     def _append(self, code, operands, length, kind=None, view=None):
         """Record `code`, a format string over the operands' names."""
         name = f"t{len(self.lines)}"
-        self.lines.append(_Line(name, code, operands, length, view))
+        self.lines.append(_Line(name, code, operands, length, view, kind))
         return _Recorded(self.lines, name, length, kind)
 
     def _binary(self, op, *operands):
@@ -277,8 +329,10 @@ class _Recorded:
         length = _length(operands)
         if op in _COMPARISONS and length is None:
             self._refuse()
+        index = op != "/" and all(type(x) is int or getattr(x, "kind", None) == "index"
+                                  for x in operands)
         return self._append(f"{{}} {op} {{}}", names, length,
-                            "mask" if op in _COMPARISONS else None)
+                            "mask" if op in _COMPARISONS else "index" if index else None)
 
     __add__, __radd__ = _operator("+")
     __sub__, __rsub__ = _operator("-")
@@ -288,9 +342,19 @@ class _Recorded:
     __le__, __ge__ = _operator("<=")
 
     def __neg__(self):
-        return self._append("-{}", [_operand(self)], self.length)
+        return self._append("-{}", [_operand(self)], self.length, self.kind)
+
+    def __pow__(self, exponent):
+        # x ** 0.5 of a float, Python's own spelling of a root (`_half_power`).
+        if self.length is not None or type(exponent) is not float or exponent != 0.5:
+            self._refuse()
+        return self._append("_half_power({})", [_operand(self)], None)
 
     def __getitem__(self, key):
+        if getattr(key, "kind", None) == "index":  # an input array at an index
+            if self.length != 0 or any(line.name == self.name for line in self.lines):
+                raise TypeError("a traced index reads an input array")
+            return self._append(_AT, [self.name, key.name], None)
         # a[i:] or a[i:-j], i >= 0 and j > 0: a view, whatever the length n.
         if self.length is None or type(key) is not slice or key.step not in (None, 1):
             self._refuse()
@@ -326,8 +390,9 @@ class _Recorded:
             raise TypeError(_READ_BY[self.kind])
         if self.length is None:
             raise TypeError(
-                "a traced float takes only + - * /, negation and dual.sqrt: a comparison, "
-                "bool(), float(), abs() or ** would fix the branch of one value into the kernel"
+                "a traced float takes only + - * /, negation, ** 0.5 and dual.sqrt: a "
+                "comparison, bool(), float() or abs() would fix the branch of one value into "
+                "the kernel"
             )
         raise TypeError(
             "a traced array takes only + - * /, negation, < <= > >=, np.sqrt, np.abs, np.where "
@@ -336,7 +401,7 @@ class _Recorded:
         )
 
     __eq__ = __ne__ = __bool__ = __float__ = __len__ = _refuse
-    __abs__ = __pow__ = __rpow__ = __array__ = _refuse
+    __abs__ = __rpow__ = __array__ = _refuse
 
 
 def _is_mask(x):
@@ -349,7 +414,7 @@ def _operand(x):
     A mask is an operand of np.where's condition alone, and a reduction of none.
     """
     if isinstance(x, _Recorded):
-        if x.kind:
+        if x.kind in _READ_BY:
             raise TypeError(_READ_BY[x.kind])
         return x.name
     if type(x) is int or type(x) is float and math.isfinite(x):
@@ -372,8 +437,8 @@ def trace(fn, arrays=0, args=None):
     fn's first `arrays` positional parameters are float arrays of one length
     n, the others floats; a fn(*args) takes `args` of them. It runs once, on
     recorders of these, and returns a Dual or a tuple of Duals, which may end
-    in reductions of arrays; the kernel takes the payloads and returns the
-    values and tangents of those Duals in order, then the reductions as
+    in traced floats and reductions of arrays; the kernel takes the payloads
+    and returns the values and tangents of those Duals in order, then those
     floats. Lines that no output reads are dropped; the rest run in recorded
     order, so the kernel rounds as fn does on payloads.
 
@@ -385,11 +450,12 @@ def trace(fn, arrays=0, args=None):
     duals = out if type(out) is tuple else (out,)
     k = next((i for i, d in enumerate(duals) if not isinstance(d, Dual)), len(duals))
     payloads = [x for d in duals[:k] for x in (d.value, d.tangent)]
-    results = [None if _is_mask(x) else _operand(x) for x in payloads]
-    if not k or None in results or any(getattr(r, "kind", None) != "reduction"
-                                       for r in duals[k:]):
+    results = [None if getattr(x, "kind", None) in ("mask", "index") else _operand(x)
+               for x in payloads]
+    if not k or None in results or not all(isinstance(r, _Recorded) and r.length is None
+                                           and r.kind in (None, "reduction") for r in duals[k:]):
         raise TypeError(f"{fn.__qualname__} must return a Dual, or a tuple of Duals, "
-                        "of traced or constant payloads, then any reductions")
+                        "of traced or constant payloads, then any traced floats and reductions")
     results += [r.name for r in duals[k:]]
     live, body = set(results), []
     for line in reversed(lines):
@@ -480,8 +546,11 @@ class _Kernel:
 _C = {
     **{f"{{}} {op} {{}}": f"{{}} {op} {{}}" for op in ("+", "-", "*", "/", *_COMPARISONS)},
     "-{}": "-{}", "sqrt({})": "sqrt({})", "absolute({})": "fabs({})", "_root({})": "sqrt({})",
-    "where({}, {}, {})": "{} ? {} : {}",
+    "where({}, {}, {})": "{} ? {} : {}", "_half_power({})": "pow({}, 0.5)",
 }
+
+#: The C condition under which a float line's Python spelling raises.
+_CHECK = {"{} / {}": "{1} == 0.0", "_root({})": "{} <= 0.0", "_half_power({})": "{} < 0.0"}
 
 #: No -march, no fast-math and no a * b + c contracted into one rounding: each
 #: operation rounds once, as numpy's and Python's do. -O3 vectorizes the loops
@@ -542,10 +611,17 @@ def _loop(count, body):
 
 
 def _emit(kernel, name):
-    """C of an array kernel, as `int name(n, arrays..., floats..., o, s)`, and its layout.
+    """C of an array kernel, as `int name(n, arrays..., f, o, s)`, and its layout.
 
-    The float lines run first, in order; a zero divisor returns 1, and a root
-    of a value at or below zero stores it in s[0] and returns 2. The array
+    The kernel's float arguments come in the array f, in order: ctypes passes
+    one pointer faster than a few doubles.
+
+    The float lines run first, in order, and return 1 where Python would
+    raise: at a zero divisor, a root of a value at or below zero, a ** 0.5 of
+    one below zero, a cell lookup of an x outside the cells (a NaN included)
+    and a read at an index outside its array. So a lookup takes its floor
+    only of an x in range, and no read leaves its array. An index is a C
+    long, made a double where a float line reads it. The array
     lines run in one loop per (stage, length) group, in recorded order within
     it. A line's stage is at least the largest of its array operands' (an
     input's is 0), plus one where it reads a value of a loop through a view
@@ -568,7 +644,9 @@ def _emit(kernel, name):
     A reduction keeps, in the loop of its operand's stage and length, the
     largest or the smallest `order_key` of the cells and a count of NaNs,
     which GCC vectorizes as integer operations; after the loops it stores the
-    key's double, or NaN if a cell was one, past the output rows in o.
+    key's double, or NaN if a cell was one, past the output rows in o. The
+    kernel returns its arrays first; each float it returns is stored there
+    too, in order with the reductions.
 
     Returns the source, and each output's (start, stop) in the output block o
     and the length of s, each as a pair (a, b) meaning a * n + b.
@@ -578,9 +656,10 @@ def _emit(kernel, name):
     length = {**dict.fromkeys(params), **dict.fromkeys(arrays, 0),
               **{line.name: line.length for line in body}}
     reduced = {line.name for line in body if line.code in _REDUCE}
-    outputs = [r for r in results if r not in reduced]
-    if any(length.get(r) is None for r in outputs):
-        raise TypeError(f"{name}: a compiled kernel returns arrays and reductions only")
+    indices = {line.name for line in body if line.kind == "index"}
+    outputs = [r for r in results if length.get(r) is not None]
+    if results[:len(outputs)] != outputs:
+        raise TypeError(f"{name}: a compiled kernel returns its arrays before its floats")
     views, pads, reads = {}, {}, {}  # view -> (value, offset); pad -> value; array operands
     for line in body:
         if line.view:
@@ -663,13 +742,27 @@ def _emit(kernel, name):
             loops.setdefault(group, []).append(
                 f"{{ const int64_t key = order_key({value}); {acc} = key {op} {acc} ? key : {acc}; "
                 f"n{line.name} += {value} != {value}; }}")
+        elif line.code == _CELL:
+            x, dx, i = read(line.operands[0]), read(line.operands[1]), line.name
+            cells = f"({_n_plus(length[line.operands[2]])})"
+            floats += [f"if (!({x} >= 0.0 && {x} < {cells} * {dx})) return 1;",
+                       f"long {i} = floor({x} / {dx});",
+                       f"if ({i} + 1 < {cells} && {x} >= ({i} + 1) * {dx}) {i} += 1;",
+                       f"else if ({x} < {i} * {dx}) {i} -= 1;"]
+        elif line.code == _AT:
+            a, i = line.operands
+            floats += [f"if ({i} < 0 || {i} >= n) return 1;",
+                       f"const double {line.name} = {a}[{i}];"]
         elif line.length is None:
-            terms = [read(x) for x in line.operands]
-            if line.code == "{} / {}":
-                floats.append(f"if ({terms[1]} == 0.0) return 1;")
-            elif line.code == "_root({})":
-                floats.append(f"if ({terms[0]} <= 0.0) {{ s[0] = {terms[0]}; return 2; }}")
-            floats.append(f"const double {line.name} = {_C[line.code].format(*terms)};")
+            if line.kind == "index":  # of indices and int literals
+                terms = [x if x in indices else f"({x})" for x in line.operands]
+            else:
+                terms = [f"(double) {x}" if x in indices else read(x) for x in line.operands]
+            check = _CHECK.get(line.code)
+            if check:
+                floats.append(f"if ({check.format(*terms)}) return 1;")
+            kind = "long" if line.kind == "index" else "double"
+            floats.append(f"const {kind} {line.name} = {_C[line.code].format(*terms)};")
         elif line.name in pads:
             x = pads[line.name]
             place(line.name)
@@ -704,10 +797,11 @@ def _emit(kernel, name):
         for group in sorted(g for g in loops if g[0] == s):
             code += [*_loop(_n_plus(group[1]), loops[group]), *ends.get(group, [])]
     for ((a, b), _), r in zip(bounds[len(outputs):], results[len(outputs):]):
-        code.append(f"o[{_n_plus(b, f'{a} * n')}] = n{r} ? NAN : key_value(k{r});")
+        value = f"n{r} ? NAN : key_value(k{r})" if r in reduced else read(r)
+        code.append(f"o[{_n_plus(b, f'{a} * n')}] = {value};")
     head = ", ".join(["long n", *(f"const double *restrict {a}" for a in arrays),
-                      *(f"double {a}" for a in params[len(arrays):]),
-                      "double *restrict o", "double *restrict s"])
+                      "const double *restrict f", "double *restrict o", "double *restrict s"])
+    code = [f"const double {a} = f[{j}];" for j, a in enumerate(params[len(arrays):])] + code
     source = "".join([f"CLONES int {name}({head})\n{{\n", *(f"    {c}\n" for c in code),
                       "    return 0;\n}\n"])
     return source, bounds, tuple(scratch)
@@ -789,64 +883,85 @@ class _Compiled:
     returns what that kernel returns, bit for bit (which NaN a NaN result
     holds aside, and the sign of a zero that a reduction returns): each array
     output is a row of one new block, so the outputs share memory with
-    nothing, and each reduction a float. A float line raises as Python does:
-    ZeroDivisionError for a zero divisor, and sqrt's ValueError for a root of
-    a value at or below zero. Its array operations raise no numpy
+    nothing, and each float a float. Where a float line fails, the numpy
+    kernel runs on the same arguments and raises what Python raises there:
+    ZeroDivisionError for a zero divisor, ValueError for a root of a value
+    at or below zero or a ** 0.5 of one below it, IndexError for a cell
+    lookup or a read out of range. Its array operations raise no numpy
     floating-point warnings.
 
-    Its one scratch array, `buffers[0]`, is allocated on the first call for an
-    input length n and anew when n changes. Every call writes it, so two calls
-    may not overlap: unlike the numpy kernel, a compiled kernel is not reentrant.
+    Its scratch array, `buffers[0]`, and the block of a kernel that returns
+    floats only, are allocated on the first call for an input length n and
+    anew when n changes. Every call writes them, so two calls may not
+    overlap: unlike the numpy kernel, a compiled kernel is not reentrant.
 
-    A call keeps the first rows it returned, as many as the kernel takes
-    arrays, where each is n long, and their addresses: a call on exactly those
-    rows, as each step of a march makes on the last, passes the addresses
-    without converting or checking its arrays again; every other call does.
+    The compiled kernels share `_KEPT`: the last call that returns as many
+    rows n long as its kernel takes arrays, first, keeps those rows, n and
+    their addresses. A call of any of them on exactly those rows, as each
+    step of a march makes on the last, and as a tracker step makes on the
+    field before it, passes the addresses without converting or checking its
+    arrays again; every other call does.
     """
 
-    __slots__ = ("function", "kernel", "layout", "scratch", "outputs", "reuse", "n", "buffers",
-                 "address", "rows", "last", "inputs")
+    __slots__ = ("function", "kernel", "arrays", "least", "pack", "floats", "layout", "scratch",
+                 "outputs", "reuse", "n", "buffers", "address", "rows", "block")
 
     def __init__(self, kernel, function, layout, scratch):
         params, arrays = kernel.tape[2], kernel.arrays
-        function.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * arrays,
-                             *[ctypes.c_double] * (len(params) - arrays), *[ctypes.c_void_p] * 2]
+        function.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * (arrays + 3)]
         function.restype = ctypes.c_int
         self.function = function
         self.kernel = kernel
+        self.arrays, self.least = arrays, kernel.shortest[0]
+        self.pack = struct.Struct(f"{len(params) - arrays}d").pack_into
+        self.floats = _block(max(len(params) - arrays, 1))
         self.layout = layout
         self.scratch = scratch
-        # The array outputs come first, each a row of n + b; the reductions follow.
+        # The array outputs come first, each a row of n + b; the floats follow.
         self.outputs = sum(c - a for (a, _), (c, _) in layout)
         self.reuse = self.outputs >= arrays and all(d == b for (_, b), (_, d) in layout[:arrays])
-        self.n, self.buffers, self.last = None, (), ()
+        self.n = None
 
     def __call__(self, *args):
-        k = self.kernel.arrays
-        if self.last and all(map(operator.is_, args[:k], self.last)):
-            n, addresses = self.n, self.inputs
-        else:
-            self.last = ()
+        k = self.arrays
+        rows, n, addresses = _KEPT
+        if len(rows) < k or n < self.least or not all(map(operator.is_, args[:k], rows)):
             arrays, n = self.kernel.arguments(args)
-            if n != self.n:
-                a, b = self.scratch
-                self.buffers = (np.empty(a * n + b),)
-                self.address = _address(self.buffers[0])
-                self.rows = [(a * n + b, c * n + d) for (a, b), (c, d) in self.layout]
-                self.n = n
             addresses = list(map(_address, arrays))
-        out = np.empty(self.rows[-1][1])
-        base = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        status = self.function(n, *addresses, *args[k:], base, self.address)
-        if status == 1:
-            raise ZeroDivisionError("float division by zero")
-        if status == 2:
-            _root(float(self.buffers[0][0]))
+        if n != self.n:
+            a, b = self.scratch
+            self.buffers = (np.empty(max(a * n + b, 1)),)
+            self.address = _address(self.buffers[0])
+            self.rows = [(a * n + b, c * n + d) for (a, b), (c, d) in self.layout]
+            self.block = None if self.outputs else _block(self.rows[-1][1])
+            self.n = n
+        if self.block is None:
+            out = np.empty(self.rows[-1][1])
+            base = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        else:
+            out, base = self.block
+        floats, at = self.floats
+        self.pack(floats, 0, *args[k:])
+        if self.function(n, *addresses, at, base, self.address):
+            self.kernel(*args)
+            raise AssertionError(f"{self.kernel.name}: the C kernel failed where numpy did not")
+        if self.block:
+            return tuple(out.tolist())
         rows = [out[i:j] for i, j in self.rows[:self.outputs]]
         if self.reuse:
-            self.last = rows[:k]
-            self.inputs = [base + 8 * i for i, _ in self.rows[:k]]
+            _KEPT[:] = rows[:k], n, [base + 8 * i for i, _ in self.rows[:k]]
         return (*rows, *out[self.rows[self.outputs - 1][1]:].tolist())
+
+
+#: The rows, n and addresses that `_Compiled` kernels share (a list: to set an
+#: attribute of a class would clear the type's attribute cache on every call).
+_KEPT = [(), None, ()]
+
+
+def _block(size):
+    """A new array of `size` floats and the address of its data."""
+    out = np.empty(size)
+    return out, ctypes.addressof(ctypes.c_char.from_buffer(out))
 
 
 def _address(a):

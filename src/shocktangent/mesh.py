@@ -16,12 +16,11 @@ slope, their mean, is stated once, in `trace_linear_probes`, which records it
 at every probe of a shock-mode step into one float kernel (`dual.trace`).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, lift, trace
+from .dual import Dual, cell, lift, trace
 from .errors import GridMismatchError, OutOfDomainError
 
 
@@ -49,17 +48,11 @@ class Grid1D:
         return i * self.dx
 
     def cell_containing(self, x):
-        """Index of the cell holding x; exact face hits go to the right cell."""
+        """Index of the cell holding x; exact face hits go to the right cell (`dual.cell`)."""
         dx, n = self.dx, self.n_cells
-        if x < 0.0 or x >= n * dx:
+        if not 0.0 <= x < n * dx:
             raise OutOfDomainError(f"x = {x} outside grid extent [0.0, {self.x_right})")
-        i = math.floor(x / dx)
-        # Rounding in the division can misplace an exact face hit by one (faces are i dx).
-        if i + 1 < n and x >= (i + 1) * dx:
-            i += 1
-        elif x < i * dx:
-            i -= 1
-        return i
+        return cell(x, dx, n)
 
     def probe_cell(self, x):
         """Index of the cell holding x, which a linear probe reads: cells 1 to n - 2."""
@@ -191,14 +184,19 @@ def eval_linear(field, x, side, i):
 
 
 def trace_linear_probes(sides):
-    """The linear probe at the central slope, at each probe of a shock-mode step, as one kernel.
+    """`linear_probes(sides)` as one float kernel."""
+    return trace(linear_probes(sides), args=6 + 6 * len(sides))
+
+
+def linear_probes(sides):
+    """The linear probe at the central slope, at each probe of a shock-mode step, as dual code.
 
     sides[k] is -1 for a probe at x- = x - delta, +1 for one at x+ = x + delta.
-    The kernel takes (x-, x+, x', dx, i-, i+), x' the tangent of x and i-/+
+    The function takes (x-, x+, x', dx, i-, i+), x' the tangent of x and i-/+
     the cells of x-/+, then the three values and three tangents each probe's
     `one_sided_slopes` reads. At each dual probe point (x-/+, x'), in order,
-    it returns the (value, tangent) of `_linear_value` at the central slope
-    0.5 * (s+ + s-), the mean of `_slopes`: the dual arithmetic it traces.
+    it returns the Dual of `_linear_value` at the central slope 0.5 * (s+ +
+    s-), the mean of `_slopes`.
     """
 
     def probes(x_minus, x_plus, x_dot, dx, i_minus, i_plus, *cells):
@@ -212,4 +210,4 @@ def trace_linear_probes(sides):
             out.append(_linear_value(point, i, dx, u[1], 0.5 * (s_plus + s_minus)))
         return tuple(out)
 
-    return trace(probes, args=6 + 6 * len(sides))
+    return probes

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dual import Dual, lift, sqrt, trace
 from .errors import NonPhysicalStateError, NoShockError, probe_jump
-from .mesh import CellField, trace_linear_probes
+from .mesh import CellField, linear_probes, trace_linear_probes
 
 GAMMA = 1.4
 
@@ -82,8 +82,21 @@ class BurgersModel:
         v_minus, t_minus, v_plus, t_plus = _BURGERS_PROBES(
             x_minus, x_plus, x_dot, field.grid.dx, i_minus, i_plus,
             *v[m].tolist(), *t[m].tolist(), *v[p].tolist(), *t[p].tolist())
-        probe_jump(v_plus, v_minus, "probe jump")
+        self.check_probes(x_minus, x_plus, v_minus, v_plus)
         return _JUMP_SPEED(v_minus, t_minus, v_plus, t_plus)
+
+    def linear_probe_speed(self, field, x_minus, x_plus, x_dot, i_minus, i_plus, dx):
+        """traced_probe_speed's probes and speed as dual code, on a field of traced payloads
+        read at traced cells: the speed, and the probed values that `check_probes` takes."""
+        d = field.data
+        v_minus, v_plus = _BURGERS_LINEAR(x_minus, x_plus, x_dot, dx, i_minus, i_plus,
+                                          *_stencil(d, i_minus), *_stencil(d, i_plus))
+        speed = _dual_jump_speed(v_minus.value, v_minus.tangent, v_plus.value, v_plus.tangent)
+        return speed, (v_minus.value, v_plus.value)
+
+    def check_probes(self, x_minus, x_plus, v_minus, v_plus):
+        """The probe rule's check: a jump between the probed values (`probe_jump`)."""
+        probe_jump(v_plus, v_minus, "probe jump")
 
     def jump_speed(self, u_minus, u_plus):
         """Rankine-Hugoniot speed (f(u+) - f(u-)) / (u+ - u-) of the jump from u- to u+."""
@@ -94,8 +107,15 @@ def _dual_jump_speed(u_minus, t_minus, u_plus, t_plus):
     return BurgersModel().jump_speed(Dual(u_minus, t_minus), Dual(u_plus, t_plus))
 
 
+def _stencil(d, i):
+    """The values, then the tangents, of cells i - 1, i and i + 1 of the dual d, each read
+    once (`one_sided_slopes`), where i is a traced index."""
+    return [a[j] for a in (d.value, d.tangent) for j in (i - 1, i, i + 1)]
+
+
 #: The Burgers probes v- and v+, and BurgersModel.jump_speed, as float code
 #: traced once at import: (u-, u-', u+, u+') -> (speed, speed').
+_BURGERS_LINEAR = linear_probes((-1, 1))
 _BURGERS_PROBES = trace_linear_probes((-1, 1))
 _JUMP_SPEED = trace(_dual_jump_speed)
 
@@ -301,6 +321,22 @@ class EulerModel:
             *s.p.value[m].tolist(), *s.p.tangent[m].tolist(),
             *s.p.value[p].tolist(), *s.p.tangent[p].tolist()))
 
+    def linear_probe_speed(self, field, x_minus, x_plus, x_dot, i_minus, i_plus, dx):
+        """traced_probe_speed's probes and speed as dual code, as for Burgers: the speed,
+        and the probed rho, p and p+ that `check_probes` takes."""
+        s = field.state
+        probed = _GAS_LINEAR(x_minus, x_plus, x_dot, dx, i_minus, i_plus,
+                             *_stencil(s.rho, i_minus), *_stencil(s.u, i_minus),
+                             *_stencil(s.p, i_minus), *_stencil(s.p, i_plus))
+        speed = _dual_shock_speed(*(x for d in probed for x in (d.value, d.tangent)), s.gamma)
+        return speed, (probed[0].value, probed[2].value, probed[3].value)
+
+    def check_probes(self, x_minus, x_plus, rho, p, p_plus):
+        """The probe rule's check: the probed rho and p up- and downstream are positive."""
+        for name, value, x in (("rho", rho, x_minus), ("p", p, x_minus), ("p", p_plus, x_plus)):
+            if not value > 0.0:
+                raise NonPhysicalStateError(f"probed {name} = {value!r} at x = {x!r} is not positive")
+
 
 def _dual_shock_speed(rho, rho_t, u, u_t, p, p_t, p_plus, p_plus_t, gamma):
     """Shock speed from the probed upstream rho, u, p and downstream p (values and tangents)."""
@@ -311,14 +347,12 @@ def _dual_shock_speed(rho, rho_t, u, u_t, p, p_t, p_plus, p_plus_t, gamma):
 
 #: The gas probes (rho, u, p at x - delta, p at x + delta) and _dual_shock_speed, traced
 #: once at import: (rho, rho', u, u', p, p', p+, p+', gamma) -> (speed, speed').
+_GAS_LINEAR = linear_probes((-1, -1, -1, 1))
 _GAS_PROBES = trace_linear_probes((-1, -1, -1, 1))
 _GAS_SPEED = trace(_dual_shock_speed)
 
 
 def _gas_speed(gamma, x_minus, x_plus, *probed):
     """_GAS_SPEED of the probed values and tangents, once the probed rho and p are positive."""
-    for name, value, x in (("rho", probed[0], x_minus), ("p", probed[4], x_minus),
-                           ("p", probed[6], x_plus)):
-        if not value > 0.0:
-            raise NonPhysicalStateError(f"probed {name} = {value!r} at x = {x!r} is not positive")
+    EulerModel().check_probes(x_minus, x_plus, probed[0], probed[4], probed[6])
     return _GAS_SPEED(*probed, gamma)

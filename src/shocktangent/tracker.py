@@ -44,10 +44,12 @@ naive_probe_speed (the same rule on flat probes) is a reference; no mode uses it
 
 from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .dual import Dual, with_custom_tangent
-from .errors import OutOfDomainError, TrackingLostError
+from .dual import Dual, cell, compiled, trace, with_custom_tangent
+from .errors import NumericalError, OutOfDomainError, TrackingLostError
 from .mesh import eval_constant
+from .models import BurgersModel, EulerModel
 
 #: The tracker modes: how the position tangent accumulates (module docstring).
 MODES = ("none", "blackbox", "shock")
@@ -77,13 +79,26 @@ def _read_dual(d, i):
     return Dual(float(d.value[i]), float(d.tangent[i]))
 
 
-def advance_position(position, field, dt, law):
-    """Position value after one step of the characteristic ODE."""
-    x, grid = position.value, field.grid
-    new_x = x + dt * law.cell_char_speed(field, grid.cell_containing(x), _read_value)
+def _read_payload(d, i):
+    return d.value[i]
+
+
+def _moved(x, dt, law, field, i, read):
+    """x + dt * c(U_i), the characteristic step from x in cell i."""
+    return x + dt * law.cell_char_speed(field, i, read)
+
+
+def _inside(new_x, grid):
+    """new_x, or TrackingLostError where it left the grid interior."""
     if not 2 * grid.dx <= new_x <= grid.x_right - 2 * grid.dx:
         raise TrackingLostError(f"tracked position {new_x} left the grid interior")
     return new_x
+
+
+def advance_position(position, field, dt, law):
+    """Position value after one step of the characteristic ODE."""
+    x, grid = position.value, field.grid
+    return _inside(_moved(x, dt, law, field, grid.cell_containing(x), _read_value), grid)
 
 
 def char_speed(position, field, law):
@@ -117,8 +132,90 @@ def naive_probe_speed(position, field, delta, law):
     return Dual(*law.probe_speed(field, x_minus, x_plus, i_minus, i_plus, eval_constant))
 
 
+def _shock_step(law, field, x, x_dot, dt, delta, dx, cells):
+    """step_shock in shock mode as dual code, on a field of traced payloads.
+
+    It returns the new dual position, then the probed values that
+    `law.check_probes` takes; `cells` is an array of the field's n cells.
+    """
+    new_x = _moved(x, dt, law, field, cell(x, dx, cells), _read_payload)
+    x_minus, x_plus = x - delta, x + delta
+    speed, probes = law.linear_probe_speed(field, x_minus, x_plus, x_dot, cell(x_minus, dx, cells),
+                                           cell(x_plus, dx, cells), dx)
+    return (with_custom_tangent(new_x, x_dot + dt * speed.tangent), *probes)
+
+
+def _burgers_step(u, u_t, x, x_dot, dt, delta, dx):
+    field = SimpleNamespace(data=Dual(u, u_t))
+    return _shock_step(BurgersModel(), field, x, x_dot, dt, delta, dx, u)
+
+
+def _gas_step(rho, rho_t, u, u_t, p, p_t, gamma, x, x_dot, dt, delta, dx):
+    state = SimpleNamespace(rho=Dual(rho, rho_t), u=Dual(u, u_t), p=Dual(p, p_t), gamma=gamma)
+    return _shock_step(EulerModel(), SimpleNamespace(state=state), x, x_dot, dt, delta, dx, rho)
+
+
+def _burgers_payloads(field):
+    d = field.data
+    return d.value, d.tangent
+
+
+def _gas_payloads(field):
+    s = field.state
+    return s.rho.value, s.rho.tangent, s.u.value, s.u.tangent, s.p.value, s.p.tangent, s.gamma
+
+
+def _compiled_steps():
+    """Each law's shock-mode step as one compiled kernel, with the function that gives a
+    field's payloads; none where no C compiler is at hand."""
+    traced = trace(_burgers_step, arrays=2), trace(_gas_step, arrays=6)
+    kernels = compiled(*traced)
+    if kernels[0] is traced[0]:
+        return {}
+    return {BurgersModel: (kernels[0], _burgers_payloads), EulerModel: (kernels[1], _gas_payloads)}
+
+
+#: What a law's compiled step was traced from, besides `_dual_jump_speed` and
+#: `_dual_shock_speed`, which `traced_probe_speed` runs too.
+_TRACED_FROM = ("cell_char_speed", "char_speed", "traced_probe_speed", "linear_probe_speed")
+
+
+class _Steps(dict):
+    """The compiled step of each class of law, found on its first step: its base law's,
+    unless it overrides what that step was traced from; else None."""
+
+    laws = _compiled_steps()
+
+    def __missing__(self, kind):
+        self[kind] = next((step for base, step in self.laws.items() if issubclass(kind, base)
+                           and all(getattr(kind, name, None) is getattr(base, name, None)
+                                   for name in _TRACED_FROM)), None)
+        return self[kind]
+
+
+#: The compiled shock-mode step by class of law: (payloads, x, x', dt, delta, dx) -> (x, x')
+#: after the step, then the probed values that the law checks.
+_STEPS = _Steps()
+
+
 def step_shock(position, field, dt, config, law, delta):
-    """Advance a tracked dual position one step; delta is the probe offset config.delta(dx)."""
+    """Advance a tracked dual position one step; delta is the probe offset config.delta(dx).
+
+    In shock mode, a law's compiled step (`_STEPS`) makes it one call. Where
+    the kernel or a check on what it returns fails, the step runs again by
+    the pieces below, which raise as they do without a compiled step.
+    """
+    step = _STEPS[type(law)] if config.mode == "shock" else None
+    if step is not None:
+        kernel, payloads = step
+        x, grid = position.value, field.grid
+        try:
+            new_x, tangent, *probed = kernel(*payloads(field), x, position.tangent, dt, delta,
+                                             grid.dx)
+            law.check_probes(x - delta, x + delta, *probed)
+            return with_custom_tangent(_inside(new_x, grid), tangent)
+        except (NumericalError, ZeroDivisionError, IndexError, ValueError):
+            pass
     new_x = advance_position(position, field, dt, law)
     if config.mode == "none":
         return with_custom_tangent(new_x, 0.0)

@@ -14,7 +14,7 @@ import pytest
 
 from shocktangent import cases, cli, models, solver
 from shocktangent.cases import CaseConfig, epsilon_sweep, grid_convergence, run_case
-from shocktangent.cli import EXIT_OK
+from shocktangent.cli import EXIT_NUMERICAL, EXIT_OK
 from shocktangent.dual import trace
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -42,15 +42,21 @@ def test_traced_names_record_spans(tmp_path, capsys):
     tracer = tracing.Tracer()
     tracer.install("shocktangent")
     try:  # through cli.main, the name the tracer rebinds
-        for argv in (
-            ["sweep", "--grid-no", "9", "--n-eps", "3", "--out", str(tmp_path / "sweep.csv")],
-            ["sweep", "--problem", "euler", "--dx", "0.05", "--t-final", "0.5", "--n-eps", "3"],
-            ["euler", "--dx", "0.05", "--t-final", "0.5", "--out", str(tmp_path / "euler.csv")],
+        for argv, code in (
+            (["sweep", "--grid-no", "9", "--n-eps", "3", "--out", str(tmp_path / "sweep.csv")],
+             EXIT_OK),
+            (["sweep", "--problem", "euler", "--dx", "0.05", "--t-final", "0.5", "--n-eps", "3"],
+             EXIT_OK),
+            (["euler", "--dx", "0.05", "--t-final", "0.5", "--out", str(tmp_path / "euler.csv")],
+             EXIT_OK),
             # The sweep marches in shock mode only; these record the other modes' spans.
-            ["burgers", "--grid-no", "9", "--mode", "none"],
-            ["burgers", "--grid-no", "9", "--mode", "blackbox"],
+            (["burgers", "--grid-no", "9", "--mode", "none"], EXIT_OK),
+            (["burgers", "--grid-no", "9", "--mode", "blackbox"], EXIT_OK),
+            # A compiled shock-mode step calls rh_probe_speed only where it fails, and
+            # then runs the step again by the pieces: here a probe jump below its floor.
+            (["burgers", "--grid-no", "9", "--c-coeff", "0.3"], EXIT_NUMERICAL),
         ):
-            assert cli.main(argv) == EXIT_OK, argv
+            assert cli.main(argv) == code, argv
         # The steps and the tracker run the kernels traced from their dual formulas
         # at import; the formulas' own calls record spans when they are traced again.
         trace(solver._lxf_payloads, arrays=2)

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from shocktangent import dual
 from shocktangent.dual import (
     Dual,
+    cell,
     compiled,
     edge_pad,
     lift,
@@ -641,3 +642,148 @@ def test_a_compiled_kernel_forgets_the_rows_it_kept_when_a_call_fails():
     again = fast(*first, 4.0, 2.0)
     for g, w in zip(again, _FLOAT_LINES(first[0].copy(), first[1].copy(), 4.0, 2.0)):
         assert np.array_equal(_int_bits(g), _int_bits(w))
+
+
+class _Strict(list):
+    """A list that refuses a negative index, as a traced read at an index does."""
+
+    def __getitem__(self, i):
+        if i < 0:
+            raise IndexError(i)
+        return list.__getitem__(self, i)
+
+
+def _lookups(u, t, x, dx):
+    # A cell lookup over each input, reads of both inputs at computed indices (the
+    # lookups, and + - * of them and ints), an index read as a float, ** 0.5, and floats
+    # only as outputs: two float Duals and a traced float.
+    i, j = cell(x, dx, u), cell(x * 0.5, dx, t)
+    a = Dual(u[i], t[i]) * x + Dual(u[i - 1], t[i - j])
+    return a, Dual((i + 0.5) * dx, j / 2), (u[j] * u[j]) ** 0.5 - u[-i + 2 * j + 1]
+
+
+_LOOKUPS = trace(_lookups, arrays=2)
+_LOOKUPS_BOTH = (_LOOKUPS, *compiled(_LOOKUPS))
+
+#: The ends of the float line: both zeros, subnormals, both infinities, NaN, 1e+-300.
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300)
+
+
+def _outcome(call):
+    """What a call returns, as bits, or the type of what it raises."""
+    try:
+        return _bits(*call())
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 12),
+       dx=st.sampled_from([0.1, 0.25, 1e-300, 1e300, 5e-324, 0.0, -0.0, -0.1, math.inf, math.nan]))
+def test_a_cell_lookup_and_reads_at_an_index_equal_the_dual_evaluation_on_both_backends(
+        data, n, dx):
+    # x on a face, in a cell, at either end and past it, or at an edge of the float line;
+    # the cells take edge values too. Every backend returns the same bits or fails alike;
+    # the compiled kernel fails with the numpy kernel's message.
+    k = data.draw(st.integers(-1, n + 1))
+    x = data.draw(st.one_of(st.sampled_from([k * dx, (k + 0.5) * dx, n * dx,
+                                             n * dx * (1 - 2**-52)]), st.sampled_from(_EDGES)))
+    u, t = (np.array(data.draw(st.lists(st.sampled_from([*_EDGES, 1.0, -2.5, 0.5]),
+                                        min_size=n, max_size=n))) for _ in "ut")
+    want = _outcome(lambda: [p for d in _lookups(_Strict(u.tolist()), _Strict(t.tolist()), x, dx)
+                             for p in ((d.value, d.tangent) if isinstance(d, Dual) else (d,))])
+    for kernel in _LOOKUPS_BOTH:
+        assert _outcome(lambda: kernel(u, t, x, dx)) == want
+    try:
+        _LOOKUPS(u, t, x, dx)
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
+        for kernel in _LOOKUPS_BOTH[1:]:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                kernel(u, t, x, dx)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1, 5])
+def test_a_read_at_an_index_reads_cells_0_to_n_minus_1_and_fails_past_them(i):
+    # A lookup of x = (i + 0.5) dx, then a read there: cells 0 and n - 1 read, and an
+    # index out of range fails where numpy would read the last cell or past the end.
+    def read(u, t, x):
+        j = cell(x, 1.0, u) + (i if i < 0 else 0) + (1 if i == 5 else 0)
+        return Dual(u[j], t[j])
+
+    u, t = np.arange(5.0), -np.arange(5.0)
+    x = min(max(i, 0), 4) + 0.5
+    for kernel in (trace(read, arrays=2), *compiled(trace(read, arrays=2))):
+        if 0 <= i < 5:
+            assert kernel(u, t, x) == (float(i), -float(i))
+        else:
+            with pytest.raises(IndexError, match=f"^index {i} is outside an array of 5$"):
+                kernel(u, t, x)
+
+
+def test_a_lookup_checks_its_x_before_a_floor_and_a_read_its_index_before_it_reads():
+    source = dual._emit(_LOOKUPS, "kernel")[0]
+    lines = [line.strip() for line in source.splitlines()]
+    for k, line in enumerate(lines):
+        if "floor(" in line:
+            assert re.fullmatch(r"if \(!\(\w+ >= 0\.0 && \w+ < \(n\) \* \w+\)\) return 1;",
+                                lines[k - 1])
+        for a, index in re.findall(r"= (a[01])\[(\w+)\];", line):
+            assert lines[k - 1] == f"if ({index} < 0 || {index} >= n) return 1;"
+    assert "pow(" in source and "sqrt(" not in source
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 5.0])
+def test_a_lookup_of_x_outside_the_cells_fails_on_both_backends(x):
+    for kernel in _LOOKUPS_BOTH:
+        with pytest.raises(IndexError, match=r"^x = .* is outside \[0\.0, 5\.0\)$"):
+            kernel(np.ones(5), np.ones(5), x, 1.0)
+
+
+def test_a_traced_half_power_is_pythons_below_and_above_zero():
+    def half(u, t, a):
+        return Dual(u * (a**0.5), t)
+
+    u = np.linspace(0.0, 1.0, 4)
+    for kernel in (trace(half, arrays=2), *compiled(trace(half, arrays=2))):
+        for a in (0.0, -0.0, 5e-324, 2.0, 1e300, math.inf, math.nan):
+            with np.errstate(all="ignore"):
+                got, want = kernel(u, u, a), half(u, u, a)
+            assert _same_bits(got[0], want.value) and _same_bits(got[1], want.tangent)
+        for a in (-5e-324, -2.0, -math.inf):
+            with pytest.raises(ValueError, match=r"\*\* 0\.5 is complex$"):
+                kernel(u, u, a)
+
+
+def _arrays_then_floats(u, t, x):
+    # An array Dual, then a float Dual of a constant tangent, then a reduction.
+    return Dual(u * x, t), Dual(x * x, 0.0), np.maximum.reduce(t)
+
+
+def test_a_compiled_kernel_returns_its_arrays_then_its_floats():
+    kernel = trace(_arrays_then_floats, arrays=2)
+    u, t = np.linspace(-1.0, 2.0, 6), np.linspace(3.0, 1.0, 6)
+    want = kernel(u, t, 1.5)
+    for got in (kernel(u, t, 1.5), compiled(kernel)[0](u, t, 1.5)):
+        assert len(got) == 5 and all(type(x) is float for x in got[2:])
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert _bits(*got[2:]) == _bits(2.25, 0.0, 3.0)
+    floats_first = trace(lambda u, t, x: (Dual(x, x), Dual(u, t)), arrays=2)
+    with pytest.raises(TypeError, match="returns its arrays before its floats"):
+        compiled(floats_first)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda u, i: u[i + 0.5], lambda u, i: (u * 2.0)[i], lambda u, i: u[1:][i],
+     lambda u, i: u[u[i]], lambda u, i: Dual(i, 0.0), lambda u, i: cell(u[i], 1.0, 3),
+     lambda u, i: u[i] ** 2.0, lambda u, i: u[i] < 1.0],
+    ids=["float-index", "computed-array", "view", "float-as-index", "index-output",
+         "int-count", "pow-2", "compare"],
+)
+def test_a_traced_index_refuses_every_use_outside_its_operations(use):
+    def fn(u, t, x):
+        out = use(u, cell(x, 1.0, u))
+        return out if isinstance(out, Dual) else Dual(out, t[0 * cell(x, 1.0, t)])
+
+    with pytest.raises(TypeError):
+        trace(fn, arrays=2)

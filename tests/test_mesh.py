@@ -173,7 +173,7 @@ def test_eval_linear_hand_case():
             eval_linear(f, x, side, 1)
 
 
-def test_eval_linear_position_tangent_feeds_through_slope():
+def test_the_central_probe_position_tangent_feeds_through_slope():
     g = Grid1D(dx=1.0, n_cells=3)
     f = CellField(g, lift(np.array([0.0, 1.0, 4.0])))
     xdot = 0.25
@@ -182,7 +182,7 @@ def test_eval_linear_position_tangent_feeds_through_slope():
     assert v.tangent == pytest.approx(xdot * 2.0)
 
 
-def test_eval_linear_value_tangents_feed_through():
+def test_the_central_probe_value_tangents_feed_through():
     g = Grid1D(dx=1.0, n_cells=3)
     data = Dual(np.array([0.0, 1.0, 4.0]), np.array([1.0, 2.0, 3.0]))
     f = CellField(g, data)
@@ -201,8 +201,8 @@ _PROBE_KERNELS = {name: trace_linear_probes(sides) for name, sides in _PROBE_SID
 @settings(derandomize=True, deadline=None)
 @given(dx=st.floats(1e-5, 10.0), n=st.integers(3, 12), x=_finite, x_dot=_finite,
        delta=_finite, data=st.data())
-def test_the_traced_linear_probe_equals_eval_linear_bit_for_bit(probes, dx, n, x, x_dot, delta,
-                                                                data):
+def test_the_traced_linear_probe_equals_the_central_probe_bit_for_bit(probes, dx, n, x, x_dot,
+                                                                      delta, data):
     # Each probe reads a payload of its own, on the cell drawn for its side.
     cell = {side: data.draw(st.integers(1, n - 2)) for side in (-1, 1)}
     position, cells, want = Dual(x, x_dot), [], []

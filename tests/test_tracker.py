@@ -2,13 +2,14 @@
 
 import re
 from array import array
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shocktangent import models, tracker
+from shocktangent import cases, dual, models, solver, tracker
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import (
@@ -41,6 +42,12 @@ from shocktangent.tracker import (
 
 MODEL = BurgersModel()
 GAS = EulerModel()
+
+#: Whether the shock-mode steps run as compiled kernels here (they do where `cc` builds them).
+COMPILED = isinstance(solver._LXF, dual._Compiled)
+
+#: `tracker._STEPS` with no compiled step: every step runs by the pieces.
+BY_PIECES = defaultdict(type(None))
 
 
 def linear_field():
@@ -408,8 +415,16 @@ def test_shock_step_locates_three_points(tracked_fields, case, monkeypatch):
 
     monkeypatch.setattr(Grid1D, "cell_containing", counting)
     config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
+    step = tracker._STEPS[type(law)]
+    assert (step is None) is (not COMPILED)
+    if step is not None:
+        # The compiled step looks the three points up in its kernel, one recorded lookup each.
+        step_shock(state, field, 1e-4, config, law, config.delta(field.grid.dx))
+        assert not calls
+        assert [line.code for line in step[0].kernel.tape[0]].count(dual._CELL) == 3
+    # By the pieces: the position update, then one lookup per probe point
+    monkeypatch.setattr(tracker, "_STEPS", BY_PIECES)
     step_shock(state, field, 1e-4, config, law, config.delta(field.grid.dx))
-    # the position update, then one lookup per probe point
     assert len(calls) == 3
 
 
@@ -431,6 +446,9 @@ def test_traced_probes_track_as_dual_probes_bit_for_bit(cfg, monkeypatch):
         probes = Dual(x_minus, x_dot), Dual(x_plus, x_dot)
         return law.probe_speed(field, *probes, i_minus, i_plus, linear)
 
+    # The traced run takes the compiled step where there is one; the reference runs by the
+    # pieces, with its probes and speeds on duals.
+    monkeypatch.setattr(tracker, "_STEPS", BY_PIECES)
     for law in (BurgersModel, EulerModel):
         monkeypatch.setattr(law, "traced_probe_speed", dual_probe_speed)
     monkeypatch.setattr(models, "_JUMP_SPEED", _dual_kernel(models._dual_jump_speed))
@@ -441,20 +459,69 @@ def test_traced_probes_track_as_dual_probes_bit_for_bit(cfg, monkeypatch):
         assert getattr(traced, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
+def _compiled_step(position, field, dt, config, law):
+    """The (x, x') that the law's compiled kernel gives for a shock-mode step_shock."""
+    kernel, payloads = tracker._STEPS[type(law)]
+    grid = field.grid
+    return kernel(*payloads(field), position.value, position.tangent, dt,
+                  config.delta(grid.dx), grid.dx)[:2]
+
+
 @pytest.mark.parametrize("case", [0, 1], ids=["burgers-grid7", "euler-desk"])
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(offset=st.floats(-3.0, 3.0), tangent=st.floats(-10.0, 10.0), cfl=st.floats(1e-6, 0.9))
+@example(offset=0.0, tangent=0.0, cfl=0.5).via("a zero tangent")
+@example(offset=0.0, tangent=-0.0, cfl=0.5).via("a negative zero tangent")
 def test_the_traced_shock_step_equals_the_five_read_formulation_near_the_shock(
         tracked_fields, case, offset, tangent, cfl):
-    # Positions within three cells of the tracked shock, any position tangent and dt.
+    # Positions within three cells of the tracked shock, any position tangent and dt; the
+    # step as step_shock takes it, and as the compiled kernel gives it where there is one.
     field, state, law, cfg = tracked_fields[case]
     config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
     position = Dual(state.value + offset * field.grid.dx, tangent)
     dt = cfl * field.grid.dx / law.max_char_speed(field)
     new_x, speed = _reference_step(position, field, dt, config, law)
     out = step_shock(position, field, dt, config, law, config.delta(field.grid.dx))
-    want = (new_x, position.tangent + dt * speed.tangent)
-    assert [x.hex() for x in (out.value, out.tangent)] == [x.hex() for x in want]
+    want = [x.hex() for x in (new_x, position.tangent + dt * speed.tangent)]
+    assert [x.hex() for x in (out.value, out.tangent)] == want
+    if COMPILED:
+        assert [x.hex() for x in _compiled_step(position, field, dt, config, law)] == want
+
+
+@pytest.mark.parametrize("tangent", [0.0, -0.0, 0.3], ids=["zero", "negative-zero", "0.3"])
+@pytest.mark.parametrize("where", ["face", "probe-in-cell-1", "probe-in-cell-n-2"])
+@pytest.mark.parametrize("case", [0, 1], ids=["burgers-grid7", "euler-desk"])
+def test_the_compiled_shock_step_on_faces_and_edge_cells_equals_the_step_by_pieces(
+        tracked_fields, case, where, tangent, monkeypatch):
+    # x on a cell face, or a probe in the first or the last cell a probe may read; the
+    # compiled step returns the bits of the five-read formulation where the step by the
+    # pieces succeeds, and fails as it does elsewhere.
+    field, state, law, cfg = tracked_fields[case]
+    config = TrackerConfig(cfg.c_coeff, cfg.alpha, "shock")
+    grid, delta = field.grid, config.delta(field.grid.dx)
+    x = {"face": round(state.value / grid.dx) * grid.dx,
+         "probe-in-cell-1": delta + 1.5 * grid.dx,
+         "probe-in-cell-n-2": grid.x_right - 1.5 * grid.dx - delta}[where]
+    position, dt = Dual(x, tangent), 0.5 * grid.dx / law.max_char_speed(field)
+    cells = [grid.cell_containing(p) for p in (x - delta, x, x + delta)]
+    assert {"face": x == cells[1] * grid.dx, "probe-in-cell-1": cells[0] == 1,
+            "probe-in-cell-n-2": cells[2] == grid.n_cells - 2}[where]
+
+    def outcome():
+        try:
+            out = step_shock(position, field, dt, config, law, delta)
+        except Exception as exc:  # noqa: BLE001 - the type and message are compared
+            return type(exc), str(exc)
+        return out.value.hex(), out.tangent.hex()
+
+    got = outcome()
+    if COMPILED and type(got[0]) is str:  # the kernel itself succeeded
+        assert tuple(v.hex() for v in _compiled_step(position, field, dt, config, law)) == got
+    monkeypatch.setattr(tracker, "_STEPS", BY_PIECES)
+    assert got == outcome()
+    if type(got[0]) is str:
+        new_x, speed = _reference_step(position, field, dt, config, law)
+        assert got == (new_x.hex(), (position.tangent + dt * speed.tangent).hex())
 
 
 def _steep_gas_field(i):
@@ -495,10 +562,75 @@ def _error_of(call):
     ids=["burgers-flat", "euler-negative-p-plus", "euler-negative-p-minus",
          "burgers-cell-0", "burgers-cell-n-1", "euler-cell-0", "euler-cell-n-1"],
 )
-def test_the_traced_rule_fails_as_the_dual_rule_does(make, law, x, error, match):
+def test_the_traced_rule_fails_as_the_dual_rule_does(make, law, x, error, match, monkeypatch):
     field, position = make(), Dual(x, 0.3)
     want = _error_of(lambda: _dual_rh_probe_speed(position, field, 0.5, law))
     assert want is not None and want[0] is error and re.search(match, want[1]), want
     assert _error_of(lambda: rh_probe_speed(position, field, 0.5, law)) == want
+    # step_shock calls the compiled step first, where there is one, then runs again by the
+    # pieces where its kernel or a check fails.
+    calls, step = [], tracker._STEPS[type(law)]
+    if step is not None:
+        kernel, payloads = step
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(tracker, "_STEPS", defaultdict(type(None),
+                                                           {type(law): (counting, payloads)}))
     config = TrackerConfig(5.0, 1.0, "shock")
     assert _error_of(lambda: step_shock(position, field, 1e-3, config, law, 0.5)) == want
+    assert len(calls) == COMPILED
+
+
+def _case_start(config):
+    """(law, grid, x0, initial field, scheme, tracker config) of a case, as run_case builds them."""
+    cfg = config.resolved()
+    law, grid = cases.LAWS[cfg.problem], cfg.build_grid()
+    oracle = law.setup(cfg)
+    return (law, grid, oracle.shock_position(0.0), law.initial_field(oracle, grid),
+            cases._scheme(cfg), TrackerConfig(cfg.c_coeff, cfg.alpha, cfg.mode))
+
+
+def _mirrored(d, sign):
+    """The payloads of d at x -> L - x, times sign (-1 for u and its tangent)."""
+    return Dual(sign * d.value[::-1], sign * d.tangent[::-1])
+
+
+@pytest.mark.parametrize("grid_no", [9, 8, 7, 6, 5])
+def test_the_mirrored_burgers_case_tracks_the_mirrored_shock(grid_no):
+    # x -> L - x, u -> -u, v -> -v: the shock's upstream lies on its right. LxF maps the
+    # field onto the mirrored one bit for bit (the flux is even, + commutes), and the
+    # tracked shock is the mirror image: x -> L - x and xi -> -xi.
+    law, grid, x0, ic, scheme, config = _case_start(CaseConfig(grid_no=grid_no))
+    mirrored = CellField(grid, _mirrored(ic.data, -1.0))
+    trackers = [ShockTracker(x, config, law, grid.dx) for x in (x0, grid.x_right - x0)]
+    (_, final), = run(ic, scheme, law, observers=trackers[:1])[-1:]
+    (_, image), = run(mirrored, scheme, law, observers=trackers[1:])[-1:]
+    want = _mirrored(final.data, -1.0)
+    for got, ref in ((image.data.value, want.value), (image.data.tangent, want.tangent)):
+        assert got.tobytes() == ref.tobytes()
+    shock, image_shock = (t.state for t in trackers)
+    assert abs(image_shock.value - (grid.x_right - shock.value)) <= 1e-12
+    assert abs(image_shock.tangent + shock.tangent) <= 1e-13
+
+
+def test_the_mirrored_euler_desk_case_marches_the_mirrored_field():
+    # rho and p mirrored, u and its tangent negated too: the values mirror bit for bit; the
+    # tangents to 1e-14 of the largest, as `dual.maximum` keeps the first argument's tangent
+    # on a tie of the Rusanov speeds. The tracker, a 1-family rule, runs on the mirrored
+    # 3-shock too.
+    law, grid, x0, ic, scheme, config = _case_start(CaseConfig(problem="euler", t_final=5.0))
+    s = ic.state
+    mirrored = EulerCellField(grid, EulerState(_mirrored(s.rho, 1.0), _mirrored(s.u, -1.0),
+                                               _mirrored(s.p, 1.0), s.gamma))
+    trackers = [ShockTracker(x, config, law, grid.dx) for x in (x0, grid.x_right - x0)]
+    (_, final), = run(ic, scheme, law, observers=trackers[:1])[-1:]
+    (_, image), = run(mirrored, scheme, law, observers=trackers[1:])[-1:]
+    largest = max(np.max(np.abs(getattr(final.state, c).tangent)) for c in law.components)
+    for name, sign in (("rho", 1.0), ("u", -1.0), ("p", 1.0)):
+        got, want = getattr(image.state, name), _mirrored(getattr(final.state, name), sign)
+        assert got.value.tobytes() == want.value.tobytes(), name
+        assert np.max(np.abs(got.tangent - want.tangent)) <= 1e-14 * largest, name
+    assert len(trackers[1].times) == len(trackers[0].times)
