@@ -12,8 +12,11 @@ cells i - 1, i and i + 1 once each (`one_sided_slopes`).
 
 `eval_linear` reads a one-sided slope ("plus" or "minus"): a stencil read,
 then dual arithmetic on its cells (`_slopes`, `_linear_value`). The central
-slope, their mean, is stated once, in `trace_linear_probes`, which records it
-at every probe of a shock-mode step into one float kernel (`dual.trace`).
+slope, their mean, is stated once, in `linear_probes`, the probes of a
+shock-mode step as dual code: `trace_linear_probes` records them into one
+float kernel (`dual.trace`), and the compiled tracker step records them with
+the rest of the step. The cell lookup itself is `dual.cell`, which a traced
+step records too.
 """
 
 from dataclasses import dataclass

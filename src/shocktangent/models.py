@@ -23,8 +23,12 @@ Each field has a law: BurgersModel (scalar) or EulerModel. The caller passes
 it to the solver and the tracker, which take from it all that depends on the
 problem. A law's probe rule is probes, checks, speed. `probe_speed` reads the
 probes on duals; `traced_probe_speed` reads linear probes as float code traced
-once at import (`dual.trace`). Both then check the probed values and run the
-speed, also traced: the Burgers jump speed, or Euler's from the probed states.
+once at import (`dual.trace`). Both then check the probed values
+(`check_probes`) and run the speed, also traced: the Burgers jump speed, or
+Euler's from the probed states. `linear_probe_speed` is the same probes and
+speed as dual code on traced payloads, read at traced cells, which the
+compiled tracker step records; it returns the probed values that
+`check_probes` then takes.
 """
 
 from dataclasses import InitVar, dataclass
@@ -335,7 +339,8 @@ class EulerModel:
         """The probe rule's check: the probed rho and p up- and downstream are positive."""
         for name, value, x in (("rho", rho, x_minus), ("p", p, x_minus), ("p", p_plus, x_plus)):
             if not value > 0.0:
-                raise NonPhysicalStateError(f"probed {name} = {value!r} at x = {x!r} is not positive")
+                raise NonPhysicalStateError(
+                    f"probed {name} = {value!r} at x = {x!r} is not positive")
 
 
 def _dual_shock_speed(rho, rho_t, u, u_t, p, p_t, p_plus, p_plus_t, gamma):

@@ -12,7 +12,7 @@ the flux replaced by its dual evaluation; no separate linearized scheme
 exists anywhere.
 
 Each formula is traced once at import (`dual.trace`) into straight-line
-array code and compiled to C (`dual.compiled`), or kept as numpy code where
+array code and compiled to C (`native.compiled`), or kept as numpy code where
 no C compiler is at hand; `lxf_step` and `rusanov_step_euler` run it: the
 same operations in the same order, so each step equals the dual formula bit
 for bit. The scalar formula is traced with Burgers' flux, so `lxf_step`
@@ -41,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, compiled, edge_pad, maximum, trace
+from .dual import Dual, edge_pad, maximum, trace
 from .errors import CFLViolationError, ConfigError, NumericalError
 from .mesh import CellField
 from .models import BurgersModel, EulerCellField, EulerState
 from . import models
+from .native import compiled
 
 #: Longest step `cfl_dt` takes, the cap of a quiescent field.
 DT_MAX = 1.0

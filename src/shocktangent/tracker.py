@@ -19,13 +19,24 @@ the modes differ only in how the position tangent accumulates:
              cell: with the staggered averaging of the base scheme the two
              one-sided differences carry an O(1) odd-even bias of opposite
              sign (measured ~+14% / ~-13% on the tracked sensitivity, grid
-             independent), and their mean cancels it. A step is two calls of
-             float code traced once at import (`dual.trace`): the law's probes
-             (`mesh.trace_linear_probes`, where the central slope is stated),
-             then, after the law's checks on the probed values, its speed
-             (the Burgers jump speed; Euler's sound speed and shock speed from
-             the probed states). The tangent is what dual arithmetic on those
-             formulas gives, bit for bit, without a Dual per operation.
+             independent), and their mean cancels it. The tangent is what
+             dual arithmetic on those formulas gives, bit for bit, without a
+             Dual per operation (`dual.trace`). Where a C compiler is at hand,
+             a step is one compiled call (`_STEPS`): the whole step of each law
+             is traced once at import over the field's payload arrays, from
+             the rule's pieces themselves: the position's cell lookup and
+             characteristic step, the two probe lookups, the law's probes
+             (`mesh.linear_probes`, where the central slope is stated) read at
+             the cells found, its speed (the Burgers jump speed; Euler's sound
+             speed and shock speed from the probed states), and
+             with_custom_tangent, and emitted as C (`native.compiled`). It
+             returns the new dual position and the probed values; Python then
+             runs the law's checks and the interior check on them. Where the
+             kernel or a check fails, the step runs again by the pieces, which
+             raise with their own words. Without a compiler a step is those
+             pieces: the position update, the probe lookups, then two calls of
+             traced float code, the probes (`mesh.trace_linear_probes`) and,
+             after the law's checks, the speed.
   blackbox - plain forward AD of the position update itself, with no custom
              rule: x' + dt * c(U_i)', the characteristic speed differentiated
              on the piecewise-constant cell that holds x. That cell is flat,
@@ -46,10 +57,11 @@ from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .dual import Dual, cell, compiled, trace, with_custom_tangent
+from .dual import Dual, cell, trace, with_custom_tangent
 from .errors import NumericalError, OutOfDomainError, TrackingLostError
 from .mesh import eval_constant
 from .models import BurgersModel, EulerModel
+from .native import compiled
 
 #: The tracker modes: how the position tangent accumulates (module docstring).
 MODES = ("none", "blackbox", "shock")

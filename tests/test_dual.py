@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shocktangent import dual
+from shocktangent import dual, native
 from shocktangent.dual import (
     Dual,
     cell,
-    compiled,
     edge_pad,
     lift,
     maximum,
@@ -25,6 +24,7 @@ from shocktangent.dual import (
     where,
     with_custom_tangent,
 )
+from shocktangent.native import compiled
 
 
 def test_addition_and_subtraction():
@@ -510,7 +510,7 @@ def _outputs_of_every_kind(u, t):
 
 
 def _both(kernel):
-    # An array kernel as traced, and as C (`dual.compiled`; the kernel itself without `cc`).
+    # An array kernel as traced, and as C (`native.compiled`; the kernel itself without `cc`).
     return kernel, *compiled(kernel)
 
 
@@ -523,7 +523,7 @@ def test_an_array_kernel_returns_arrays_of_its_own():
         for a, b in zip(second, want):
             assert np.array_equal(a, b)
         buffers = ()
-        if isinstance(kernel, dual._Compiled):  # a numpy kernel holds no scratch
+        if isinstance(kernel, native._Compiled):  # a numpy kernel holds no scratch
             buffers = kernel.buffers
             assert buffers
         for i, a in enumerate(second):
@@ -590,9 +590,9 @@ def test_both_backends_take_array_arguments_by_one_rule(form, kind):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_the_kernel_cache_keeps_one_library_per_kernel_set(tmp_path, monkeypatch):
     # The cache lies next to the module, here moved into tmp_path.
-    monkeypatch.setattr(dual, "__file__", str(tmp_path / "dual.py"))
+    monkeypatch.setattr(native, "__file__", str(tmp_path / "dual.py"))
     cache = tmp_path / "__pycache__"
-    assert isinstance(compiled(trace(_outputs_of_every_kind, arrays=2))[0], dual._Compiled)
+    assert isinstance(compiled(trace(_outputs_of_every_kind, arrays=2))[0], native._Compiled)
     other = set(cache.iterdir())
     # A library of the older naming, one hash and no set, goes at the next build; a
     # library of another set, and a file of another name, stay.
@@ -601,7 +601,7 @@ def test_the_kernel_cache_keeps_one_library_per_kernel_set(tmp_path, monkeypatch
     for path in (old, *kept):
         path.write_bytes(b"")
     for k in (2.0, 3.0):
-        assert isinstance(compiled(_scaled(k))[0], dual._Compiled)
+        assert isinstance(compiled(_scaled(k))[0], native._Compiled)
     left = set(cache.iterdir())
     assert len(other) == 1 and other | kept < left and len(left - other - kept) == 1
     assert not old.exists()
@@ -721,7 +721,7 @@ def test_a_read_at_an_index_reads_cells_0_to_n_minus_1_and_fails_past_them(i):
 
 
 def test_a_lookup_checks_its_x_before_a_floor_and_a_read_its_index_before_it_reads():
-    source = dual._emit(_LOOKUPS, "kernel")[0]
+    source = native._emit(_LOOKUPS, "kernel")[0]
     lines = [line.strip() for line in source.splitlines()]
     for k, line in enumerate(lines):
         if "floor(" in line:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from shocktangent import dual, solver
+from shocktangent import native, solver
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, maximum, trace
 from shocktangent.errors import CFLViolationError, ConfigError, NonPhysicalStateError, NumericalError
@@ -603,13 +603,13 @@ def default_clone(tmp_path_factory):
 
     def load(source, names):
         assert source.count(_CLONES) == 1
-        dual._build(cc, source.replace(_CLONES, ""), path)
+        native._build(cc, source.replace(_CLONES, ""), path)
         return ctypes.CDLL(path)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dual, "_load", load)
-        kernels = dual.compiled(_NUMPY_LXF, _NUMPY_RUSANOV)
-    assert all(isinstance(k, dual._Compiled) for k in kernels)
+        patch.setattr(native, "_load", load)
+        kernels = native.compiled(_NUMPY_LXF, _NUMPY_RUSANOV)
+    assert all(isinstance(k, native._Compiled) for k in kernels)
     return kernels
 
 
@@ -635,10 +635,10 @@ def test_every_loop_of_the_step_kernels_is_vectorized_in_the_avx2_clone(tmp_path
     # clang defines __GNUC__ too, and __clang__ besides.
     if "__clang__" in defined or defined.get("__GNUC__") != _CHECKED_GCC:
         pytest.skip(f"the report checked is that of GCC {_CHECKED_GCC}")
-    source = "".join([dual._PRELUDE, *(dual._emit(k, f"kernel{i}")[0]
+    source = "".join([native._PRELUDE, *(native._emit(k, f"kernel{i}")[0]
                                       for i, k in enumerate((_NUMPY_LXF, _NUMPY_RUSANOV)))])
     report = subprocess.run(
-        [cc, *dual._CFLAGS, "-fopt-info-vec-loop-optimized",
+        [cc, *native._CFLAGS, "-fopt-info-vec-loop-optimized",
          "-o", str(tmp_path / "kernels.so"), "-x", "c", "-", "-lm"],
         input=source, capture_output=True, text=True, check=True, timeout=120).stderr
     loops = [k for k, line in enumerate(source.splitlines(), 1) if line.lstrip().startswith("for (")]
@@ -652,8 +652,8 @@ def test_every_loop_of_the_step_kernels_is_vectorized_in_the_avx2_clone(tmp_path
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_with_a_c_compiler_the_step_kernels_are_compiled():
     # A kernel the C emitter got wrong would fail to build and fall back unseen.
-    assert isinstance(solver._LXF, dual._Compiled)
-    assert isinstance(solver._RUSANOV, dual._Compiled)
+    assert isinstance(solver._LXF, native._Compiled)
+    assert isinstance(solver._RUSANOV, native._Compiled)
 
 
 _SNAPSHOT_DIGEST = """
@@ -684,7 +684,7 @@ def test_without_a_c_compiler_the_numpy_kernels_give_the_same_snapshots(tmp_path
     assert _python(_SNAPSHOT_DIGEST, tmp_path) == ["_Kernel", "_Kernel", here[-1]]
 
 
-@pytest.mark.skipif(not isinstance(solver._LXF, dual._Compiled), reason="kernels not compiled")
+@pytest.mark.skipif(not isinstance(solver._LXF, native._Compiled), reason="kernels not compiled")
 def test_a_later_process_loads_the_cached_library_without_compiling(tmp_path):
     # This process built or loaded the library at import; a `cc` that only leaves a
     # mark stands in for the compiler, so a second build would leave the mark.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shocktangent import cases, dual, models, solver, tracker
+from shocktangent import cases, dual, models, native, solver, tracker
 from shocktangent.cases import CaseConfig, run_case
 from shocktangent.dual import Dual, lift, seed, sqrt
 from shocktangent.errors import (
@@ -44,7 +44,7 @@ MODEL = BurgersModel()
 GAS = EulerModel()
 
 #: Whether the shock-mode steps run as compiled kernels here (they do where `cc` builds them).
-COMPILED = isinstance(solver._LXF, dual._Compiled)
+COMPILED = isinstance(solver._LXF, native._Compiled)
 
 #: `tracker._STEPS` with no compiled step: every step runs by the pieces.
 BY_PIECES = defaultdict(type(None))
