@@ -438,9 +438,12 @@ class _Compiled:
             self.blocks = [self._block()]
         blocks = self.blocks
         block = blocks[-1]
-        if sys.getrefcount(block[0]) > 2:  # the pair's and the argument's, and a held row's
+        # A block is held by its entry and by getrefcount's argument, and by each held row.
+        if self.outputs and sys.getrefcount(block[0]) > 2:
             block = self._block()
-        self.blocks = [block] if block is blocks[0] else [block, blocks[0]]
+            self.blocks = [block, blocks[0]]
+        elif block is not blocks[0]:
+            self.blocks = [block, blocks[0]]
         out, base, kept = block
         floats, at = self.floats
         self.pack(floats, 0, *args[k:])

@@ -398,6 +398,26 @@ def test_a_step_returns_arrays_that_nothing_else_holds(make_field, name, kernel,
                 assert not np.shares_memory(a, b)
 
 
+@pytest.mark.skipif(not isinstance(solver._LXF, native._Compiled), reason="kernels not compiled")
+@pytest.mark.parametrize("make_field", [_burgers_ramp, wavy_euler_field], ids=["lxf", "rusanov"])
+def test_a_compiled_step_writes_into_a_block_of_which_no_row_is_held(make_field, monkeypatch):
+    # A march that drops each field writes into two blocks by turns; a field that is
+    # held keeps its values, and its block is not written again.
+    made, make = [], native._Compiled._block
+    monkeypatch.setattr(native._Compiled, "_block", lambda self: made.append(1) or make(self))
+    field = make_field()
+    law = MODEL if isinstance(field, CellField) else GAS
+    dt = cfl_dt(field, field.grid.dx, 0.5, law)
+    held = []
+    for k in range(16):
+        field = lxf_step(field, dt, MODEL) if law is MODEL else rusanov_step_euler(field, dt)
+        if k % 5 == 2:
+            held.append((field, [a.copy() for a in _arrays(field)]))
+    for f, copies in held:
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(_arrays(f), copies))
+    assert 2 <= len(made) <= 2 + len(held)
+
+
 def _recording(kernel, calls):
     def call(*args):
         calls.append(kernel(*args))
