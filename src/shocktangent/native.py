@@ -398,10 +398,12 @@ class _Compiled:
 
     The compiled kernels share `_KEPT`: the last call that returns as many
     rows n long as its kernel takes arrays, first, keeps those rows, n and
-    their addresses. A call of any of them on exactly those rows, as each
-    step of a march makes on the last, and as a tracker step makes on the
-    field before it, passes the addresses without converting or checking its
-    arrays again; every other call does.
+    their addresses. A call of a kernel that takes as many arrays, on exactly
+    those rows, as each step of a march makes on the last, and as a tracker
+    step makes on the field before it, passes the addresses without
+    converting or checking its arrays again; every other call does. Every
+    argument of the C function is a ctypes object made once, but for the
+    arrays of such other calls: ctypes converts none of them.
     """
 
     __slots__ = ("function", "kernel", "arrays", "least", "pack", "floats", "layout", "scratch",
@@ -414,8 +416,7 @@ class _Compiled:
         self.kernel = kernel
         self.arrays, self.least = arrays, kernel.shortest[0]
         self.pack = struct.Struct(f"{len(params) - arrays}d").pack_into
-        floats = np.empty(max(len(params) - arrays, 1))
-        self.floats = floats, _address(floats)
+        self.floats = (ctypes.c_double * max(len(params) - arrays, 1))()
         self.layout = layout
         self.scratch = scratch
         # The array outputs come first, each a row of n + b; the floats follow.
@@ -445,9 +446,8 @@ class _Compiled:
         elif block is not blocks[0]:
             self.blocks = [block, blocks[0]]
         out, base, kept = block
-        floats, at = self.floats
-        self.pack(floats, 0, *args[k:])
-        if self.function(*head, at, base, self.address):
+        self.pack(self.floats, 0, *args[k:])
+        if self.function(*head, self.floats, base, self.address):
             self.kernel(*args)
             raise AssertionError(f"{self.kernel.name}: the C kernel failed where numpy did not")
         if not self.outputs:
