@@ -655,11 +655,11 @@ class _Strict(list):
 
 def _lookups(u, t, x, dx):
     # A cell lookup over each input, reads of both inputs at computed indices (the
-    # lookups, and + - * of them and ints), an index read as a float, ** 0.5, and floats
-    # only as outputs: two float Duals and a traced float.
+    # lookups, and + - * of them and ints), indices read as floats (a quotient of two is
+    # a float division), ** 0.5, and floats only as outputs: two float Duals and a float.
     i, j = cell(x, dx, u), cell(x * 0.5, dx, t)
     a = Dual(u[i], t[i]) * x + Dual(u[i - 1], t[i - j])
-    return a, Dual((i + 0.5) * dx, j / 2), (u[j] * u[j]) ** 0.5 - u[-i + 2 * j + 1]
+    return a, Dual((i + 0.5) * dx, j / (i + 1)), (u[j] * u[j]) ** 0.5 - u[-i + 2 * j + 1]
 
 
 _LOOKUPS = trace(_lookups, arrays=2)

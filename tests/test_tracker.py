@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shocktangent import cases, dual, models, native, solver, tracker
 from shocktangent.cases import CaseConfig, run_case
-from shocktangent.dual import Dual, lift, seed, sqrt
+from shocktangent.dual import Dual, lift, seed, sqrt, trace
 from shocktangent.errors import (
     NonPhysicalStateError,
     OutOfDomainError,
@@ -634,3 +634,12 @@ def test_the_mirrored_euler_desk_case_marches_the_mirrored_field():
         assert got.value.tobytes() == want.value.tobytes(), name
         assert np.max(np.abs(got.tangent - want.tangent)) <= 1e-14 * largest, name
     assert len(trackers[1].times) == len(trackers[0].times)
+
+
+def test_the_compiled_gas_step_takes_the_sound_speed_of_its_position_update_by_pow():
+    # CPython's (gamma * p / rho) ** 0.5 is C's pow(x, 0.5), which differs from sqrt in
+    # the last bit on some doubles: the emitted step calls pow once, for u - a of the
+    # tracked cell, and sqrt for the two roots of the shock speed, which dual.sqrt takes.
+    source = native._emit(trace(tracker._gas_step, arrays=6), "kernel")[0]
+    assert source.count("pow(") == 1 and re.search(r"= pow\(t\d+, 0\.5\);", source)
+    assert source.count("= sqrt(") == 2
