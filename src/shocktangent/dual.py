@@ -444,11 +444,12 @@ def trace(fn, arrays=0, args=None):
             body.append(line)
             live.update(line.operands)
     body.reverse()
-    code = _define(fn, params, body, results, arrays)
-    return _Kernel(fn, code, (body, results, params), arrays) if arrays else code
+    if arrays:
+        return _Kernel(fn.__qualname__, (body, results, params), arrays)
+    return _define(fn.__qualname__, params, body, results)
 
 
-def _define(fn, params, body, results, arrays=0):
+def _define(name, params, body, results, arrays=0):
     """Compile a function of `params` that runs the lines `body` and returns `results`.
 
     Each array temporary is deleted after its last reader. An array result is
@@ -471,7 +472,7 @@ def _define(fn, params, body, results, arrays=0):
     lines = "".join(f"    {c}\n" for c in [*code, f"return ({', '.join(returns)},)"])
     namespace = dict(_CALLS)
     exec(compile(f"def kernel({', '.join(params)}):\n{lines}",
-                 f"<trace of {fn.__qualname__}>", "exec"), namespace)
+                 f"<trace of {name}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -483,16 +484,17 @@ class _Kernel:
     holds no state between calls, so calls may overlap, and it runs with
     numpy's floating-point warnings off, as a compiled kernel raises none.
     `name` is the traced function's qualified name; `tape` keeps the recorded
-    lines, outputs and parameters, which `native.compiled` emits as C. `shortest` is
-    the least n, and whether a shorter one would pad an empty array (else
-    reduce one).
+    lines, outputs and parameters, which `native.compiled` emits as C; the
+    numpy code is compiled from them on the first call, which a compiled
+    kernel makes only where its C fails. `shortest` is the least n, and
+    whether a shorter one would pad an empty array (else reduce one).
     """
 
     __slots__ = ("name", "code", "arrays", "tape", "shortest")
 
-    def __init__(self, fn, code, tape, arrays):
-        self.name = fn.__qualname__
-        self.code = code
+    def __init__(self, name, tape, arrays):
+        self.name = name
+        self.code = None
         self.arrays = arrays
         self.tape = tape
         body, _, params = tape
@@ -519,5 +521,8 @@ class _Kernel:
 
     def __call__(self, *args):
         arrays, _ = self.arguments(args)
+        if self.code is None:
+            body, results, params = self.tape
+            self.code = _define(self.name, params, body, results, self.arrays)
         with np.errstate(all="ignore"):
             return self.code(*arrays, *args[self.arrays:])
