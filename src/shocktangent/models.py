@@ -117,8 +117,9 @@ def _stencil(d, i):
     return [a[j] for a in (d.value, d.tangent) for j in (i - 1, i, i + 1)]
 
 
-#: The Burgers probes v- and v+, and BurgersModel.jump_speed, as float code
-#: traced once at import: (u-, u-', u+, u+') -> (speed, speed').
+#: The Burgers probes v- and v+ as dual code, which the compiled tracker step
+#: records; they and BurgersModel.jump_speed as float code traced once at import:
+#: (u-, u-', u+, u+') -> (speed, speed').
 _BURGERS_LINEAR = linear_probes((-1, 1))
 _BURGERS_PROBES = trace_linear_probes((-1, 1))
 _JUMP_SPEED = trace(_dual_jump_speed)
@@ -350,8 +351,9 @@ def _dual_shock_speed(rho, rho_t, u, u_t, p, p_t, p_plus, p_plus_t, gamma):
     return shock_speed_from_states(Dual(u, u_t), a_minus, p_minus, Dual(p_plus, p_plus_t), gamma)
 
 
-#: The gas probes (rho, u, p at x - delta, p at x + delta) and _dual_shock_speed, traced
-#: once at import: (rho, rho', u, u', p, p', p+, p+', gamma) -> (speed, speed').
+#: The gas probes (rho, u, p at x - delta, p at x + delta) as dual code, as for Burgers;
+#: they and _dual_shock_speed as float code traced once at import:
+#: (rho, rho', u, u', p, p', p+, p+', gamma) -> (speed, speed').
 _GAS_LINEAR = linear_probes((-1, -1, -1, 1))
 _GAS_PROBES = trace_linear_probes((-1, -1, -1, 1))
 _GAS_SPEED = trace(_dual_shock_speed)

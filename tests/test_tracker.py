@@ -585,7 +585,7 @@ def test_the_traced_rule_fails_as_the_dual_rule_does(make, law, x, error, match,
 
 
 def _case_start(config):
-    """(law, grid, x0, initial field, scheme, tracker config) of a case, as run_case builds them."""
+    """(law, grid, x0, initial field, scheme, tracker config) of a case, as run_case has them."""
     cfg = config.resolved()
     law, grid = cases.LAWS[cfg.problem], cfg.build_grid()
     oracle = law.setup(cfg)
